@@ -695,7 +695,7 @@ pub const USAGE: &str =
           trace is written to -o (delta-debugged first with --minimize);
           --keep-going exhausts the budget and counts every failure;
           --snapshot-budget bounds the prefix-sharing snapshot tree the
-          bounded search resumes schedules from (default 8192 CoW images,
+          search resumes schedules from (default 8192 CoW images,
           0 disables it; reports are bit-identical at any value; resident
           bytes are additionally capped, so deep trees stay cheap);
           --wave pins the fan-out wave

@@ -66,7 +66,7 @@ pub use harness::{
     run_trials_parallel, run_with, OverheadReport, RestartReport, TrialPool, TrialSummary,
 };
 pub use locks::{AcquireResult, LockTable, ThreadId, UnlockError};
-pub use machine::{Machine, MachineConfig, MachineSnapshot};
+pub use machine::{BranchCapture, Machine, MachineConfig, MachineSnapshot};
 pub use memory::{MemFault, Memory, DEFAULT_LOWER_BOUND, GLOBAL_BASE, HEAP_BASE};
 pub use metrics::{AtomicHistogram, Counter, Gauge, Histogram, MetricsRegistry, RunMetrics};
 pub use outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};

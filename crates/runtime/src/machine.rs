@@ -283,6 +283,22 @@ const DECISION_CHUNK: usize = 256;
 /// `String`.
 const OUTPUT_CHUNK: usize = 64;
 
+/// One image taken by [`Machine::run_captured_at_branches`], with what a
+/// scheduler simulation needs to walk to it without running the machine.
+#[derive(Debug, Clone)]
+pub struct BranchCapture {
+    /// Decision index the image precedes (decisions made so far).
+    pub depth: usize,
+    /// The machine state just before that decision.
+    pub snap: MachineSnapshot,
+    /// Threads eligible at that decision, in thread-id order.
+    pub eligible: Vec<ThreadId>,
+    /// Every decision in `singles_from..depth` had exactly one eligible
+    /// thread (so any scheduler made it the same way). Equal to `depth`
+    /// when the run did not observe the decisions before this one.
+    pub singles_from: usize,
+}
+
 /// In-flight snapshot capture: one image per decision index in
 /// `[from, from + limit)`, in ascending depth order.
 struct CaptureState {
@@ -295,7 +311,10 @@ struct CaptureState {
     /// Captures taken, folded into `RunMetrics::snapshots_taken` at run
     /// end — bumping the shared metrics per capture would re-clone them.
     taken: u64,
-    out: Vec<(usize, MachineSnapshot)>,
+    /// The latest decision index that had two or more eligible threads,
+    /// or was this run's first consult.
+    last_fork: Option<usize>,
+    out: Vec<BranchCapture>,
 }
 
 /// The interpreter for one program run.
@@ -628,15 +647,16 @@ impl<'p> Machine<'p> {
     /// at least two threads are eligible, the only depths a divergent
     /// sibling schedule can resume from. `capture_limit` bounds the number
     /// of captures instead of the depth window, so sparse branch points
-    /// deep in a run stay covered.
+    /// deep in a run stay covered. Each capture carries its consult's
+    /// eligible set and the single-choice run of decisions leading to it.
     pub fn run_captured_at_branches<S: Scheduler + ?Sized>(
         mut self,
         scheduler: &mut S,
         capture_from: usize,
         capture_limit: usize,
-    ) -> (RunResult, Vec<(usize, MachineSnapshot)>) {
+    ) -> (RunResult, Vec<BranchCapture>) {
         self.capture_branches_only = true;
-        self.run_captured(scheduler, capture_from, capture_limit)
+        self.run_capture_plan(scheduler, capture_from, capture_limit)
     }
 
     /// Runs like [`Machine::run`], additionally capturing a
@@ -646,11 +666,24 @@ impl<'p> Machine<'p> {
     /// the decision log, so [`MachineConfig::record_decisions`] must be
     /// set.
     pub fn run_captured<S: Scheduler + ?Sized>(
-        mut self,
+        self,
         scheduler: &mut S,
         capture_from: usize,
         capture_limit: usize,
     ) -> (RunResult, Vec<(usize, MachineSnapshot)>) {
+        let (result, captured) = self.run_capture_plan(scheduler, capture_from, capture_limit);
+        (
+            result,
+            captured.into_iter().map(|c| (c.depth, c.snap)).collect(),
+        )
+    }
+
+    fn run_capture_plan<S: Scheduler + ?Sized>(
+        mut self,
+        scheduler: &mut S,
+        capture_from: usize,
+        capture_limit: usize,
+    ) -> (RunResult, Vec<BranchCapture>) {
         assert!(
             self.config.record_decisions,
             "snapshot capture keys on the decision log"
@@ -661,6 +694,7 @@ impl<'p> Machine<'p> {
                 limit: capture_limit,
                 branches_only: self.capture_branches_only,
                 taken: 0,
+                last_fork: None,
                 out: Vec::new(),
             });
         }
@@ -671,11 +705,7 @@ impl<'p> Machine<'p> {
     fn run_inner<S: Scheduler + ?Sized>(
         mut self,
         scheduler: &mut S,
-    ) -> (
-        RunResult,
-        Vec<(usize, MachineSnapshot)>,
-        Option<MachineSnapshot>,
-    ) {
+    ) -> (RunResult, Vec<BranchCapture>, Option<MachineSnapshot>) {
         #[cfg(not(any(test, feature = "dense-oracle")))]
         assert!(
             !self.config.dense_oracle,
@@ -996,18 +1026,24 @@ impl<'p> Machine<'p> {
     /// (timeout scan and eligibility recomputation included, both of which
     /// are idempotent at a decision point) and proceeds bit-identically.
     fn maybe_capture(&mut self) {
+        let Some(c) = self.capture.as_mut() else {
+            return;
+        };
         let depth = self.decision_log.len();
-        let due = self.capture.as_ref().is_some_and(|c| {
-            if c.branches_only {
-                // A single-eligible consult spawns no alternative child, so
-                // an image there can never be a resume target: every run
-                // reaching this prefix has the same state (determinism),
-                // hence the same eligible set, hence no divergence here.
-                depth >= c.from && c.taken < c.limit as u64 && self.eligible.len() >= 2
-            } else {
-                depth >= c.from && depth < c.from + c.limit
-            }
-        });
+        let fork = self.eligible.len() >= 2;
+        let due = if c.branches_only {
+            // A single-eligible consult spawns no alternative child, so
+            // an image there can never be a resume target: every run
+            // reaching this prefix has the same state (determinism),
+            // hence the same eligible set, hence no divergence here.
+            depth >= c.from && c.taken < c.limit as u64 && fork
+        } else {
+            depth >= c.from && depth < c.from + c.limit
+        };
+        let singles_from = c.last_fork.map_or(depth, |f| f + 1);
+        if fork || c.last_fork.is_none() {
+            c.last_fork = Some(depth);
+        }
         if !due {
             return;
         }
@@ -1015,9 +1051,15 @@ impl<'p> Machine<'p> {
         let mut snap = self.snapshot();
         self.capture_wall += capture_start.elapsed();
         snap.step -= 1;
+        let eligible = self.eligible.clone();
         let c = self.capture.as_mut().expect("checked above");
         c.taken += 1;
-        c.out.push((depth, snap));
+        c.out.push(BranchCapture {
+            depth,
+            snap,
+            eligible,
+            singles_from,
+        });
     }
 
     /// Re-evaluates `gates_active` after a marker count increment: a hit on

@@ -144,9 +144,12 @@ impl FrontierScheduler {
         self.prefix.len()
     }
 
-    /// Whether a forced decision named an ineligible thread. Never happens
+    /// Whether a forced decision named an ineligible thread (the pick then
+    /// fell back to the default continuation, as a
+    /// [`ReplayScheduler`](super::ReplayScheduler) does). Never happens
     /// when the prefix came from a prior run of the same program and
-    /// config — execution up to the frontier is bit-identical.
+    /// config — execution up to the frontier is bit-identical; the
+    /// minimizer's edited traces rely on the fallback.
     pub fn infeasible(&self) -> bool {
         self.infeasible
     }

@@ -2,7 +2,7 @@
 //! fails, with deterministic parallel fan-out and prefix-sharing snapshot
 //! reuse.
 //!
-//! Two strategies share one engine:
+//! Three strategies share one engine:
 //!
 //! * **PCT** — independent randomized-priority runs seeded `seed+1,
 //!   seed+2, …` after a probe run that measures `k` (decisions per run).
@@ -11,6 +11,8 @@
 //!   replay the decisions up to a branch point and pick a different
 //!   eligible thread there, as long as the path's preemption count stays
 //!   within budget.
+//! * **DPOR** — the bounded frontier, fed only race-reversing backtrack
+//!   candidates (see [`super::dpor`]).
 //!
 //! Schedules execute in waves fanned across a
 //! [`TrialPool`](crate::TrialPool); results merge in schedule-index order.
@@ -19,14 +21,19 @@
 //! failing schedule are **bit-identical across job counts** — parallelism
 //! changes wall time only.
 //!
-//! Three layers make the bounded search cheap without changing what it
-//! reports (all deterministic, all enforced bit-identical by tests):
+//! Three layers make the search cheap without changing what it reports
+//! (all deterministic, all enforced bit-identical by tests):
 //!
-//! * **Prefix-sharing snapshot tree** — bounded/CHESS neighbors share long
-//!   decision prefixes by construction, so executed runs deposit
-//!   [`MachineSnapshot`]s keyed by decision prefix into a [`SnapshotTree`]
-//!   (LRU-bounded by `--snapshot-budget`), and each candidate resumes from
-//!   its deepest retained ancestor instead of interpreting from step zero.
+//! * **Prefix-sharing snapshot tree** (`runner.rs`, shared with
+//!   [`super::minimize`]) — executed runs deposit [`MachineSnapshot`]s
+//!   keyed by decision prefix (LRU-bounded by `--snapshot-budget`), and
+//!   each run resumes from its deepest retained ancestor instead of
+//!   interpreting from step zero. Bounded/DPOR candidates share long
+//!   forced prefixes by construction. PCT runs share the probe's path up
+//!   to their first divergent pick, which under sync masks often lies deep
+//!   in the run: MozillaXP consults the scheduler at steps 1, 554505 and
+//!   554512. Each PCT run's scheduler is advanced down the retained nodes
+//!   before it starts.
 //! * **Decision-trace dedup** — past its forced prefix a candidate
 //!   continues deterministically, so every forced-or-longer prefix of an
 //!   executed trace identifies a schedule whose whole run is already
@@ -35,24 +42,28 @@
 //!   where a consult's transition is exactly one instruction wide) — an
 //!   alternative whose next instruction provably commutes with the chosen
 //!   thread's is not enqueued as a preemption point.
+//!
+//! [`MachineSnapshot`]: crate::MachineSnapshot
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use super::bounded::{Consult, FrontierScheduler};
 use super::decision::DecisionTrace;
 use super::dpor::{self, DporCandidate, NodeTable};
-use super::pct::{PctConfig, PctScheduler};
+use super::pct::PctConfig;
 use super::point::{PointKind, PointMask};
+use super::runner::{
+    Executed, PctPlan, Resume, RunPlan, Runner, SnapshotTree, CAPTURE_PER_RUN,
+    DEFAULT_SNAPSHOT_BUDGET,
+};
 
 pub use super::dpor::DporCounters;
-use crate::dense::DenseProgram;
 use crate::harness::TrialPool;
-use crate::machine::{Machine, MachineConfig, MachineSnapshot, SnapshotFootprint};
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::machine::MachineConfig;
+use crate::metrics::MetricsRegistry;
 use crate::outcome::RunOutcome;
 use crate::program::Program;
 use crate::trace::{TraceEvent, TraceSink};
@@ -65,11 +76,6 @@ const WAVE_BASE: usize = 16;
 
 /// Wave-width ceiling.
 const WAVE_MAX: usize = 256;
-
-/// Snapshots one run may deposit into the tree: captures cover decision
-/// indices `[frontier, frontier + CAPTURE_PER_RUN)`, exactly where the
-/// run's own children branch.
-const CAPTURE_PER_RUN: usize = 64;
 
 /// Which search strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -127,9 +133,9 @@ pub struct ExploreConfig {
     pub stop_at_first: bool,
     /// Override PCT's `k` instead of probing for it.
     pub pct_k: Option<u64>,
-    /// Retained snapshots the prefix tree may hold (bounded search only;
-    /// `0` disables the cache entirely). Pure perf: reports are
-    /// bit-identical at any value.
+    /// Retained snapshots the prefix tree may hold (`0` disables the
+    /// cache entirely). Pure perf: reports are bit-identical at any
+    /// value.
     pub snapshot_budget: usize,
     /// Pin every wave to this width instead of the 16 → 256 ramp.
     pub wave: Option<usize>,
@@ -139,7 +145,7 @@ impl ExploreConfig {
     /// Defaults: seed 1, budget 256, sequential, sync mask, stop at first
     /// failure, 8192 retained snapshots, ramped wave widths. The snapshot
     /// default is sized for CoW images — mostly refcount bumps each, with
-    /// [`SNAPSHOT_BYTE_BUDGET`] bounding actual residency.
+    /// a resident-bytes ceiling bounding actual residency.
     pub fn new(strategy: ExploreStrategy) -> Self {
         Self {
             strategy,
@@ -149,7 +155,7 @@ impl ExploreConfig {
             mask: PointMask::SYNC,
             stop_at_first: true,
             pct_k: None,
-            snapshot_budget: 8192,
+            snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
             wave: None,
         }
     }
@@ -362,251 +368,6 @@ impl ExploreReport {
     }
 }
 
-/// One executed schedule: outcome + recorded decisions (+ consults and
-/// captured snapshots when a frontier scheduler ran it).
-struct Executed {
-    outcome: RunOutcome,
-    trace: DecisionTrace,
-    consults: Vec<Consult>,
-    /// Decision index of the first recorded consult: the snapshot depth
-    /// when the run resumed mid-tree, 0 from scratch.
-    consult_base: usize,
-    /// Preemptions spent by the decisions before `consult_base`.
-    base_preemptions: usize,
-    /// Captured snapshots `(decision depth, image)`, ascending depth.
-    snaps: Vec<(usize, MachineSnapshot)>,
-    /// The run's wall time (capture time included).
-    run_wall: Duration,
-    /// Portion of `run_wall` spent capturing snapshots.
-    capture_wall: Duration,
-    /// Wall time spent restoring the resume snapshot (zero from scratch).
-    restore_wall: Duration,
-    /// Live scheduler decisions (excludes decisions a resume skipped).
-    picks: u64,
-    /// PCT priority demotions (0 for frontier runs).
-    demotions: u64,
-    /// Register undo-log depths at the run's rollbacks (prefix samples
-    /// repeat across schedules sharing a resumed prefix).
-    undo_depth: Histogram,
-}
-
-/// How to execute one candidate schedule.
-struct RunPlan {
-    /// Forced decision prefix.
-    prefix: Vec<u32>,
-    /// Deepest retained ancestor `(image, depth, preemptions before it)`,
-    /// when the tree held one.
-    resume: Option<(Arc<MachineSnapshot>, usize, usize)>,
-    /// Maximum snapshots this run may capture (0 = none).
-    capture: usize,
-}
-
-fn run_frontier<'p>(
-    program: &'p Program,
-    config: &MachineConfig,
-    dense: &Arc<DenseProgram<'p>>,
-    plan: &RunPlan,
-    mask: PointMask,
-) -> Executed {
-    let mut machine = Machine::with_shared_dense(program, dense.clone(), *config);
-    let (mut sched, consult_base, base_preemptions, restore_wall) = match &plan.resume {
-        Some((snap, depth, pre)) => {
-            let restore_start = Instant::now();
-            machine.restore_from(snap);
-            (
-                FrontierScheduler::resume(plan.prefix.clone(), *depth, mask),
-                *depth,
-                *pre,
-                restore_start.elapsed(),
-            )
-        }
-        None => (
-            FrontierScheduler::new(plan.prefix.clone(), mask),
-            0,
-            0,
-            Duration::ZERO,
-        ),
-    };
-    // Capture where this run's own children will branch: at and past the
-    // forced frontier (the depth-0 root state is the machine's initial
-    // state — the first consult fires on step one — so skip it).
-    let capture_from = plan.prefix.len().max(1);
-    let (result, snaps) = machine.run_captured_at_branches(&mut sched, capture_from, plan.capture);
-    debug_assert!(!sched.infeasible(), "prefixes come from recorded runs");
-    let picks = sched.picks();
-    Executed {
-        outcome: result.outcome,
-        trace: result
-            .decisions
-            .unwrap_or_else(|| DecisionTrace::new("bounded", 0, mask)),
-        consults: sched.into_consults(),
-        consult_base,
-        base_preemptions,
-        snaps,
-        run_wall: result.stats.wall,
-        capture_wall: result.stats.snapshot_wall,
-        restore_wall,
-        picks,
-        demotions: 0,
-        undo_depth: result.metrics.undo_depth,
-    }
-}
-
-fn run_pct<'p>(
-    program: &'p Program,
-    config: &MachineConfig,
-    dense: &Arc<DenseProgram<'p>>,
-    seed: u64,
-    cfg: PctConfig,
-) -> Executed {
-    let mut sched = PctScheduler::new(seed, cfg);
-    let result = Machine::with_shared_dense(program, dense.clone(), *config).run(&mut sched);
-    let mut trace = result
-        .decisions
-        .unwrap_or_else(|| DecisionTrace::new("pct", seed, cfg.mask));
-    trace.seed = seed;
-    Executed {
-        outcome: result.outcome,
-        trace,
-        consults: Vec::new(),
-        consult_base: 0,
-        base_preemptions: 0,
-        snaps: Vec::new(),
-        run_wall: result.stats.wall,
-        capture_wall: Duration::ZERO,
-        restore_wall: Duration::ZERO,
-        picks: sched.decisions(),
-        demotions: sched.demotions(),
-        undo_depth: result.metrics.undo_depth,
-    }
-}
-
-/// Retained snapshots keyed by decision prefix — a trie over the
-/// [`DecisionTrace`] u32 log, stored flat (the keys *are* the paths).
-///
-/// All lookups and inserts happen on the exploring thread in
-/// schedule-index order, so hits, evictions and the LRU clock are
-/// deterministic and identical across `--jobs`. Workers only ever read
-/// images through the `Arc`.
-struct SnapshotTree {
-    budget: usize,
-    nodes: HashMap<Vec<u32>, TreeNode>,
-    clock: u64,
-    /// LRU evictions performed so far (registry telemetry).
-    evictions: u64,
-    /// Running totals of the retained nodes' insert-time footprints.
-    /// Snapshots are CoW images, so node count says little about memory
-    /// pressure — a node whose pages are all shared with its parent is
-    /// nearly free, a node whose run dirtied everything is not. Resident
-    /// *owned* bytes is the eviction pressure signal; each node's
-    /// contribution is recorded once at insert (on the exploring thread,
-    /// after the wave's workers have joined, so it is deterministic and
-    /// jobs-invariant) and subtracted verbatim at evict.
-    resident_bytes: u64,
-    owned_pages: u64,
-    shared_pages: u64,
-}
-
-/// Resident-bytes ceiling for the snapshot tree. With CoW images the
-/// node-count budget alone no longer bounds memory (8192 mostly-shared
-/// images are cheap, 8192 fully-dirtied ones are not); eviction also
-/// fires when insert-time owned bytes exceed this.
-const SNAPSHOT_BYTE_BUDGET: u64 = 256 << 20;
-
-struct TreeNode {
-    snap: Arc<MachineSnapshot>,
-    /// Preemptions spent by the first `depth` decisions of any schedule
-    /// through this node (a function of the prefix alone).
-    preemptions: usize,
-    last_used: u64,
-    /// Insert-time sharing accounting, subtracted from the tree totals at
-    /// evict — never recomputed, so totals stay deterministic even though
-    /// live sharing drifts as neighbors are inserted and dropped.
-    footprint: SnapshotFootprint,
-}
-
-impl SnapshotTree {
-    fn new(budget: usize) -> Self {
-        Self {
-            budget,
-            nodes: HashMap::new(),
-            clock: 0,
-            evictions: 0,
-            resident_bytes: 0,
-            owned_pages: 0,
-            shared_pages: 0,
-        }
-    }
-
-    /// Live nodes (tree occupancy).
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The deepest retained ancestor of `prefix` (depth `1..=len`),
-    /// LRU-touched. Depth `len` is the prefix itself — a full hit. Depth 0
-    /// is never held: the first consult fires on the run's first step, so
-    /// a pre-decision image is the (worthless) initial state.
-    fn lookup(&mut self, prefix: &[u32]) -> Option<(Arc<MachineSnapshot>, usize, usize)> {
-        if self.budget == 0 {
-            return None;
-        }
-        for depth in (1..=prefix.len()).rev() {
-            if let Some(node) = self.nodes.get_mut(&prefix[..depth]) {
-                self.clock += 1;
-                node.last_used = self.clock;
-                return Some((node.snap.clone(), depth, node.preemptions));
-            }
-        }
-        None
-    }
-
-    /// Retains `snap` under `key` unless present; over either capacity —
-    /// node count, or [`SNAPSHOT_BYTE_BUDGET`] resident owned bytes — the
-    /// least-recently-used nodes are evicted first. Subtrees the search
-    /// has exhausted stop being looked up, so their nodes age out
-    /// naturally. Returns whether a new node was added.
-    fn insert(&mut self, key: &[u32], snap: MachineSnapshot, preemptions: usize) -> bool {
-        if self.budget == 0 || self.nodes.contains_key(key) {
-            return false;
-        }
-        let footprint = snap.footprint();
-        while !self.nodes.is_empty()
-            && (self.nodes.len() >= self.budget
-                || self.resident_bytes + footprint.owned_bytes > SNAPSHOT_BYTE_BUDGET)
-        {
-            // The clock is strictly increasing, so the minimum is unique
-            // and eviction is deterministic despite the map's iteration
-            // order.
-            let victim = self
-                .nodes
-                .iter()
-                .min_by_key(|(_, n)| n.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("tree at capacity is non-empty");
-            let node = self.nodes.remove(&victim).expect("victim is live");
-            self.resident_bytes -= node.footprint.owned_bytes;
-            self.owned_pages -= node.footprint.owned_pages;
-            self.shared_pages -= node.footprint.shared_pages;
-            self.evictions += 1;
-        }
-        self.clock += 1;
-        self.resident_bytes += footprint.owned_bytes;
-        self.owned_pages += footprint.owned_pages;
-        self.shared_pages += footprint.shared_pages;
-        self.nodes.insert(
-            key.to_vec(),
-            TreeNode {
-                snap: Arc::new(snap),
-                preemptions,
-                last_used: self.clock,
-                footprint,
-            },
-        );
-        true
-    }
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -640,26 +401,12 @@ fn note_executed(seen: &mut HashSet<u64>, forced: usize, decisions: &[u32]) {
     }
 }
 
-/// Preemptions spent by the first `depth` decisions of an executed run.
-fn preemptions_before(ex: &Executed, depth: usize) -> usize {
-    debug_assert!(depth >= ex.consult_base, "capture precedes resume point");
-    let local = depth - ex.consult_base;
-    ex.base_preemptions
-        + ex.consults[..local]
-            .iter()
-            .filter(|c| c.is_preemption())
-            .count()
-}
-
-/// Deposits an executed run's captured snapshots into the tree, in
-/// ascending depth order.
-fn absorb_snapshots(tree: &mut SnapshotTree, report: &mut ExploreReport, ex: &mut Executed) {
-    let snaps = std::mem::take(&mut ex.snaps);
-    for (depth, snap) in snaps {
-        let pre = preemptions_before(ex, depth);
-        if tree.insert(&ex.trace.decisions[..depth], snap, pre) {
-            report.snapshots_taken += 1;
-        }
+/// Counts a run that resumes from a retained ancestor in the cache
+/// counters.
+fn count_resume(report: &mut ExploreReport, resume: Option<&Resume>) {
+    if let Some(r) = resume {
+        report.snapshot_hits += 1;
+        report.steps_saved += r.snap.step();
     }
 }
 
@@ -817,6 +564,32 @@ struct WaveObs {
     last: bool,
 }
 
+impl WaveObs {
+    fn new(
+        wave: usize,
+        width: usize,
+        executed: usize,
+        wave_start: Instant,
+        frontier: usize,
+        tree: &SnapshotTree,
+        last: bool,
+    ) -> Self {
+        Self {
+            wave: wave as u64,
+            width: width as u64,
+            executed: executed as u64,
+            wall_us: wave_start.elapsed().as_micros() as u64,
+            frontier: frontier as u64,
+            tree_nodes: tree.len() as u64,
+            tree_evictions: tree.evictions,
+            tree_resident_bytes: tree.resident_bytes,
+            tree_owned_pages: tree.owned_pages,
+            tree_shared_pages: tree.shared_pages,
+            last,
+        }
+    }
+}
+
 /// Running phase-timer accumulators; converted to [`ExplorePhases`] (µs)
 /// at each wave boundary.
 #[derive(Default)]
@@ -884,10 +657,8 @@ pub fn explore_observed(
     } else {
         ec
     };
-    let mut cfg = *config;
-    cfg.record_decisions = true;
     // One lowering shared by every run of the search (and every worker).
-    let dense = Arc::new(DenseProgram::new(&program.module));
+    let runner = Runner::new(program, config);
 
     let mut report = ExploreReport {
         strategy: ec.strategy.label(),
@@ -911,28 +682,30 @@ pub fn explore_observed(
     };
     let mut clock = PhaseClock::default();
 
-    // Snapshots only pay off for the systematic trees (PCT runs share no
-    // forced prefixes).
-    let capture = match ec.strategy {
-        ExploreStrategy::Bounded { .. } | ExploreStrategy::Dpor { .. }
-            if ec.snapshot_budget > 0 =>
-        {
-            CAPTURE_PER_RUN
-        }
-        _ => 0,
+    // Every strategy resumes from the tree: the systematic searches share
+    // forced prefixes by construction, and PCT runs share the probe's
+    // path up to their first divergent pick — which, at sync points, can
+    // lie hundreds of thousands of steps in.
+    let capture = if ec.snapshot_budget > 0 {
+        CAPTURE_PER_RUN
+    } else {
+        0
     };
+    let mut tree = SnapshotTree::new(ec.snapshot_budget);
 
-    // Schedule 0 in both strategies: the probe — the non-preemptive
+    // Schedule 0 in every strategy: the probe — the non-preemptive
     // default schedule (empty forced prefix). It measures PCT's `k`, is
-    // the root of the bounded search tree, and catches bugs that need no
+    // the root of the search tree, and catches bugs that need no
     // preemption at all.
     let probe_plan = RunPlan {
         prefix: Vec::new(),
         resume: None,
         capture,
+        capture_from: 1,
     };
-    let mut probe = run_frontier(program, &cfg, &dense, &probe_plan, ec.mask);
+    let mut probe = runner.frontier(&probe_plan, ec.mask);
     report.probe_decisions = probe.trace.len() as u64;
+    report.snapshots_taken += tree.absorb(&mut probe);
     clock.note_run(&probe);
     if let Some(obs) = observer.as_deref_mut() {
         // The probe is a frontier (non-preemptive default) run under every
@@ -971,56 +744,71 @@ pub fn explore_observed(
                 k: ec.pct_k.unwrap_or_else(|| report.probe_decisions.max(16)),
                 mask: ec.mask,
             };
+            // Every run's first consult is the probe's first consult.
+            let root = probe
+                .consults
+                .first()
+                .map(|c| c.eligible.clone())
+                .unwrap_or_default();
             let mut wave = 0usize;
             while !done(&report) {
                 let wave_start = Instant::now();
                 let base = report.schedules;
                 // PCT runs are mutually independent — nothing flows between
-                // waves except the stop-at-first check. Without it, the
-                // 16 → 256 ramp only inserts fan-out barriers (a fresh
-                // thread scope + channel drain per wave) between runs that
-                // never needed to synchronize: on a full-budget search that
-                // overhead ate the whole parallel speedup. One wave takes
-                // the entire remaining budget instead; the ramp stays for
-                // stop-at-first searches, where small early waves keep the
-                // search from overshooting the first failure.
+                // waves except the stop-at-first check and the tree. Without
+                // it, the 16 → 256 ramp only inserts fan-out barriers (a
+                // fresh thread scope + channel drain per wave) between runs
+                // that never needed to synchronize: on a full-budget search
+                // that overhead ate the whole parallel speedup. One wave
+                // takes the entire remaining budget instead; the ramp stays
+                // for stop-at-first searches, where small early waves keep
+                // the search from overshooting the first failure.
                 let count = if ec.stop_at_first {
                     wave_width(ec, wave).min(ec.budget - base)
                 } else {
                     ec.budget - base
                 };
+                // Captures serve later waves' walks only: the wave that
+                // spends the budget takes none.
+                let wave_capture = if base + count < ec.budget {
+                    capture.min((ec.snapshot_budget / count.max(1)).max(1))
+                } else {
+                    0
+                };
                 report.wave_widths.push(count as u64);
-                let results = pool.map(count, |j| {
-                    run_pct(program, &cfg, &dense, ec.seed + (base + j) as u64, pct)
-                });
+                // Walk every run down the tree on this thread, in run
+                // order, so resumes are identical whatever executes them.
+                let assemble_start = Instant::now();
+                let plans: Vec<PctPlan> = (0..count)
+                    .map(|j| {
+                        let seed = ec.seed + (base + j) as u64;
+                        let (sched, resume) = tree.walk_pct(seed, pct, &root, runner.threads());
+                        count_resume(&mut report, resume.as_ref());
+                        PctPlan {
+                            seed,
+                            sched,
+                            resume,
+                            capture: wave_capture,
+                        }
+                    })
+                    .collect();
+                clock.merge += assemble_start.elapsed();
+                let results = pool.map(count, |j| runner.pct(&plans[j]));
                 let merge_start = Instant::now();
-                for (j, ex) in results.iter().enumerate() {
-                    record(&mut report, base + j, ex);
-                    clock.note_run(ex);
+                for (j, mut ex) in results.into_iter().enumerate() {
+                    record(&mut report, base + j, &ex);
+                    report.snapshots_taken += tree.absorb(&mut ex);
+                    clock.note_run(&ex);
                     if let Some(obs) = observer.as_deref_mut() {
-                        obs.observe_run(ec.strategy, ex);
+                        obs.observe_run(ec.strategy, &ex);
                     }
                 }
                 clock.merge += merge_start.elapsed();
                 report.phases = clock.to_phases();
                 if let Some(obs) = observer.as_deref_mut() {
-                    obs.observe_wave(
-                        &report,
-                        start.elapsed().as_millis() as u64,
-                        &WaveObs {
-                            wave: wave as u64,
-                            width: count as u64,
-                            executed: count as u64,
-                            wall_us: wave_start.elapsed().as_micros() as u64,
-                            frontier: 0,
-                            tree_nodes: 0,
-                            tree_evictions: 0,
-                            tree_resident_bytes: 0,
-                            tree_owned_pages: 0,
-                            tree_shared_pages: 0,
-                            last: done(&report),
-                        },
-                    );
+                    let last = done(&report);
+                    let w = WaveObs::new(wave, count, count, wave_start, 0, &tree, last);
+                    obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
                 }
                 wave += 1;
             }
@@ -1041,9 +829,7 @@ pub fn explore_observed(
             // preemption, making those captures pure dead weight).
             let mut queue: VecDeque<(Vec<u32>, usize)> = VecDeque::new();
             let mut seen: HashSet<u64> = HashSet::new();
-            let mut tree = SnapshotTree::new(ec.snapshot_budget);
             note_executed(&mut seen, 0, &probe.trace.decisions);
-            absorb_snapshots(&mut tree, &mut report, &mut probe);
             push_children(&mut queue, &probe, 0, preemptions, prune, &mut report);
             let mut wave = 0usize;
             while !done(&report) {
@@ -1076,12 +862,10 @@ pub fn explore_observed(
                         continue;
                     }
                     let resume = tree.lookup(&prefix);
-                    if let Some((snap, _, _)) = &resume {
-                        report.snapshot_hits += 1;
-                        report.steps_saved += snap.step();
-                    }
+                    count_resume(&mut report, resume.as_ref());
                     let capture = if cost >= preemptions { 0 } else { wave_capture };
                     batch.push(RunPlan {
+                        capture_from: prefix.len().max(1),
                         prefix,
                         resume,
                         capture,
@@ -1091,16 +875,15 @@ pub fn explore_observed(
                 if batch.is_empty() {
                     break;
                 }
-                let results = pool.map(batch.len(), |j| {
-                    run_frontier(program, &cfg, &dense, &batch[j], ec.mask)
-                });
+                let results = pool.map(batch.len(), |j| runner.frontier(&batch[j], ec.mask));
                 let merge_start = Instant::now();
                 let executed = results.len();
                 report.wave_widths.push(executed as u64);
                 for (j, mut ex) in results.into_iter().enumerate() {
+                    debug_assert!(!ex.infeasible, "prefixes come from recorded runs");
                     record(&mut report, base + j, &ex);
                     note_executed(&mut seen, batch[j].prefix.len(), &ex.trace.decisions);
-                    absorb_snapshots(&mut tree, &mut report, &mut ex);
+                    report.snapshots_taken += tree.absorb(&mut ex);
                     push_children(
                         &mut queue,
                         &ex,
@@ -1117,23 +900,10 @@ pub fn explore_observed(
                 clock.merge += merge_start.elapsed();
                 report.phases = clock.to_phases();
                 if let Some(obs) = observer.as_deref_mut() {
-                    obs.observe_wave(
-                        &report,
-                        start.elapsed().as_millis() as u64,
-                        &WaveObs {
-                            wave: wave as u64,
-                            width: room as u64,
-                            executed: executed as u64,
-                            wall_us: wave_start.elapsed().as_micros() as u64,
-                            frontier: queue.len() as u64,
-                            tree_nodes: tree.len() as u64,
-                            tree_evictions: tree.evictions,
-                            tree_resident_bytes: tree.resident_bytes,
-                            tree_owned_pages: tree.owned_pages,
-                            tree_shared_pages: tree.shared_pages,
-                            last: done(&report) || queue.is_empty(),
-                        },
-                    );
+                    let last = done(&report) || queue.is_empty();
+                    let w =
+                        WaveObs::new(wave, room, executed, wave_start, queue.len(), &tree, last);
+                    obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
                 }
                 wave += 1;
             }
@@ -1151,10 +921,8 @@ pub fn explore_observed(
             let threads = program.threads.len();
             let mut queue: VecDeque<DporCandidate> = VecDeque::new();
             let mut seen: HashSet<u64> = HashSet::new();
-            let mut tree = SnapshotTree::new(ec.snapshot_budget);
             let mut nodes = NodeTable::default();
             note_executed(&mut seen, 0, &probe.trace.decisions);
-            absorb_snapshots(&mut tree, &mut report, &mut probe);
             let own = Arc::new(std::mem::take(&mut probe.consults));
             let analysis = dpor::analyze(
                 &DporCandidate::root(),
@@ -1191,14 +959,12 @@ pub fn explore_observed(
                         continue;
                     }
                     let resume = tree.lookup(&cand.prefix);
-                    if let Some((snap, _, _)) = &resume {
-                        report.snapshot_hits += 1;
-                        report.steps_saved += snap.step();
-                    }
+                    count_resume(&mut report, resume.as_ref());
                     plans.push(RunPlan {
                         prefix: cand.prefix.clone(),
                         resume,
                         capture: wave_capture,
+                        capture_from: cand.prefix.len().max(1),
                     });
                     cands.push(cand);
                 }
@@ -1206,16 +972,15 @@ pub fn explore_observed(
                 if plans.is_empty() {
                     break;
                 }
-                let results = pool.map(plans.len(), |j| {
-                    run_frontier(program, &cfg, &dense, &plans[j], ec.mask)
-                });
+                let results = pool.map(plans.len(), |j| runner.frontier(&plans[j], ec.mask));
                 let merge_start = Instant::now();
                 let executed = results.len();
                 report.wave_widths.push(executed as u64);
                 for (j, mut ex) in results.into_iter().enumerate() {
+                    debug_assert!(!ex.infeasible, "prefixes come from recorded runs");
                     record(&mut report, base + j, &ex);
                     note_executed(&mut seen, plans[j].prefix.len(), &ex.trace.decisions);
-                    absorb_snapshots(&mut tree, &mut report, &mut ex);
+                    report.snapshots_taken += tree.absorb(&mut ex);
                     let own = Arc::new(std::mem::take(&mut ex.consults));
                     let analysis = dpor::analyze(
                         &cands[j],
@@ -1236,23 +1001,10 @@ pub fn explore_observed(
                 clock.merge += merge_start.elapsed();
                 report.phases = clock.to_phases();
                 if let Some(obs) = observer.as_deref_mut() {
-                    obs.observe_wave(
-                        &report,
-                        start.elapsed().as_millis() as u64,
-                        &WaveObs {
-                            wave: wave as u64,
-                            width: room as u64,
-                            executed: executed as u64,
-                            wall_us: wave_start.elapsed().as_micros() as u64,
-                            frontier: queue.len() as u64,
-                            tree_nodes: tree.len() as u64,
-                            tree_evictions: tree.evictions,
-                            tree_resident_bytes: tree.resident_bytes,
-                            tree_owned_pages: tree.owned_pages,
-                            tree_shared_pages: tree.shared_pages,
-                            last: done(&report) || queue.is_empty(),
-                        },
-                    );
+                    let last = done(&report) || queue.is_empty();
+                    let w =
+                        WaveObs::new(wave, room, executed, wave_start, queue.len(), &tree, last);
+                    obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
                 }
                 wave += 1;
             }
@@ -1536,39 +1288,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_tree_lru_evicts_deterministically() {
-        use crate::sched::basic::RoundRobin;
-        // Build a real snapshot to populate entries with.
-        let program = order_violation();
-        let cfg = MachineConfig {
-            record_decisions: true,
-            ..MachineConfig::default()
-        };
-        let mut sched = RoundRobin::default();
-        let (_, snaps) = Machine::new(&program, cfg).run_captured(&mut sched, 1, 1);
-        let (_, snap) = snaps.into_iter().next().expect("one capture");
-
-        let mut tree = SnapshotTree::new(2);
-        assert!(tree.insert(&[0], snap.clone(), 0));
-        assert!(tree.insert(&[0, 1], snap.clone(), 1));
-        assert!(!tree.insert(&[0, 1], snap.clone(), 1), "no duplicate keys");
-        // Touch [0] so [0, 1] is the LRU victim.
-        assert!(tree.lookup(&[0, 7]).is_some());
-        assert!(tree.insert(&[1], snap.clone(), 0));
-        assert!(
-            tree.lookup(&[0, 1]).map(|(_, d, _)| d) == Some(1),
-            "evicted to ancestor"
-        );
-        // Deepest ancestor wins and carries its preemption count.
-        assert!(tree.insert(&[1, 2], snap, 1));
-        let (_, depth, pre) = tree.lookup(&[1, 2, 3]).expect("ancestor");
-        assert_eq!((depth, pre), (2, 1));
-        // Budget 0 disables everything.
-        let mut off = SnapshotTree::new(0);
-        assert!(off.lookup(&[0]).is_none());
-    }
-
-    #[test]
     fn report_derived_stats() {
         let mut report = ExploreReport {
             strategy: "pct(d=3)".into(),
@@ -1775,70 +1494,5 @@ mod tests {
         let back: ExploreReport =
             serde_json::from_str(&serde_json::to_string(&current).unwrap()).unwrap();
         assert_eq!(back, current);
-    }
-
-    /// Seeds a tree with `n` distinct single-decision prefixes captured
-    /// from one machine (structurally shared images, so thousands are
-    /// cheap) and returns the surviving keys plus the eviction count.
-    fn fill_tree(budget: usize, n: u32) -> (SnapshotTree, Vec<Vec<u32>>, u64) {
-        let program = order_violation();
-        let mut machine = Machine::new(&program, MachineConfig::default());
-        let mut tree = SnapshotTree::new(budget);
-        for i in 0..n {
-            assert!(tree.insert(&[i], machine.snapshot(), 0));
-        }
-        let mut keys: Vec<Vec<u32>> = tree.nodes.keys().cloned().collect();
-        keys.sort();
-        let evictions = tree.evictions;
-        (tree, keys, evictions)
-    }
-
-    #[test]
-    fn snapshot_tree_lru_eviction_is_deterministic_past_4096_nodes() {
-        // Overfill a 4096-node tree and check eviction is exact,
-        // oldest-first, and bit-identical across repetitions (the LRU
-        // clock is strictly increasing, so the HashMap's iteration order
-        // never leaks into which node dies).
-        let (tree, keys, evictions) = fill_tree(4096, 5000);
-        assert_eq!(tree.len(), 4096);
-        assert_eq!(evictions, 5000 - 4096);
-        let expect: Vec<Vec<u32>> = (904u32..5000).map(|i| vec![i]).collect();
-        assert_eq!(keys, expect, "untouched nodes die strictly oldest-first");
-        let (_, keys2, evictions2) = fill_tree(4096, 5000);
-        assert_eq!((keys, evictions), (keys2, evictions2));
-    }
-
-    #[test]
-    fn snapshot_tree_lookup_refreshes_lru_rank() {
-        let program = order_violation();
-        let mut machine = Machine::new(&program, MachineConfig::default());
-        let mut tree = SnapshotTree::new(8);
-        for i in 0..8u32 {
-            assert!(tree.insert(&[i], machine.snapshot(), 0));
-        }
-        // Touch the oldest node, then overflow: the refreshed node must
-        // outlive its untouched (now-oldest) neighbor.
-        assert!(tree.lookup(&[0]).is_some());
-        for i in 8..10u32 {
-            assert!(tree.insert(&[i], machine.snapshot(), 0));
-        }
-        assert!(tree.nodes.contains_key([0u32].as_slice()));
-        assert!(!tree.nodes.contains_key([1u32].as_slice()));
-        assert!(!tree.nodes.contains_key([2u32].as_slice()));
-        assert_eq!(tree.evictions, 2);
-    }
-
-    #[test]
-    fn snapshot_tree_byte_accounting_survives_eviction_churn() {
-        // The running resident-bytes/pages totals must equal the sum of
-        // the retained nodes' insert-time footprints at every point, or
-        // the byte-budget eviction signal drifts over a long search.
-        let (tree, _, _) = fill_tree(512, 2000);
-        let bytes: u64 = tree.nodes.values().map(|n| n.footprint.owned_bytes).sum();
-        let owned: u64 = tree.nodes.values().map(|n| n.footprint.owned_pages).sum();
-        let shared: u64 = tree.nodes.values().map(|n| n.footprint.shared_pages).sum();
-        assert_eq!(tree.resident_bytes, bytes);
-        assert_eq!(tree.owned_pages, owned);
-        assert_eq!(tree.shared_pages, shared);
     }
 }

@@ -11,17 +11,27 @@
 //! 2. **ddmin chunk removal** — classic delta debugging over the
 //!    remaining decisions at progressively finer granularity.
 //!
-//! Every candidate executes under a lenient [`ReplayScheduler`] with
-//! re-recording on; a candidate is accepted only if its failure signature
-//! matches **and** its re-recorded trace is no longer than the current
-//! one. The accepted re-recording becomes the new current trace, so the
-//! final result is always the exact decision log of a real failing run —
-//! strictly replayable, never longer than the input.
+//! Every candidate is a lenient replay with re-recording on; a candidate
+//! is accepted only if its failure signature matches **and** its
+//! re-recorded trace is no longer than the current one. The accepted
+//! re-recording becomes the new current trace, so the final result is
+//! always the exact decision log of a real failing run — strictly
+//! replayable, never longer than the input.
+//!
+//! Candidates run on the shared resume runner rather than from step zero.
+//! A candidate agrees with the current trace up to the point it edits, and
+//! a [`FrontierScheduler`](super::FrontierScheduler) forcing the whole
+//! candidate falls back on an ineligible decision exactly as a
+//! [`ReplayScheduler`](super::ReplayScheduler) does, so each candidate
+//! resumes from the deepest snapshot any earlier candidate left along its
+//! decisions, and deposits its own captures from the edit point on. All
+//! runs share one lowering of the program.
 
 use serde::{Deserialize, Serialize};
 
 use super::decision::DecisionTrace;
-use super::replay::run_replay;
+use super::point::PointMask;
+use super::runner::{RunPlan, Runner, SnapshotTree, CAPTURE_PER_RUN, DEFAULT_SNAPSHOT_BUDGET};
 use crate::machine::MachineConfig;
 use crate::outcome::RunOutcome;
 use crate::program::Program;
@@ -67,23 +77,14 @@ pub fn minimize(
     trace: &DecisionTrace,
     budget: usize,
 ) -> Result<MinimizeReport, String> {
-    let mut cfg = *config;
-    cfg.record_decisions = true;
-    let candidates = std::cell::Cell::new(0usize);
-    let run = |decisions: &[u32]| {
-        candidates.set(candidates.get() + 1);
-        let cand = DecisionTrace {
-            scheduler: trace.scheduler.clone(),
-            seed: trace.seed,
-            mask: trace.mask,
-            decisions: decisions.to_vec(),
-        };
-        let (result, _divergence) = run_replay(program, &cfg, &cand);
-        let recorded = result.decisions.unwrap_or(cand);
-        (result.outcome, recorded)
+    let mut cands = Candidates {
+        runner: Runner::new(program, config),
+        tree: SnapshotTree::new(DEFAULT_SNAPSHOT_BUDGET),
+        mask: trace.point_mask(),
+        count: 0,
     };
 
-    let (outcome, recorded) = run(&trace.decisions);
+    let (outcome, recorded) = cands.run(&trace.decisions, 0);
     let Some(sig) = signature(&outcome) else {
         return Err("trace does not fail under replay; nothing to minimize".into());
     };
@@ -101,9 +102,9 @@ pub fn minimize(
     // Phase 1: shortest failing prefix by binary search.
     let mut lo = 0usize;
     let mut hi = current.len();
-    while lo < hi && candidates.get() < budget {
+    while lo < hi && cands.count < budget {
         let mid = lo + (hi - lo) / 2;
-        let (o, rec) = run(&current.decisions[..mid]);
+        let (o, rec) = cands.run(&current.decisions[..mid], mid);
         if matches(&o) && rec.len() <= current.len() {
             hi = mid.min(rec.len());
             current = rec;
@@ -115,14 +116,14 @@ pub fn minimize(
 
     // Phase 2: ddmin-style chunk removal.
     let mut n = 2usize;
-    while current.len() >= 2 && candidates.get() < budget {
+    while current.len() >= 2 && cands.count < budget {
         let chunk = current.len().div_ceil(n);
         let mut reduced = false;
         let mut start = 0usize;
-        while start < current.len() && candidates.get() < budget {
+        while start < current.len() && cands.count < budget {
             let mut cand: Vec<u32> = current.decisions[..start].to_vec();
             cand.extend_from_slice(&current.decisions[(start + chunk).min(current.len())..]);
-            let (o, rec) = run(&cand);
+            let (o, rec) = cands.run(&cand, start);
             if matches(&o) && rec.len() <= current.len() {
                 current = rec;
                 current_outcome = o;
@@ -144,16 +145,49 @@ pub fn minimize(
     Ok(MinimizeReport {
         original_len: trace.len(),
         minimized_len: current.len(),
-        candidates: candidates.get(),
+        candidates: cands.count,
         trace: current,
         outcome: current_outcome,
     })
 }
 
+/// The minimizer's candidate executor: one runner and one snapshot tree
+/// for the whole minimization.
+struct Candidates<'p> {
+    runner: Runner<'p>,
+    tree: SnapshotTree,
+    mask: PointMask,
+    /// Candidate replays executed.
+    count: usize,
+}
+
+impl Candidates<'_> {
+    /// Replays `decisions` leniently and re-records the run. The candidate
+    /// agrees with the current trace on its first `edit` decisions, so its
+    /// own captures start there (or past its resume point).
+    fn run(&mut self, decisions: &[u32], edit: usize) -> (RunOutcome, DecisionTrace) {
+        self.count += 1;
+        let resume = self.tree.lookup(decisions);
+        let resumed = resume.as_ref().map_or(0, |r| r.depth + 1);
+        let plan = RunPlan {
+            prefix: decisions.to_vec(),
+            resume,
+            capture: CAPTURE_PER_RUN,
+            capture_from: edit.max(resumed).max(1),
+        };
+        let mut ex = self.runner.frontier(&plan, self.mask);
+        self.tree.absorb(&mut ex);
+        // A lenient replay, whichever scheduler ran it: the minimized trace
+        // keeps the replay provenance.
+        ex.trace.scheduler = "replay".into();
+        (ex.outcome, ex.trace)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{explore, ExploreConfig, ExploreStrategy, PointMask};
+    use crate::sched::{explore, run_replay, ExploreConfig, ExploreStrategy};
     use conair_ir::{CmpKind, FuncBuilder, ModuleBuilder};
 
     fn order_violation() -> Program {

@@ -39,6 +39,7 @@ mod minimize;
 mod pct;
 mod point;
 mod replay;
+mod runner;
 mod script;
 
 pub use basic::{RoundRobin, SeededRandom};

@@ -42,7 +42,7 @@ impl Default for PctConfig {
 }
 
 /// The PCT scheduler for one run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PctScheduler {
     cfg: PctConfig,
     rng: SmallRng,
@@ -100,6 +100,9 @@ impl PctScheduler {
 }
 
 impl Scheduler for PctScheduler {
+    /// Reads only `ctx.eligible` and `ctx.threads` — which is what lets
+    /// the explorer replay a run's picks down the snapshot tree without
+    /// running the machine.
     fn pick(&mut self, ctx: &SchedContext<'_>) -> ThreadId {
         if self.priorities.is_empty() {
             self.init(ctx.threads.max(ctx.eligible.len()));

@@ -5,7 +5,10 @@
 //! bit-identically, and delta-debugging it yields a shorter-or-equal
 //! trace that still fails.
 
-use conair_runtime::{explore, minimize, run_replay, ExploreConfig, MachineConfig, RunOutcome};
+use conair_runtime::{
+    explore, minimize, run_replay, ExploreConfig, ExploreReport, ExploreStrategy, MachineConfig,
+    RunOutcome,
+};
 use conair_workloads::{explore_hint, workload_by_name, WORKLOAD_NAMES};
 
 /// Exploration bounds: hang-prone schedules must terminate promptly
@@ -148,82 +151,119 @@ fn exhausting_budgets_counts_every_failure() {
     assert!(hang_free, "ZSNES fails by assertion, not hang");
 }
 
+/// PCT at bug depth 3 under sync points — the shape of the repository
+/// benchmark's sweep. Keep-going runs one wave after the probe, so the
+/// runs resume from the probe's captures only; stop-at-first sweeps ramp
+/// through several waves, each resuming from its predecessors' captures
+/// too.
+fn pct_config(stop_at_first: bool, budget: usize) -> ExploreConfig {
+    let mut ec = ExploreConfig::new(ExploreStrategy::Pct { depth: 3 });
+    ec.budget = budget;
+    ec.stop_at_first = stop_at_first;
+    ec
+}
+
 #[test]
 fn snapshot_budget_sweep_is_report_invariant() {
     // The retention budget tunes only how much interpretation the cache
     // amortizes: a budget of 1 (thrashing LRU), the default 8192, or
     // anything between must normalize to the budget-0 (disabled) report.
     let config = machine();
-    let w = workload_by_name("FFT").expect("registered workload");
-    let mut ec = hint_config("FFT");
-    ec.stop_at_first = false;
-    ec.snapshot_budget = 0;
-    let baseline = explore(&w.program, &config, &ec).normalized();
-    for budget in [1, 256, 8192] {
-        ec.snapshot_budget = budget;
-        let swept = explore(&w.program, &config, &ec).normalized();
-        assert_eq!(baseline, swept, "budget {budget} diverged");
+    let fft = workload_by_name("FFT").expect("registered workload");
+    let hawknl = workload_by_name("HawkNL").expect("registered workload");
+    let mut bounded = hint_config("FFT");
+    bounded.stop_at_first = false;
+    for (w, mut ec) in [
+        (&fft, bounded),
+        (&fft, pct_config(false, 16)),
+        (&hawknl, pct_config(true, 64)),
+    ] {
+        ec.snapshot_budget = 0;
+        let baseline = explore(&w.program, &config, &ec).normalized();
+        for budget in [1, 256, 8192] {
+            ec.snapshot_budget = budget;
+            let swept = explore(&w.program, &config, &ec).normalized();
+            assert_eq!(
+                baseline,
+                swept,
+                "{}: budget {budget} diverged",
+                ec.strategy.label()
+            );
+        }
     }
+}
+
+/// The prefix-sharing snapshot tree is a pure perf layer: with the cache
+/// on (default budget), off (budget 0), or fanned across workers, every
+/// report field except the wall clock and the cache's own perf counters
+/// must be bit-identical — and the cache must actually have resumed runs.
+/// Returns the cached report.
+fn assert_cache_is_invisible(name: &str, mut ec: ExploreConfig) -> ExploreReport {
+    let config = machine();
+    let label = ec.strategy.label();
+    let w = workload_by_name(name).expect("registered workload");
+    let cached = explore(&w.program, &config, &ec);
+    assert!(
+        cached.snapshot_hits > 0,
+        "{name} {label}: runs resume from retained ancestors"
+    );
+    assert!(
+        cached.steps_saved > 0,
+        "{name} {label}: resumed suffixes skip steps"
+    );
+
+    let default_budget = ec.snapshot_budget;
+    ec.snapshot_budget = 0;
+    let uncached = explore(&w.program, &config, &ec);
+    assert_eq!(
+        uncached.snapshots_taken, 0,
+        "{name} {label}: budget 0 disables"
+    );
+    assert_eq!(uncached.snapshot_hits, 0);
+    assert_eq!(uncached.steps_saved, 0);
+    assert_eq!(
+        cached.normalized(),
+        uncached.normalized(),
+        "{name} {label}: cache on/off diverged"
+    );
+    ec.snapshot_budget = default_budget;
+
+    // Cache *counters* are themselves jobs-invariant: lookups, walks and
+    // inserts happen on the exploring thread in schedule order.
+    for jobs in [2, 4] {
+        ec.jobs = jobs;
+        let fanned = explore(&w.program, &config, &ec);
+        assert_eq!(
+            cached.normalized(),
+            fanned.normalized(),
+            "{name} {label}: --jobs {jobs} diverged"
+        );
+        assert_eq!(
+            (
+                cached.snapshots_taken,
+                cached.snapshot_hits,
+                cached.steps_saved
+            ),
+            (
+                fanned.snapshots_taken,
+                fanned.snapshot_hits,
+                fanned.steps_saved
+            ),
+            "{name} {label}: --jobs {jobs} changed cache behavior"
+        );
+    }
+    cached
 }
 
 #[test]
 fn snapshot_cache_never_changes_the_report() {
-    // The prefix-sharing snapshot tree is a pure perf layer: with the
-    // cache on (default budget), off (budget 0), or fanned across
-    // workers, every report field except the wall clock and the cache's
-    // own perf counters must be bit-identical.
-    let config = machine();
     for name in ["FFT", "SQLite"] {
-        let w = workload_by_name(name).expect("registered workload");
         let mut ec = hint_config(name);
         ec.stop_at_first = false;
-        let cached = explore(&w.program, &config, &ec);
-        assert!(
-            cached.snapshot_hits > 0,
-            "{name}: bounded search resumes from retained ancestors"
-        );
-        assert!(
-            cached.steps_saved > 0,
-            "{name}: resumed suffixes skip steps"
-        );
-
-        let default_budget = ec.snapshot_budget;
-        ec.snapshot_budget = 0;
-        let uncached = explore(&w.program, &config, &ec);
-        assert_eq!(uncached.snapshots_taken, 0, "{name}: budget 0 disables");
-        assert_eq!(uncached.snapshot_hits, 0);
-        assert_eq!(uncached.steps_saved, 0);
-        assert_eq!(
-            cached.normalized(),
-            uncached.normalized(),
-            "{name}: cache on/off diverged"
-        );
-        ec.snapshot_budget = default_budget;
-
-        // Cache *counters* are themselves jobs-invariant: lookups and
-        // inserts happen on the exploring thread in schedule order.
-        for jobs in [2, 4] {
-            ec.jobs = jobs;
-            let fanned = explore(&w.program, &config, &ec);
-            assert_eq!(
-                cached.normalized(),
-                fanned.normalized(),
-                "{name}: --jobs {jobs} diverged"
-            );
-            assert_eq!(
-                (
-                    cached.snapshots_taken,
-                    cached.snapshot_hits,
-                    cached.steps_saved
-                ),
-                (
-                    fanned.snapshots_taken,
-                    fanned.snapshot_hits,
-                    fanned.steps_saved
-                ),
-                "{name}: --jobs {jobs} changed cache behavior"
-            );
-        }
-        ec.jobs = 1;
+        assert_cache_is_invisible(name, ec);
+        assert_cache_is_invisible(name, pct_config(false, 16));
     }
+    // Several waves: later waves also resume from earlier waves' captures.
+    let ramped = assert_cache_is_invisible("HawkNL", pct_config(true, 64));
+    assert!(ramped.wave_widths.len() > 1, "HawkNL's sweep spans waves");
 }
