@@ -1709,7 +1709,8 @@ pub fn cmd_report(
     // / `explore -o`), or the default JSONL event stream (`run --trace`).
     // The JSON documents are whole-text objects that fail JSONL parsing,
     // so try them first.
-    if let Ok(report) = serde_json::from_str::<ExploreReport>(jsonl) {
+    let as_report = serde_json::from_str::<ExploreReport>(jsonl);
+    if let Ok(report) = as_report {
         if chrome {
             return Err(CliError::new(
                 "report: --chrome needs a JSONL event trace, not an exploration report",
@@ -1725,7 +1726,17 @@ pub fn cmd_report(
         }
         return Ok((render_decision_trace(&trace), None));
     }
-    let events = from_jsonl(jsonl).map_err(|e| CliError::new(format!("trace parse error: {e}")))?;
+    let events = from_jsonl(jsonl).map_err(|e| {
+        // One JSON object that is no report, trace or event stream is most
+        // likely a report of another schema: name its first missing field
+        // rather than a JSONL parse position.
+        match (&as_report, serde_json::from_str::<serde_json::Value>(jsonl)) {
+            (Err(why), Ok(serde_json::Value::Object(_))) => {
+                CliError::new(format!("not an exploration report: {why}"))
+            }
+            _ => CliError::new(format!("trace parse error: {e}")),
+        }
+    })?;
     let mut out = String::new();
     let _ = writeln!(out, "timeline ({} events):", events.len());
     let shown = if limit == 0 {
@@ -2486,6 +2497,28 @@ bb0:
         let (rendered, _) = cmd_report(trace_json, 0, false).unwrap();
         assert!(rendered.contains("decision trace:"), "{rendered}");
         assert!(rendered.contains("replay with: "), "{rendered}");
+    }
+
+    #[test]
+    fn report_names_an_old_shape_report() {
+        // A report written before the `dpor` and `exhausted` fields existed.
+        let old = r#"{
+            "strategy": "bounded(k=1)", "mask": 126, "budget": 64,
+            "schedules": 4, "failures": 0, "first_failure": null,
+            "frontier": 0, "probe_decisions": 1, "snapshots_taken": 0,
+            "snapshot_hits": 0, "steps_saved": 0, "dedup_skips": 0,
+            "independence_skips": 0, "wave_widths": [3], "wall_ms": 0,
+            "phases": {"capture_us": 0, "restore_us": 0, "interpret_us": 0,
+                       "merge_us": 0, "minimize_us": 0}
+        }"#;
+        let err = cmd_report(old, 0, false).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "not an exploration report: missing field `dpor`"
+        );
+        // Broken event streams still report their parse position.
+        let err = cmd_report("not json\n", 0, false).unwrap_err();
+        assert!(err.to_string().starts_with("trace parse error: "), "{err}");
     }
 
     #[test]

@@ -137,10 +137,11 @@ impl Hist {
     }
 }
 
-/// A backtrack candidate in the DPOR frontier — the engine's analog of the
-/// bounded search's `(prefix, cost)` queue entries, carrying in addition
-/// the inherited consult history and the sleep set at its branch.
-pub(crate) struct DporCandidate {
+/// A candidate in a systematic search's frontier: a forced prefix and the
+/// preemptions it spends. DPOR's backtrack candidates also carry the
+/// inherited consult history and the sleep set at their branch; the
+/// bounded search's leave both empty.
+pub(crate) struct Candidate {
     /// Forced decision prefix: the spawning run's decisions up to the
     /// reversal point, then the reversed thread.
     pub prefix: Vec<u32>,
@@ -154,15 +155,20 @@ pub(crate) struct DporCandidate {
     pub hist: Hist,
 }
 
-impl DporCandidate {
-    /// The search root: empty prefix (the non-preemptive probe).
-    pub(crate) fn root() -> Self {
+impl Candidate {
+    /// A candidate with an empty sleep set and history.
+    pub(crate) fn new(prefix: Vec<u32>, cost: usize) -> Self {
         Self {
-            prefix: Vec::new(),
-            cost: 0,
+            prefix,
+            cost,
             sleep: Vec::new(),
             hist: Hist::default(),
         }
+    }
+
+    /// The search root: empty prefix (the non-preemptive probe).
+    pub(crate) fn root() -> Self {
+        Self::new(Vec::new(), 0)
     }
 }
 
@@ -188,7 +194,7 @@ pub(crate) struct NodeTable {
 pub(crate) struct Analysis {
     /// New backtrack candidates, in deterministic (decision index,
     /// thread) discovery order.
-    pub candidates: Vec<DporCandidate>,
+    pub candidates: Vec<Candidate>,
     /// Races detected (including ones whose reversal was already explored
     /// or asleep).
     pub races: u64,
@@ -243,7 +249,7 @@ fn asleep(sleep: &[(ThreadId, Footprint)], t: ThreadId) -> bool {
 /// Analyzes one executed run: assigns vector clocks, detects reversible
 /// races, and spawns the backtrack candidates that reverse them.
 ///
-/// `cand` is the candidate that ran ([`DporCandidate::root`] for the
+/// `cand` is the candidate that ran ([`Candidate::root`] for the
 /// probe), `own`/`consult_base` the consults the run recorded live,
 /// `decisions` its full decision trace (always recorded from zero — the
 /// resume snapshot restores the decision log), `bound` the preemption
@@ -251,7 +257,7 @@ fn asleep(sleep: &[(ThreadId, Footprint)], t: ThreadId) -> bool {
 /// keys share the dedup set's hashing).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze(
-    cand: &DporCandidate,
+    cand: &Candidate,
     own: &Arc<Vec<Consult>>,
     consult_base: usize,
     decisions: &[u32],
@@ -559,7 +565,7 @@ fn spawn(
         node.explored.push(alt);
         let mut prefix = decisions[..j].to_vec();
         prefix.push(alt.index() as u32);
-        out.candidates.push(DporCandidate {
+        out.candidates.push(Candidate {
             prefix,
             cost,
             sleep,
@@ -608,7 +614,7 @@ mod tests {
         let own = Arc::new(consults);
         let mut nodes = NodeTable::default();
         let a = analyze(
-            &DporCandidate::root(),
+            &Candidate::root(),
             &own,
             0,
             &decisions,
@@ -640,7 +646,7 @@ mod tests {
         let own = Arc::new(consults);
         let mut nodes = NodeTable::default();
         let a = analyze(
-            &DporCandidate::root(),
+            &Candidate::root(),
             &own,
             0,
             &decisions,
@@ -668,7 +674,7 @@ mod tests {
         let own = Arc::new(consults);
         let mut nodes = NodeTable::default();
         let first = analyze(
-            &DporCandidate::root(),
+            &Candidate::root(),
             &own,
             0,
             &decisions,
@@ -681,7 +687,7 @@ mod tests {
         // Re-analyzing the same run (as if a sibling path re-detected the
         // race) spawns nothing new.
         let again = analyze(
-            &DporCandidate::root(),
+            &Candidate::root(),
             &own,
             0,
             &decisions,
@@ -694,7 +700,7 @@ mod tests {
         // Bound 0 admits no preemptive reversal at all.
         let mut fresh = NodeTable::default();
         let bounded = analyze(
-            &DporCandidate::root(),
+            &Candidate::root(),
             &own,
             0,
             &decisions,
@@ -723,7 +729,7 @@ mod tests {
         let own = Arc::new(consults);
         let mut nodes = NodeTable::default();
         let a = analyze(
-            &DporCandidate::root(),
+            &Candidate::root(),
             &own,
             0,
             &decisions,

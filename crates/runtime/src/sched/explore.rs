@@ -14,12 +14,20 @@
 //! * **DPOR** — the bounded frontier, fed only race-reversing backtrack
 //!   candidates (see [`super::dpor`]).
 //!
-//! Schedules execute in waves fanned across a
-//! [`TrialPool`](crate::TrialPool); results merge in schedule-index order.
-//! Wave widths ramp 16 → 256 as a function of the wave index only (never
-//! of `--jobs`), so the explored set, the failure counts and the first
-//! failing schedule are **bit-identical across job counts** — parallelism
-//! changes wall time only.
+//! All three run one wave loop: schedules execute in waves fanned across a
+//! [`TrialPool`](crate::TrialPool), and results merge in schedule-index
+//! order. Wave widths ramp 16 → 256 as a function of the wave index only
+//! (never of `--jobs`), so the explored set, the failure counts and the
+//! first failing schedule are **bit-identical across job counts** —
+//! parallelism changes wall time only. The strategies differ at two hooks:
+//!
+//! * **Assembly** — where a wave's schedules come from. PCT walks each
+//!   seed down the snapshot tree; bounded and DPOR pop one shared
+//!   candidate queue, skip already-executed prefixes and look up each
+//!   candidate's resume point.
+//! * **Expansion** ([`Frontier::expand`]) — what an executed run adds to
+//!   the queue: bounded enqueues every within-bound child, DPOR only the
+//!   race-reversing ones, PCT nothing.
 //!
 //! Three layers make the search cheap without changing what it reports
 //! (all deterministic, all enforced bit-identical by tests):
@@ -52,7 +60,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use super::decision::DecisionTrace;
-use super::dpor::{self, DporCandidate, NodeTable};
+use super::dpor::{self, Candidate, NodeTable};
 use super::pct::PctConfig;
 use super::point::{PointKind, PointMask};
 use super::runner::{
@@ -131,8 +139,6 @@ pub struct ExploreConfig {
     /// default). `false` exhausts the budget — for measuring failure
     /// density and throughput.
     pub stop_at_first: bool,
-    /// Override PCT's `k` instead of probing for it.
-    pub pct_k: Option<u64>,
     /// Retained snapshots the prefix tree may hold (`0` disables the
     /// cache entirely). Pure perf: reports are bit-identical at any
     /// value.
@@ -154,7 +160,6 @@ impl ExploreConfig {
             jobs: 1,
             mask: PointMask::SYNC,
             stop_at_first: true,
-            pct_k: None,
             snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
             wave: None,
         }
@@ -219,7 +224,7 @@ impl ExplorePhases {
 }
 
 /// What an exploration did.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExploreReport {
     /// Strategy label (e.g. `pct(d=3)`).
     pub strategy: String,
@@ -273,62 +278,6 @@ pub struct ExploreReport {
     /// Self-profiling wall-time breakdown (nondeterministic; zeroed by
     /// [`ExploreReport::normalized`]).
     pub phases: ExplorePhases,
-}
-
-/// Hand-written so reports recorded before the `phases`/self-profiling
-/// fields (PR 6) and the `dpor`/`exhausted` fields (PR 9) existed keep
-/// loading: the PR 4/5-era core fields stay required (which also keeps
-/// `conair report`'s format sniffing from mistaking other JSON shapes for
-/// a report), while the newer perf counters, the phase breakdown, and the
-/// DPOR verdict default to zero/absent when missing.
-impl serde::Deserialize for ExploreReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let pairs = v
-            .as_object_slice()
-            .ok_or_else(|| serde::Error::custom("ExploreReport: expected object"))?;
-        let opt_u64 = |name: &str| -> Result<u64, serde::Error> {
-            match pairs.iter().find(|(k, _)| k == name) {
-                Some((_, v)) => u64::from_value(v),
-                None => Ok(0),
-            }
-        };
-        let phases = match pairs.iter().find(|(k, _)| k == "phases") {
-            Some((_, v)) => ExplorePhases::from_value(v)?,
-            None => ExplorePhases::default(),
-        };
-        Ok(Self {
-            strategy: String::from_value(serde::field(pairs, "strategy")?)?,
-            mask: u8::from_value(serde::field(pairs, "mask")?)?,
-            budget: usize::from_value(serde::field(pairs, "budget")?)?,
-            schedules: usize::from_value(serde::field(pairs, "schedules")?)?,
-            failures: usize::from_value(serde::field(pairs, "failures")?)?,
-            first_failure: Option::<FoundSchedule>::from_value(serde::field(
-                pairs,
-                "first_failure",
-            )?)?,
-            frontier: usize::from_value(serde::field(pairs, "frontier")?)?,
-            probe_decisions: u64::from_value(serde::field(pairs, "probe_decisions")?)?,
-            snapshots_taken: opt_u64("snapshots_taken")?,
-            snapshot_hits: opt_u64("snapshot_hits")?,
-            steps_saved: opt_u64("steps_saved")?,
-            dedup_skips: opt_u64("dedup_skips")?,
-            independence_skips: opt_u64("independence_skips")?,
-            wave_widths: match pairs.iter().find(|(k, _)| k == "wave_widths") {
-                Some((_, v)) => Vec::<u64>::from_value(v)?,
-                None => Vec::new(),
-            },
-            dpor: match pairs.iter().find(|(k, _)| k == "dpor") {
-                Some((_, v)) => DporCounters::from_value(v)?,
-                None => DporCounters::default(),
-            },
-            exhausted: match pairs.iter().find(|(k, _)| k == "exhausted") {
-                Some((_, v)) => bool::from_value(v)?,
-                None => false,
-            },
-            wall_ms: u64::from_value(serde::field(pairs, "wall_ms")?)?,
-            phases,
-        })
-    }
 }
 
 impl ExploreReport {
@@ -628,6 +577,71 @@ pub fn explore(program: &Program, config: &MachineConfig, ec: &ExploreConfig) ->
     explore_observed(program, config, ec, None)
 }
 
+/// One schedule of a wave, assembled on the exploring thread.
+enum Job {
+    /// A PCT run, its scheduler already walked down the tree.
+    Pct(PctPlan),
+    /// A systematic candidate and how to run it.
+    Frontier(RunPlan, Candidate),
+}
+
+/// The systematic searches' frontier: one FIFO of candidates, the hashes
+/// of every executed trace's forced-or-longer prefixes, and DPOR's branch
+/// nodes. PCT leaves it empty.
+struct Frontier {
+    queue: VecDeque<Candidate>,
+    seen: HashSet<u64>,
+    nodes: NodeTable,
+    /// Independence pruning is only sound when a consult's transition is
+    /// a single instruction wide: under sync-only masks the silent
+    /// continuation between consults performs shared accesses the
+    /// footprints don't see.
+    prune: bool,
+    threads: usize,
+}
+
+impl Frontier {
+    /// What an executed run adds to the frontier: bounded enqueues every
+    /// within-budget child, DPOR only the race-reversing ones, PCT nothing.
+    /// Runs merge in schedule-index order, so the queue, the node table and
+    /// the whole search are identical across `--jobs` and cache settings.
+    fn expand(
+        &mut self,
+        strategy: ExploreStrategy,
+        cand: &Candidate,
+        ex: &mut Executed,
+        report: &mut ExploreReport,
+    ) {
+        debug_assert!(!ex.infeasible, "prefixes come from recorded runs");
+        let forced = cand.prefix.len();
+        match strategy {
+            ExploreStrategy::Pct { .. } => {}
+            ExploreStrategy::Bounded { preemptions } => {
+                note_executed(&mut self.seen, forced, &ex.trace.decisions);
+                push_children(&mut self.queue, ex, forced, preemptions, self.prune, report);
+            }
+            ExploreStrategy::Dpor { preemptions } => {
+                note_executed(&mut self.seen, forced, &ex.trace.decisions);
+                let own = Arc::new(std::mem::take(&mut ex.consults));
+                let analysis = dpor::analyze(
+                    cand,
+                    &own,
+                    ex.consult_base,
+                    &ex.trace.decisions,
+                    self.threads,
+                    preemptions,
+                    &mut self.nodes,
+                    prefix_hash,
+                );
+                report.dpor.races_detected += analysis.races;
+                report.dpor.sleep_skips += analysis.sleep_skips;
+                report.dpor.backtrack_points += analysis.candidates.len() as u64;
+                self.queue.extend(analysis.candidates);
+            }
+        }
+    }
+}
+
 /// [`explore`] with observability attached: wave-boundary registry
 /// updates, progress/wave events, and the same report. `explore(p, c, e)`
 /// is exactly `explore_observed(p, c, e, None)` — the unobserved path
@@ -657,6 +671,7 @@ pub fn explore_observed(
     } else {
         ec
     };
+    let systematic = !matches!(ec.strategy, ExploreStrategy::Pct { .. });
     // One lowering shared by every run of the search (and every worker).
     let runner = Runner::new(program, config);
 
@@ -731,286 +746,158 @@ pub fn explore_observed(
         }
     };
     record(&mut report, 0, &probe);
+    // Every PCT run's first consult is the probe's first consult.
+    let pct_root = probe
+        .consults
+        .first()
+        .map(|c| c.eligible.clone())
+        .unwrap_or_default();
+    let mut frontier = Frontier {
+        queue: VecDeque::new(),
+        seen: HashSet::new(),
+        nodes: NodeTable::default(),
+        prune: ec.mask.contains(PointKind::SharedAccess),
+        threads: runner.threads(),
+    };
+    frontier.expand(ec.strategy, &Candidate::root(), &mut probe, &mut report);
 
     let pool = TrialPool::auto(ec.jobs);
     let done = |report: &ExploreReport| {
         report.schedules >= ec.budget || (ec.stop_at_first && report.first_failure.is_some())
     };
-
-    match ec.strategy {
-        ExploreStrategy::Pct { depth } => {
-            let pct = PctConfig {
-                depth,
-                k: ec.pct_k.unwrap_or_else(|| report.probe_decisions.max(16)),
-                mask: ec.mask,
-            };
-            // Every run's first consult is the probe's first consult.
-            let root = probe
-                .consults
-                .first()
-                .map(|c| c.eligible.clone())
-                .unwrap_or_default();
-            let mut wave = 0usize;
-            while !done(&report) {
-                let wave_start = Instant::now();
-                let base = report.schedules;
-                // PCT runs are mutually independent — nothing flows between
-                // waves except the stop-at-first check and the tree. Without
-                // it, the 16 → 256 ramp only inserts fan-out barriers (a
-                // fresh thread scope + channel drain per wave) between runs
-                // that never needed to synchronize: on a full-budget search
-                // that overhead ate the whole parallel speedup. One wave
-                // takes the entire remaining budget instead; the ramp stays
-                // for stop-at-first searches, where small early waves keep
-                // the search from overshooting the first failure.
-                let count = if ec.stop_at_first {
-                    wave_width(ec, wave).min(ec.budget - base)
-                } else {
-                    ec.budget - base
+    let mut wave = 0usize;
+    while !done(&report) {
+        let wave_start = Instant::now();
+        let base = report.schedules;
+        // PCT runs are mutually independent — nothing flows between waves
+        // except the stop-at-first check and the tree. Without it, the
+        // 16 → 256 ramp only inserts fan-out barriers (a fresh thread
+        // scope + channel drain per wave) between runs that never needed
+        // to synchronize: on a full-budget search that overhead ate the
+        // whole parallel speedup. A keep-going sweep therefore takes the
+        // entire remaining budget in one wave; the ramp stays for
+        // stop-at-first searches, where small early waves keep the search
+        // from overshooting the first failure, and for the systematic
+        // searches, whose next wave depends on this one's children.
+        let room = if systematic || ec.stop_at_first {
+            wave_width(ec, wave).min(ec.budget - base)
+        } else {
+            ec.budget - base
+        };
+        // Captures serve later waves only. PCT's wave that spends the
+        // budget takes none. Once a systematic frontier outgrows the tree
+        // budget, FIFO pops lag inserts by more than the LRU can span:
+        // every capture would be evicted unused. While the queue is still
+        // small, the wave's total inserts are capped near the tree budget
+        // so one wide wave cannot evict the ancestors the next wave is
+        // about to resume from. Both gates read only wave-boundary state,
+        // so they stay jobs-invariant.
+        let capturing = if systematic {
+            frontier.queue.len() <= ec.snapshot_budget
+        } else {
+            base + room < ec.budget
+        };
+        let wave_capture = if capturing {
+            capture.min((ec.snapshot_budget / room.max(1)).max(1))
+        } else {
+            0
+        };
+        // Assemble the wave on this thread, in schedule order — dedup,
+        // ancestor lookup, PCT walks — so the cache behaves identically
+        // whatever executes the batch.
+        let assemble_start = Instant::now();
+        let jobs: Vec<Job> = match ec.strategy {
+            ExploreStrategy::Pct { depth } => {
+                let pct = PctConfig {
+                    depth,
+                    k: report.probe_decisions.max(16),
+                    mask: ec.mask,
                 };
-                // Captures serve later waves' walks only: the wave that
-                // spends the budget takes none.
-                let wave_capture = if base + count < ec.budget {
-                    capture.min((ec.snapshot_budget / count.max(1)).max(1))
-                } else {
-                    0
-                };
-                report.wave_widths.push(count as u64);
-                // Walk every run down the tree on this thread, in run
-                // order, so resumes are identical whatever executes them.
-                let assemble_start = Instant::now();
-                let plans: Vec<PctPlan> = (0..count)
+                (0..room)
                     .map(|j| {
                         let seed = ec.seed + (base + j) as u64;
-                        let (sched, resume) = tree.walk_pct(seed, pct, &root, runner.threads());
+                        let (sched, resume) = tree.walk_pct(seed, pct, &pct_root, runner.threads());
                         count_resume(&mut report, resume.as_ref());
-                        PctPlan {
+                        Job::Pct(PctPlan {
                             seed,
                             sched,
                             resume,
                             capture: wave_capture,
-                        }
+                        })
                     })
-                    .collect();
-                clock.merge += assemble_start.elapsed();
-                let results = pool.map(count, |j| runner.pct(&plans[j]));
-                let merge_start = Instant::now();
-                for (j, mut ex) in results.into_iter().enumerate() {
-                    record(&mut report, base + j, &ex);
-                    report.snapshots_taken += tree.absorb(&mut ex);
-                    clock.note_run(&ex);
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.observe_run(ec.strategy, &ex);
-                    }
-                }
-                clock.merge += merge_start.elapsed();
-                report.phases = clock.to_phases();
-                if let Some(obs) = observer.as_deref_mut() {
-                    let last = done(&report);
-                    let w = WaveObs::new(wave, count, count, wave_start, 0, &tree, last);
-                    obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
-                }
-                wave += 1;
+                    .collect()
             }
-        }
-        ExploreStrategy::Bounded { preemptions } => {
-            // Independence pruning is only sound when a consult's
-            // transition is a single instruction wide: under sync-only
-            // masks the silent continuation between consults performs
-            // shared accesses the footprints don't see.
-            let prune = ec.mask.contains(PointKind::SharedAccess);
-            // Breadth-first over branch points; children are enqueued in
-            // (parent schedule index, decision index, thread id) order, so
-            // the visit order is deterministic.
-            // Each candidate carries the preemptions its forced prefix
-            // spends: a candidate already at the bound can never enqueue
-            // preemptive children of its own, so its run skips capturing
-            // (for two-thread programs every branch past the root is a
-            // preemption, making those captures pure dead weight).
-            let mut queue: VecDeque<(Vec<u32>, usize)> = VecDeque::new();
-            let mut seen: HashSet<u64> = HashSet::new();
-            note_executed(&mut seen, 0, &probe.trace.decisions);
-            push_children(&mut queue, &probe, 0, preemptions, prune, &mut report);
-            let mut wave = 0usize;
-            while !done(&report) {
-                let wave_start = Instant::now();
-                let base = report.schedules;
-                let room = wave_width(ec, wave).min(ec.budget - base);
-                // Once the frontier outgrows the tree budget, FIFO pops
-                // lag inserts by more than the LRU can span: every capture
-                // would be evicted unused. Stop capturing; while the queue
-                // is still small, cap the wave's total inserts near the
-                // tree budget so one wide wave cannot evict the ancestors
-                // the next wave is about to resume from. Both knobs read
-                // only wave-boundary state, so they stay jobs-invariant.
-                let wave_capture = if queue.len() <= ec.snapshot_budget {
-                    capture.min((ec.snapshot_budget / room.max(1)).max(1))
-                } else {
-                    0
-                };
-                // Assemble the wave on this thread: dedup, then ancestor
-                // lookup — both in candidate order, so the cache behaves
-                // identically whatever executes the batch.
-                let assemble_start = Instant::now();
-                let mut batch: Vec<RunPlan> = Vec::with_capacity(room);
-                while batch.len() < room {
-                    let Some((prefix, cost)) = queue.pop_front() else {
-                        break;
-                    };
-                    if seen.contains(&prefix_hash(&prefix)) {
-                        report.dedup_skips += 1;
-                        continue;
-                    }
-                    let resume = tree.lookup(&prefix);
-                    count_resume(&mut report, resume.as_ref());
-                    let capture = if cost >= preemptions { 0 } else { wave_capture };
-                    batch.push(RunPlan {
-                        capture_from: prefix.len().max(1),
-                        prefix,
-                        resume,
-                        capture,
-                    });
-                }
-                clock.merge += assemble_start.elapsed();
-                if batch.is_empty() {
-                    break;
-                }
-                let results = pool.map(batch.len(), |j| runner.frontier(&batch[j], ec.mask));
-                let merge_start = Instant::now();
-                let executed = results.len();
-                report.wave_widths.push(executed as u64);
-                for (j, mut ex) in results.into_iter().enumerate() {
-                    debug_assert!(!ex.infeasible, "prefixes come from recorded runs");
-                    record(&mut report, base + j, &ex);
-                    note_executed(&mut seen, batch[j].prefix.len(), &ex.trace.decisions);
-                    report.snapshots_taken += tree.absorb(&mut ex);
-                    push_children(
-                        &mut queue,
-                        &ex,
-                        batch[j].prefix.len(),
-                        preemptions,
-                        prune,
-                        &mut report,
-                    );
-                    clock.note_run(&ex);
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.observe_run(ec.strategy, &ex);
-                    }
-                }
-                clock.merge += merge_start.elapsed();
-                report.phases = clock.to_phases();
-                if let Some(obs) = observer.as_deref_mut() {
-                    let last = done(&report) || queue.is_empty();
-                    let w =
-                        WaveObs::new(wave, room, executed, wave_start, queue.len(), &tree, last);
-                    obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
-                }
-                wave += 1;
-            }
-            report.frontier = queue.len();
-            report.exhausted = queue.is_empty();
-        }
-        ExploreStrategy::Dpor { preemptions } => {
-            // The bounded arm's frontier machinery — seen-set dedup,
-            // snapshot-tree resume, deterministic index-order merge — but
-            // candidates come from race analysis instead of blanket
-            // branching. Each executed run is analyzed on this thread at
-            // merge time (in schedule-index order), so backtrack insertion
-            // order, the node table and the whole search are deterministic
-            // and identical across `--jobs` and cache settings.
-            let threads = program.threads.len();
-            let mut queue: VecDeque<DporCandidate> = VecDeque::new();
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut nodes = NodeTable::default();
-            note_executed(&mut seen, 0, &probe.trace.decisions);
-            let own = Arc::new(std::mem::take(&mut probe.consults));
-            let analysis = dpor::analyze(
-                &DporCandidate::root(),
-                &own,
-                0,
-                &probe.trace.decisions,
-                threads,
-                preemptions,
-                &mut nodes,
-                prefix_hash,
-            );
-            absorb_analysis(&mut report, &mut queue, analysis);
-            let mut wave = 0usize;
-            while !done(&report) {
-                let wave_start = Instant::now();
-                let base = report.schedules;
-                let room = wave_width(ec, wave).min(ec.budget - base);
-                // Same cache-pressure guard as the bounded arm.
-                let wave_capture = if queue.len() <= ec.snapshot_budget {
-                    capture.min((ec.snapshot_budget / room.max(1)).max(1))
-                } else {
-                    0
-                };
-                let assemble_start = Instant::now();
-                let mut plans: Vec<RunPlan> = Vec::with_capacity(room);
-                let mut cands: Vec<DporCandidate> = Vec::with_capacity(room);
-                while plans.len() < room {
-                    let Some(cand) = queue.pop_front() else {
+            ExploreStrategy::Bounded { preemptions } | ExploreStrategy::Dpor { preemptions } => {
+                let mut jobs = Vec::with_capacity(room);
+                while jobs.len() < room {
+                    let Some(cand) = frontier.queue.pop_front() else {
                         break;
                     };
                     debug_assert!(cand.cost <= preemptions, "over-budget candidate enqueued");
-                    if seen.contains(&prefix_hash(&cand.prefix)) {
+                    if frontier.seen.contains(&prefix_hash(&cand.prefix)) {
                         report.dedup_skips += 1;
                         continue;
                     }
                     let resume = tree.lookup(&cand.prefix);
                     count_resume(&mut report, resume.as_ref());
-                    plans.push(RunPlan {
+                    // A bounded candidate already at the bound can never
+                    // enqueue preemptive children of its own, so its run
+                    // skips capturing (for two-thread programs every
+                    // branch past the root is a preemption, making those
+                    // captures pure dead weight).
+                    let bounded = matches!(ec.strategy, ExploreStrategy::Bounded { .. });
+                    let capture = if bounded && cand.cost >= preemptions {
+                        0
+                    } else {
+                        wave_capture
+                    };
+                    let plan = RunPlan {
                         prefix: cand.prefix.clone(),
                         resume,
-                        capture: wave_capture,
+                        capture,
                         capture_from: cand.prefix.len().max(1),
-                    });
-                    cands.push(cand);
+                    };
+                    jobs.push(Job::Frontier(plan, cand));
                 }
-                clock.merge += assemble_start.elapsed();
-                if plans.is_empty() {
-                    break;
-                }
-                let results = pool.map(plans.len(), |j| runner.frontier(&plans[j], ec.mask));
-                let merge_start = Instant::now();
-                let executed = results.len();
-                report.wave_widths.push(executed as u64);
-                for (j, mut ex) in results.into_iter().enumerate() {
-                    debug_assert!(!ex.infeasible, "prefixes come from recorded runs");
-                    record(&mut report, base + j, &ex);
-                    note_executed(&mut seen, plans[j].prefix.len(), &ex.trace.decisions);
-                    report.snapshots_taken += tree.absorb(&mut ex);
-                    let own = Arc::new(std::mem::take(&mut ex.consults));
-                    let analysis = dpor::analyze(
-                        &cands[j],
-                        &own,
-                        ex.consult_base,
-                        &ex.trace.decisions,
-                        threads,
-                        preemptions,
-                        &mut nodes,
-                        prefix_hash,
-                    );
-                    absorb_analysis(&mut report, &mut queue, analysis);
-                    clock.note_run(&ex);
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.observe_run(ec.strategy, &ex);
-                    }
-                }
-                clock.merge += merge_start.elapsed();
-                report.phases = clock.to_phases();
-                if let Some(obs) = observer.as_deref_mut() {
-                    let last = done(&report) || queue.is_empty();
-                    let w =
-                        WaveObs::new(wave, room, executed, wave_start, queue.len(), &tree, last);
-                    obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
-                }
-                wave += 1;
+                jobs
             }
-            report.frontier = queue.len();
-            report.exhausted = queue.is_empty();
+        };
+        clock.merge += assemble_start.elapsed();
+        if jobs.is_empty() {
+            break;
         }
+        let results = pool.map(jobs.len(), |j| match &jobs[j] {
+            Job::Pct(plan) => runner.pct(plan),
+            Job::Frontier(plan, _) => runner.frontier(plan, ec.mask),
+        });
+        let merge_start = Instant::now();
+        let executed = results.len();
+        report.wave_widths.push(executed as u64);
+        for (j, (job, mut ex)) in jobs.iter().zip(results).enumerate() {
+            record(&mut report, base + j, &ex);
+            report.snapshots_taken += tree.absorb(&mut ex);
+            if let Job::Frontier(_, cand) = job {
+                frontier.expand(ec.strategy, cand, &mut ex, &mut report);
+            }
+            clock.note_run(&ex);
+            if let Some(obs) = observer.as_deref_mut() {
+                obs.observe_run(ec.strategy, &ex);
+            }
+        }
+        clock.merge += merge_start.elapsed();
+        report.phases = clock.to_phases();
+        if let Some(obs) = observer.as_deref_mut() {
+            let drained = systematic && frontier.queue.is_empty();
+            let last = done(&report) || drained;
+            let queued = frontier.queue.len();
+            let w = WaveObs::new(wave, room, executed, wave_start, queued, &tree, last);
+            obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
+        }
+        wave += 1;
+    }
+    if systematic {
+        report.frontier = frontier.queue.len();
+        report.exhausted = frontier.queue.is_empty();
     }
 
     report.phases = clock.to_phases();
@@ -1018,24 +905,14 @@ pub fn explore_observed(
     report
 }
 
-/// Folds one run's race analysis into the report and the frontier.
-fn absorb_analysis(
-    report: &mut ExploreReport,
-    queue: &mut VecDeque<DporCandidate>,
-    analysis: dpor::Analysis,
-) {
-    report.dpor.races_detected += analysis.races;
-    report.dpor.sleep_skips += analysis.sleep_skips;
-    report.dpor.backtrack_points += analysis.candidates.len() as u64;
-    queue.extend(analysis.candidates);
-}
-
 /// Enqueues every within-budget child of an executed schedule: for each
 /// consult at or past the forced frontier, each unchosen eligible thread
 /// becomes a new prefix — unless pruned as independent of the chosen
-/// thread's step.
+/// thread's step. Children are enqueued in (parent schedule index,
+/// decision index, thread id) order, so the breadth-first visit order is
+/// deterministic.
 fn push_children(
-    queue: &mut VecDeque<(Vec<u32>, usize)>,
+    queue: &mut VecDeque<Candidate>,
     ex: &Executed,
     frontier: usize,
     preemptions: usize,
@@ -1064,7 +941,7 @@ fn push_children(
                 }
                 let mut prefix = ex.trace.decisions[..i].to_vec();
                 prefix.push(alt.index() as u32);
-                queue.push_back((prefix, cost));
+                queue.push_back(Candidate::new(prefix, cost));
             }
         }
         used += usize::from(c.is_preemption());
@@ -1437,32 +1314,9 @@ mod tests {
     }
 
     #[test]
-    fn report_deserialize_tolerates_pre_phases_schema() {
-        // A PR 5-era report: no `phases`. Core fields required, newer
-        // counters default.
-        let old = r#"{
-            "strategy": "bounded(k=2)", "mask": 3, "budget": 64,
-            "schedules": 10, "failures": 1, "first_failure": null,
-            "frontier": 0, "probe_decisions": 7, "snapshots_taken": 4,
-            "snapshot_hits": 2, "steps_saved": 100, "dedup_skips": 0,
-            "independence_skips": 5, "wall_ms": 12
-        }"#;
-        let report: ExploreReport = serde_json::from_str(old).unwrap();
-        assert_eq!(report.schedules, 10);
-        assert_eq!(report.snapshot_hits, 2);
-        assert_eq!(report.phases, ExplorePhases::default());
-        assert_eq!(report.dpor, DporCounters::default(), "pre-DPOR: zeroes");
-        assert!(!report.exhausted, "pre-DPOR: no verdict claimed");
-        // Pre-snapshot-tree (PR 4) reports load too.
-        let older = r#"{
-            "strategy": "pct(d=3)", "mask": 3, "budget": 64,
-            "schedules": 10, "failures": 0, "first_failure": null,
-            "frontier": 0, "probe_decisions": 7, "wall_ms": 12
-        }"#;
-        let report: ExploreReport = serde_json::from_str(older).unwrap();
-        assert_eq!(report.steps_saved, 0);
-        // Non-report JSON (e.g. a decision trace) still fails: core fields
-        // stay required, so format sniffing cannot mis-accept it.
+    fn report_deserialize_rejects_other_shapes_and_round_trips() {
+        // Non-report JSON (e.g. a decision trace) fails: every field is
+        // required, so format sniffing cannot mis-accept it.
         let trace = r#"{"scheduler": "pct", "seed": 3, "mask": 3, "decisions": []}"#;
         assert!(serde_json::from_str::<ExploreReport>(trace).is_err());
         // And the current schema round-trips.

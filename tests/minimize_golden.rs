@@ -1,18 +1,33 @@
-//! Golden fixtures for the delta-debugging minimizer.
+//! Golden fixtures for the delta-debugging minimizer and the searches.
 //!
-//! Each row was recorded when every minimizer candidate still replayed
-//! from step zero. Candidates now resume from the snapshot tree; resuming
-//! is a pure perf layer, so every app's minimization must reproduce its
-//! row exactly: the candidate count, the minimized length, the decision
-//! hash, the failure signature, and a hash of the whole serialized report
-//! (which also pins the trace's provenance fields and the full outcome).
+//! Each minimize row was recorded when every minimizer candidate still
+//! replayed from step zero. Candidates now resume from the snapshot tree;
+//! resuming is a pure perf layer, so every app's minimization must
+//! reproduce its row exactly: the candidate count, the minimized length,
+//! the decision hash, the failure signature, and a hash of the whole
+//! serialized report (which also pins the trace's provenance fields and
+//! the full outcome).
 //!
 //! The apps and budgets are the repository benchmark's `explore` workload:
 //! the catalog minus MySQL1/MySQL2, each minimized with its
 //! `explore_hint` budget after a stop-at-first search under that hint.
+//!
+//! The search rows pin the benchmark's searches themselves: per app, the
+//! `explore_hint` search, a stop-at-first DPOR search at one preemption
+//! and a keep-going PCT sweep; and the `verify_hint` DPOR search on three
+//! hardened apps. Each row hashes the report with only its wall-clock
+//! fields zeroed, so the snapshot-cache counters (`snapshots_taken`,
+//! `snapshot_hits`, `steps_saved`) and the DPOR counters are pinned too:
+//! the hashes fix every capture and resume decision the search makes,
+//! not just what it finds. They were recorded while each strategy still
+//! ran its own wave loop; the shared loop must reproduce them exactly.
 
-use conair_runtime::{explore, minimize, ExploreConfig, MachineConfig, RunOutcome};
-use conair_workloads::{explore_hint, workload_by_name};
+use conair::Conair;
+use conair_runtime::{
+    explore, minimize, ExploreConfig, ExplorePhases, ExploreReport, ExploreStrategy, MachineConfig,
+    PointMask, RunOutcome,
+};
+use conair_workloads::{explore_hint, verify_hint, workload_by_name};
 
 struct Golden {
     app: &'static str,
@@ -92,6 +107,194 @@ const GOLDEN: &[Golden] = &[
     },
 ];
 
+/// Which search a [`SearchGolden`] row pins.
+#[derive(Debug, Clone, Copy)]
+enum Search {
+    /// The app's `explore_hint` search.
+    Hint,
+    /// DPOR at one preemption under `SYNC_SHARED`, budget 2048,
+    /// stop-at-first.
+    Dpor,
+    /// PCT at depth 3 under `SYNC`, keep-going, budget 16, seed 1.
+    Pct,
+    /// DPOR at the app's `verify_hint` on its survival-hardened program,
+    /// under the fair retry model.
+    Verify,
+}
+
+struct SearchGolden {
+    app: &'static str,
+    search: Search,
+    schedules: usize,
+    /// FNV-1a of the report's JSON with `wall_ms` and `phases` zeroed.
+    report_hash: u64,
+}
+
+const SEARCH_GOLDEN: &[SearchGolden] = &[
+    SearchGolden {
+        app: "FFT",
+        search: Search::Hint,
+        schedules: 1,
+        report_hash: 0xcf4f_f7cc_d3b3_fd8b,
+    },
+    SearchGolden {
+        app: "FFT",
+        search: Search::Dpor,
+        schedules: 1,
+        report_hash: 0xc3e0_d957_ab38_d587,
+    },
+    SearchGolden {
+        app: "FFT",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0xdafe_04db_1e2b_68d5,
+    },
+    SearchGolden {
+        app: "HawkNL",
+        search: Search::Hint,
+        schedules: 17,
+        report_hash: 0xf848_547f_9d55_df9a,
+    },
+    SearchGolden {
+        app: "HawkNL",
+        search: Search::Dpor,
+        schedules: 9,
+        report_hash: 0x5403_d636_cc30_74bd,
+    },
+    SearchGolden {
+        app: "HawkNL",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0x2562_96fe_2d5f_40c4,
+    },
+    SearchGolden {
+        app: "HTTrack",
+        search: Search::Hint,
+        schedules: 1,
+        report_hash: 0x5eb7_2c68_5fa2_0fc9,
+    },
+    SearchGolden {
+        app: "HTTrack",
+        search: Search::Dpor,
+        schedules: 1,
+        report_hash: 0xd383_9322_2f03_0438,
+    },
+    SearchGolden {
+        app: "HTTrack",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0xf6c7_96a5_c8a1_0312,
+    },
+    SearchGolden {
+        app: "MozillaXP",
+        search: Search::Hint,
+        schedules: 1,
+        report_hash: 0x97a2_105d_24f0_a33f,
+    },
+    SearchGolden {
+        app: "MozillaXP",
+        search: Search::Dpor,
+        schedules: 1,
+        report_hash: 0xb2b2_1dcc_b9e2_20ab,
+    },
+    SearchGolden {
+        app: "MozillaXP",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0xc7f1_ac78_c604_dbb0,
+    },
+    SearchGolden {
+        app: "MozillaJS",
+        search: Search::Hint,
+        schedules: 40,
+        report_hash: 0xf5e4_9cb0_a899_35d7,
+    },
+    SearchGolden {
+        app: "MozillaJS",
+        search: Search::Dpor,
+        schedules: 9,
+        report_hash: 0xd90f_1fb8_13ec_1858,
+    },
+    SearchGolden {
+        app: "MozillaJS",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0x7ea2_5a3c_8f1c_1654,
+    },
+    SearchGolden {
+        app: "Transmission",
+        search: Search::Hint,
+        schedules: 1,
+        report_hash: 0x6f93_fb40_e404_ba32,
+    },
+    SearchGolden {
+        app: "Transmission",
+        search: Search::Dpor,
+        schedules: 1,
+        report_hash: 0x1f1c_d368_88de_46bd,
+    },
+    SearchGolden {
+        app: "Transmission",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0x08e6_114a_8a8c_7df3,
+    },
+    SearchGolden {
+        app: "SQLite",
+        search: Search::Hint,
+        schedules: 14,
+        report_hash: 0xf0a7_9a68_08ed_6954,
+    },
+    SearchGolden {
+        app: "SQLite",
+        search: Search::Dpor,
+        schedules: 8,
+        report_hash: 0x9dd0_fc83_a906_8f4a,
+    },
+    SearchGolden {
+        app: "SQLite",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0x3c8a_5f7c_86ce_2cdc,
+    },
+    SearchGolden {
+        app: "ZSNES",
+        search: Search::Hint,
+        schedules: 1,
+        report_hash: 0xa455_818b_8b0c_7d88,
+    },
+    SearchGolden {
+        app: "ZSNES",
+        search: Search::Dpor,
+        schedules: 1,
+        report_hash: 0xef1b_4836_9da9_f57c,
+    },
+    SearchGolden {
+        app: "ZSNES",
+        search: Search::Pct,
+        schedules: 16,
+        report_hash: 0xefa2_aa09_ae59_821f,
+    },
+    SearchGolden {
+        app: "FFT",
+        search: Search::Verify,
+        schedules: 248,
+        report_hash: 0x5bfe_c5c8_85ab_f41d,
+    },
+    SearchGolden {
+        app: "HawkNL",
+        search: Search::Verify,
+        schedules: 211,
+        report_hash: 0xae82_d9fc_0a6a_4810,
+    },
+    SearchGolden {
+        app: "SQLite",
+        search: Search::Verify,
+        schedules: 324,
+        report_hash: 0x1bf9_dd9f_592c_5aac,
+    },
+];
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -147,5 +350,82 @@ fn check(golden: &Golden) {
 fn minimize_matches_golden_fixtures() {
     for golden in GOLDEN {
         check(golden);
+    }
+}
+
+fn run_search(app: &str, search: Search) -> ExploreReport {
+    let w = workload_by_name(app).expect("registered workload");
+    let search_config = |strategy, mask, budget| {
+        let mut ec = ExploreConfig::new(strategy);
+        ec.mask = mask;
+        ec.budget = budget;
+        ec
+    };
+    match search {
+        Search::Hint => {
+            let hint = explore_hint(app).expect("catalog workload has a hint");
+            let mut ec = search_config(hint.strategy, hint.mask, hint.budget);
+            ec.seed = hint.seed;
+            explore(&w.program, &MachineConfig::default(), &ec)
+        }
+        Search::Dpor => {
+            let ec = search_config(
+                ExploreStrategy::Dpor { preemptions: 1 },
+                PointMask::SYNC_SHARED,
+                2048,
+            );
+            explore(&w.program, &MachineConfig::default(), &ec)
+        }
+        Search::Pct => {
+            let mut ec = search_config(ExploreStrategy::Pct { depth: 3 }, PointMask::SYNC, 16);
+            ec.seed = 1;
+            ec.stop_at_first = false;
+            explore(&w.program, &MachineConfig::default(), &ec)
+        }
+        Search::Verify => {
+            let hint = verify_hint(app).expect("catalog workload has a verify hint");
+            let hardened = Conair::survival().harden(&w.program);
+            let config = MachineConfig {
+                retry_backoff: true,
+                max_retries: hint.max_retries,
+                ..MachineConfig::default()
+            };
+            let ec = search_config(
+                ExploreStrategy::Dpor {
+                    preemptions: hint.preemptions,
+                },
+                PointMask::SYNC_SHARED,
+                hint.budget,
+            );
+            explore(&hardened.program, &config, &ec)
+        }
+    }
+}
+
+/// The report's JSON hash with only the wall-clock fields zeroed.
+fn search_hash(report: &ExploreReport) -> u64 {
+    let pinned = ExploreReport {
+        wall_ms: 0,
+        phases: ExplorePhases::default(),
+        ..report.clone()
+    };
+    fnv1a(
+        serde_json::to_string(&pinned)
+            .expect("report serializes")
+            .as_bytes(),
+    )
+}
+
+#[test]
+fn searches_match_golden_fixtures() {
+    for golden in SEARCH_GOLDEN {
+        let r = run_search(golden.app, golden.search);
+        assert_eq!(
+            (r.schedules, search_hash(&r)),
+            (golden.schedules, golden.report_hash),
+            "{} {:?}: search drifted from its golden fixture",
+            golden.app,
+            golden.search
+        );
     }
 }

@@ -1,48 +1,11 @@
-//! Report-format compatibility: exploration reports recorded *before*
-//! the DPOR fields existed (`dpor` counters, the `exhausted` verdict)
-//! keep loading, with the new fields defaulting to zero/false — and a
-//! modern report round-trips through JSON bit-identically, DPOR counters
-//! included. `assets/pre_dpor_report.json` is a checked-in bounded-search
-//! report of `assets/order_violation.cir` with every post-PR-5 key
-//! stripped, i.e. exactly what an old `--report-out` file looks like.
+//! Report-format checks: `normalized()` zeroes the DPOR counters while
+//! keeping the verdict, and a live DPOR report round-trips through JSON
+//! bit-identically, counters included.
 
 use conair_runtime::{
     explore, DporCounters, ExploreConfig, ExploreReport, ExploreStrategy, MachineConfig, PointMask,
 };
 use conair_workloads::workload_by_name;
-
-const PRE_DPOR: &str = include_str!("../assets/pre_dpor_report.json");
-
-#[test]
-fn pre_dpor_reports_still_load() {
-    let report: ExploreReport =
-        serde_json::from_str(PRE_DPOR).expect("pre-DPOR report deserializes");
-    // The era's core fields survive verbatim...
-    assert_eq!(report.strategy, "bounded(k=1)");
-    assert_eq!(report.budget, 64);
-    assert_eq!(report.schedules, 4);
-    assert_eq!(report.failures, 2);
-    let first = report.first_failure.as_ref().expect("recorded failure");
-    assert_eq!(first.index, 0);
-    assert_eq!(first.trace.decisions, vec![0]);
-    // ...and every field added since defaults to its zero value.
-    assert_eq!(report.dpor, DporCounters::default());
-    assert!(!report.exhausted);
-    assert_eq!(report.snapshots_taken, 0);
-    assert_eq!(report.snapshot_hits, 0);
-    assert_eq!(report.steps_saved, 0);
-    assert!(report.wave_widths.is_empty());
-}
-
-#[test]
-fn pre_dpor_report_round_trips_through_the_modern_shape() {
-    let old: ExploreReport = serde_json::from_str(PRE_DPOR).unwrap();
-    // Re-serializing writes the modern shape (all fields present);
-    // re-parsing that must be lossless.
-    let modern = serde_json::to_string_pretty(&old).expect("report serializes");
-    let back: ExploreReport = serde_json::from_str(&modern).expect("modern shape parses");
-    assert_eq!(old, back);
-}
 
 #[test]
 fn normalized_zeroes_the_dpor_counters() {
