@@ -239,21 +239,18 @@ fn dispatch_mix_of(
     script: &conair_runtime::ScheduleScript,
     seed: u64,
 ) -> serde_json::Value {
-    use conair_runtime::{Machine, MetricsRegistry, SeededRandom};
-    let registry = MetricsRegistry::new();
+    use conair_runtime::{Machine, SeededRandom};
     let mut sched = SeededRandom::new(seed);
     let r = Machine::new(program, *config)
         .with_script(script)
-        .with_dispatch_mix(&registry)
+        .with_dispatch_mix()
         .run(&mut sched);
     assert!(r.outcome.is_completed(), "dispatch-mix run must complete");
     let counts = conair_ir::MNEMONICS
         .iter()
-        .enumerate()
-        .filter_map(|(op, mnemonic)| {
-            let n = registry.dispatch_mix[op].get();
-            (n > 0).then(|| (mnemonic.to_string(), serde_json::Value::UInt(n)))
-        })
+        .zip(&r.stats.dispatch_mix)
+        .filter(|&(_, &n)| n > 0)
+        .map(|(mnemonic, &n)| (mnemonic.to_string(), serde_json::Value::UInt(n)))
         .collect();
     serde_json::Value::Object(counts)
 }

@@ -42,7 +42,8 @@
 //! records the sampled [`conair_runtime::TraceEvent::ExploreProgress`] /
 //! [`conair_runtime::TraceEvent::ExploreWave`] stream as JSONL (rendered
 //! later by `stats` or `report --chrome`), and `--metrics-out` dumps the
-//! final [`conair_runtime::MetricsRegistry`] in Prometheus text format.
+//! search's final metrics in Prometheus text format
+//! ([`conair_runtime::ExploreObserver::render_prometheus`]).
 //! Reports stay bit-identical (modulo wall-clock fields) whether or not
 //! any of the three flags are set.
 //!
@@ -59,9 +60,9 @@ use conair_ir::{parse_module, validate, validate_hardened, FailureKind, Module};
 use conair_runtime::{
     explore_observed, from_jsonl, minimize, run_replay, run_trials_parallel, run_with,
     summarize_events, to_chrome_trace, to_jsonl, DecisionTrace, EventBuffer, ExploreConfig,
-    ExploreObserver, ExploreReport, ExploreStrategy, MachineConfig, MetricsRegistry, PctConfig,
-    PctScheduler, PointMask, Program, RoundRobin, RunOutcome, RunResult, ScheduleScript, Scheduler,
-    SeededRandom, TraceEvent, TraceSink,
+    ExploreObserver, ExploreReport, ExploreStrategy, MachineConfig, PctConfig, PctScheduler,
+    PointMask, Program, RoundRobin, RunOutcome, RunResult, ScheduleScript, Scheduler, SeededRandom,
+    TraceEvent, TraceSink,
 };
 
 /// A CLI failure: message plus suggested exit code.
@@ -205,7 +206,7 @@ pub struct ExploreOptions {
     pub progress: Option<u64>,
     /// Record the sampled progress/wave event stream as JSONL here.
     pub progress_out: Option<String>,
-    /// Write the final metrics registry in Prometheus text format here.
+    /// Write the search's final metrics in Prometheus text format here.
     pub metrics_out: Option<String>,
     /// Route every schedule through the legacy per-step `&Inst`
     /// interpreter walk (requires the `dense-oracle` feature).
@@ -703,7 +704,7 @@ pub const USAGE: &str =
           --progress prints a live stderr ticker (sampled every MS ms,
           default 500, 0 = every wave); --progress-out records the
           progress/wave event stream as JSONL for `stats` or `report`;
-          --metrics-out writes the final metrics registry in Prometheus
+          --metrics-out writes the search's final metrics in Prometheus
           text format; none of the three changes the search or the report;
           --dense-oracle (run and explore; needs the dense-oracle build
           feature) executes on the legacy per-step instruction walk — the
@@ -1046,15 +1047,11 @@ pub fn cmd_run(
         let _ = writeln!(
             out,
             "recovery latency (steps): {}",
-            r.metrics.rollback_latency.summary()
+            r.stats.rollback_latency.summary()
         );
     }
-    if !r.metrics.lock_waits.is_empty() {
-        let _ = writeln!(
-            out,
-            "lock waits (steps): {}",
-            r.metrics.lock_waits.summary()
-        );
+    if !r.stats.lock_waits.is_empty() {
+        let _ = writeln!(out, "lock waits (steps): {}", r.stats.lock_waits.summary());
     }
 
     if let Some(path) = &opts.trace {
@@ -1284,13 +1281,13 @@ fn explore_inner(
     ec.snapshot_budget = opts.snapshot_budget;
     ec.wave = opts.wave;
 
-    // The observatory: allocate a registry + observer only when asked, so
-    // the plain path keeps the zero-cost discipline.
+    // The observatory: construct an observer only when asked, so the plain
+    // path keeps the zero-cost discipline.
     let observing =
         opts.progress.is_some() || opts.progress_out.is_some() || opts.metrics_out.is_some();
     let buffer = EventBuffer::new();
     let mut observer = if observing {
-        let mut obs = ExploreObserver::new(MetricsRegistry::new());
+        let mut obs = ExploreObserver::new();
         if let Some(ms) = opts.progress {
             obs = obs.with_interval_ms(ms);
         }
@@ -1341,11 +1338,7 @@ fn explore_inner(
                 let minimize_start = std::time::Instant::now();
                 let min = minimize(&program, &config, &found.trace, opts.budget)
                     .map_err(|e| CliError::new(format!("explore: minimize failed: {e}")))?;
-                let minimize_us = minimize_start.elapsed().as_micros() as u64;
-                report.phases.minimize_us += minimize_us;
-                if let Some(obs) = &observer {
-                    obs.registry().phase_minimize_us.add(minimize_us);
-                }
+                report.phases.minimize_us += minimize_start.elapsed().as_micros() as u64;
                 let _ = writeln!(
                     out,
                     "minimized: {} -> {} decisions ({} candidate replays)",
@@ -1409,7 +1402,7 @@ fn explore_inner(
     }
     if let Some(path) = &opts.metrics_out {
         let obs = observer.as_ref().expect("--metrics-out builds an observer");
-        files.push((path.clone(), obs.registry().render_prometheus()));
+        files.push((path.clone(), obs.render_prometheus(&report)));
     }
     if let Some(path) = &opts.progress_out {
         files.push((path.clone(), to_jsonl(&buffer.take())));
@@ -1760,16 +1753,18 @@ pub fn cmd_report(
     let _ = writeln!(
         out,
         "  checkpoints: {} ({} first-time, {} reexecutions)",
-        m.checkpoint_executions,
-        m.checkpoints_taken(),
+        m.checkpoints,
+        m.checkpoints - m.checkpoint_reexecutions,
         m.checkpoint_reexecutions
     );
-    if m.per_site_retries.is_empty() {
+    if m.site_recovery.is_empty() {
         let _ = writeln!(out, "  retries: none");
     } else {
         let _ = writeln!(out, "  retries by site:");
-        for (site, n) in &m.per_site_retries {
-            let _ = writeln!(out, "    {site}: {n}");
+        let mut sites: Vec<_> = m.site_recovery.iter().collect();
+        sites.sort_unstable_by_key(|(site, _)| **site);
+        for (site, rec) in sites {
+            let _ = writeln!(out, "    {site}: {}", rec.retries);
         }
     }
     let _ = writeln!(
@@ -1789,12 +1784,16 @@ pub fn cmd_report(
         m.compensation_frees, m.compensation_unlocks
     );
     let _ = writeln!(out, "  context switches: {}", m.context_switches);
-    if m.sched_decisions > 0 {
-        let _ = writeln!(
-            out,
-            "  schedule: {} decisions, hash {:#018x}",
-            m.sched_decisions, m.decision_trace_hash
-        );
+    let schedule = events.iter().rev().find_map(|e| match e {
+        TraceEvent::ScheduleInfo {
+            decisions,
+            trace_hash,
+            ..
+        } => Some((*decisions, *trace_hash)),
+        _ => None,
+    });
+    if let Some((decisions, hash)) = schedule.filter(|&(decisions, _)| decisions > 0) {
+        let _ = writeln!(out, "  schedule: {decisions} decisions, hash {hash:#018x}");
     }
 
     let chrome_json = if chrome {
@@ -2658,6 +2657,46 @@ bb0:
         let on: ExploreReport = serde_json::from_str(&file("report.json", &files)).unwrap();
         let off: ExploreReport = serde_json::from_str(&file("report.json", &plain_files)).unwrap();
         assert_eq!(on.normalized(), off.normalized());
+    }
+
+    #[test]
+    fn probe_ended_search_exports_its_totals_and_stream() {
+        // The probe (schedule 0) finds the bug on its own, so the
+        // stop-at-first search ends before any wave: the Prometheus totals
+        // and the progress stream must still describe the search that ran.
+        let opts = ExploreOptions {
+            threads: vec!["reader".into(), "writer".into()],
+            metrics_out: Some("m.prom".into()),
+            progress_out: Some("p.jsonl".into()),
+            report_out: Some("r.json".into()),
+            ..ExploreOptions::default()
+        };
+        let text = include_str!("../../../assets/order_violation.cir");
+        let (_, files) = cmd_explore(text, &opts).unwrap();
+        let file = |name: &str| {
+            files
+                .iter()
+                .find(|(p, _)| p == name)
+                .map(|(_, t)| t.as_str())
+                .unwrap_or_else(|| panic!("missing output file {name}"))
+        };
+        let report: ExploreReport = serde_json::from_str(file("r.json")).unwrap();
+        assert_eq!((report.schedules, report.failures), (1, 1));
+        let prom = file("m.prom");
+        assert!(
+            prom.lines()
+                .any(|l| l == "conair_explore_schedules_total 1"),
+            "{prom}"
+        );
+        assert!(
+            prom.lines().any(|l| l == "conair_explore_failures_total 1"),
+            "{prom}"
+        );
+        let stats = cmd_stats(file("p.jsonl")).unwrap();
+        assert!(
+            stats.contains("failures: 1 (first at schedule #0)"),
+            "{stats}"
+        );
     }
 
     #[test]

@@ -137,11 +137,9 @@ fn summarize(results: impl IntoIterator<Item = RunResult>, trials: usize) -> Tri
         let run_retries = result.stats.total_retries();
         retries_total += run_retries;
         summary.retries_hist.record(run_retries);
-        summary
-            .recovery_hist
-            .merge(&result.metrics.rollback_latency);
+        summary.recovery_hist.merge(&result.stats.rollback_latency);
         summary.checkpoints_hist.record(result.stats.checkpoints);
-        summary.undo_depth_hist.merge(&result.metrics.undo_depth);
+        summary.undo_depth_hist.merge(&result.stats.undo_depth);
         summary.max_recovery_steps = summary
             .max_recovery_steps
             .max(result.stats.max_recovery_steps());

@@ -68,7 +68,7 @@ pub use harness::{
 pub use locks::{AcquireResult, LockTable, ThreadId, UnlockError};
 pub use machine::{BranchCapture, Machine, MachineConfig, MachineSnapshot};
 pub use memory::{MemFault, Memory, DEFAULT_LOWER_BOUND, GLOBAL_BASE, HEAP_BASE};
-pub use metrics::{AtomicHistogram, Counter, Gauge, Histogram, MetricsRegistry, RunMetrics};
+pub use metrics::Histogram;
 pub use outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};
 pub use program::{Program, ThreadSpec};
 pub use sched::{

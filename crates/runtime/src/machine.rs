@@ -33,7 +33,6 @@ use crate::deadlock::WaitEdge;
 use crate::dense::DenseProgram;
 use crate::locks::{AcquireResult, LockTable, ThreadId};
 use crate::memory::{Memory, DEFAULT_LOWER_BOUND};
-use crate::metrics::{MetricsRegistry, RunMetrics};
 use crate::outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};
 use crate::program::Program;
 use crate::sched::{
@@ -128,18 +127,19 @@ enum StepEffect {
 ///
 /// The image is complete: shared memory, lock table, every thread's
 /// frames/undo-log/compensation state, outputs, marker counts, per-site
-/// recovery books, the backoff RNG, metrics, and the decision log so far.
+/// recovery books, the backoff RNG, the cold run counters, and the
+/// decision log so far.
 /// What it deliberately excludes is re-derivable from the program and
 /// config: the dense lowering, the compiled schedule script, and the
 /// scratch eligibility buffers.
 ///
 /// "Copy" is copy-on-write throughout: memory is an all-shared page fork
 /// ([`Memory::fork`]), threads are `Arc`s out of the machine's
-/// copy-on-capture cache, and the cold fields (`outputs`, metrics, the
-/// recovery books, the decision log) are `Arc` bumps — so cloning a
-/// snapshot, and capturing one from a machine that barely moved since the
-/// last capture, costs refcount traffic proportional to the delta, not to
-/// program state size.
+/// copy-on-capture cache, and the cold fields (`outputs`, the cold run
+/// counters, the recovery books, the decision log) are `Arc` bumps — so
+/// cloning a snapshot, and capturing one from a machine that barely moved
+/// since the last capture, costs refcount traffic proportional to the
+/// delta, not to program state size.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     memory: Memory,
@@ -154,7 +154,7 @@ pub struct MachineSnapshot {
     step: u64,
     aux_work: u64,
     backoff_rng: SmallRng,
-    metrics: Arc<RunMetrics>,
+    cold: Arc<RunStats>,
     last_picked: Option<ThreadId>,
     rolled_back: CowCell<Vec<bool>>,
     pending_wait: Option<(LockId, u64)>,
@@ -196,8 +196,8 @@ impl MachineSnapshot {
     /// timed-wait and compensation work.
     ///
     /// Scheduler bookkeeping that does not describe the program state —
-    /// `last_picked`, the decision log, the backoff RNG — and the run
-    /// metrics are deliberately excluded: the independence property test
+    /// `last_picked`, the decision log, the backoff RNG — and the cold run
+    /// counters are deliberately excluded: the independence property test
     /// compares states reached by swapping two adjacent *independent*
     /// steps, and a swap permutes exactly those fields while the program
     /// state must come out identical (the commutation axiom DPOR's
@@ -260,8 +260,11 @@ impl MachineSnapshot {
         if self.site_checks.is_resident() {
             fp.owned_bytes += self.site_checks.get().len() as u64 * 8;
         }
-        if Arc::strong_count(&self.metrics) == 1 {
-            fp.owned_bytes += self.metrics.approx_bytes();
+        if Arc::strong_count(&self.cold) == 1 {
+            fp.owned_bytes += std::mem::size_of::<RunStats>() as u64
+                + self.cold.rollback_latency.approx_bytes()
+                + self.cold.lock_waits.approx_bytes()
+                + self.cold.undo_depth.approx_bytes();
         }
         fp.owned_bytes += self.decision_log.owned_entries() as u64 * 4;
         fp
@@ -308,9 +311,6 @@ struct CaptureState {
     /// [`Machine::run_captured_at_branches`]); `limit` then bounds the
     /// *number* of captures instead of the depth window.
     branches_only: bool,
-    /// Captures taken, folded into `RunMetrics::snapshots_taken` at run
-    /// end — bumping the shared metrics per capture would re-clone them.
-    taken: u64,
     /// The latest decision index that had two or more eligible threads,
     /// or was this run's first consult.
     last_fork: Option<usize>,
@@ -355,7 +355,11 @@ pub struct Machine<'p> {
     step: u64,
     aux_work: u64,
     backoff_rng: SmallRng,
-    metrics: Arc<RunMetrics>,
+    /// The [`RunStats`] fields bumped off the hot path — the rollback,
+    /// lock-wait and undo-depth histograms and the compensation,
+    /// re-execution and context-switch counters. `Arc` so a capture shares
+    /// them; the hot fields are filled in at run end.
+    cold: Arc<RunStats>,
     /// Thread the scheduler ran last step (context-switch detection).
     last_picked: Option<ThreadId>,
     /// Per-thread flag: rolled back since its last checkpoint execution
@@ -410,10 +414,11 @@ pub struct Machine<'p> {
     /// plan — the explorer's self-profiling "capture" phase.
     capture_wall: Duration,
     sink: Option<Box<dyn TraceSink>>,
-    /// When set, every executed instruction bumps the registry's
-    /// per-opcode `dispatch_mix` counter (`bench_interp --dispatch-mix`).
-    /// Forces single-step dispatch so fused pairs count as two.
-    mix: Option<MetricsRegistry>,
+    /// Per-opcode execution counts, empty unless
+    /// [`Machine::with_dispatch_mix`] was called; every executed
+    /// instruction then bumps its opcode's slot. Forces single-step
+    /// dispatch so fused pairs count as two.
+    mix: Vec<u64>,
 }
 
 impl<'p> Machine<'p> {
@@ -467,7 +472,7 @@ impl<'p> Machine<'p> {
             step: 0,
             aux_work: 0,
             backoff_rng: SmallRng::seed_from_u64(backoff_seed),
-            metrics: Arc::new(RunMetrics::default()),
+            cold: Arc::new(RunStats::default()),
             last_picked: None,
             rolled_back: CowCell::new(vec![false; thread_count]),
             pending_wait: None,
@@ -483,7 +488,7 @@ impl<'p> Machine<'p> {
             capture_final: false,
             capture_wall: Duration::ZERO,
             sink: None,
-            mix: None,
+            mix: Vec::new(),
         }
     }
 
@@ -519,7 +524,7 @@ impl<'p> Machine<'p> {
             step: self.step,
             aux_work: self.aux_work,
             backoff_rng: self.backoff_rng.clone(),
-            metrics: Arc::clone(&self.metrics),
+            cold: Arc::clone(&self.cold),
             last_picked: self.last_picked,
             rolled_back: self.rolled_back.share(),
             pending_wait: self.pending_wait,
@@ -558,7 +563,7 @@ impl<'p> Machine<'p> {
         self.step = snap.step;
         self.aux_work = snap.aux_work;
         self.backoff_rng = snap.backoff_rng.clone();
-        self.metrics = Arc::clone(&snap.metrics);
+        self.cold = Arc::clone(&snap.cold);
         self.last_picked = snap.last_picked;
         self.rolled_back = snap.rolled_back.clone();
         self.pending_wait = snap.pending_wait;
@@ -602,12 +607,12 @@ impl<'p> Machine<'p> {
         self
     }
 
-    /// Streams a per-opcode execution-count histogram into `registry`'s
-    /// `dispatch_mix` counters (`bench_interp --dispatch-mix`). Forces
+    /// Counts executed instructions per opcode into
+    /// [`RunStats::dispatch_mix`] (`bench_interp --dispatch-mix`). Forces
     /// one-instruction-per-dispatch so every logical instruction is
     /// counted exactly once, fused pairs included.
-    pub fn with_dispatch_mix(mut self, registry: &MetricsRegistry) -> Self {
-        self.mix = Some(registry.clone());
+    pub fn with_dispatch_mix(mut self) -> Self {
+        self.mix = vec![0; conair_ir::NUM_OPCODES];
         self
     }
 
@@ -693,7 +698,6 @@ impl<'p> Machine<'p> {
                 from: capture_from,
                 limit: capture_limit,
                 branches_only: self.capture_branches_only,
-                taken: 0,
                 last_fork: None,
                 out: Vec::new(),
             });
@@ -731,9 +735,6 @@ impl<'p> Machine<'p> {
         let decisions = if self.config.record_decisions {
             let mut trace = DecisionTrace::new(scheduler.name(), 0, mask);
             trace.decisions = std::mem::take(&mut self.decision_log).into_vec();
-            let metrics = Arc::make_mut(&mut self.metrics);
-            metrics.sched_decisions = trace.len() as u64;
-            metrics.decision_trace_hash = trace.hash();
             if self.sink.is_some() {
                 let scheduler = trace.scheduler.clone();
                 let count = trace.len() as u64;
@@ -754,19 +755,7 @@ impl<'p> Machine<'p> {
             step,
             outcome: label,
         });
-        if let Some(c) = &self.capture {
-            Arc::make_mut(&mut self.metrics).snapshots_taken += c.taken;
-        }
-        Arc::make_mut(&mut self.metrics).per_site_retries = {
-            let mut v: Vec<(SiteId, u64)> = self
-                .site_recovery
-                .iter()
-                .map(|(site, rec)| (*site, rec.retries))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let mut stats = RunStats {
+        let stats = RunStats {
             steps: self.step,
             insts: self.threads.iter().map(|t| t.stats.insts).sum(),
             checkpoints: self.threads.iter().map(|t| t.stats.checkpoints).sum(),
@@ -781,17 +770,17 @@ impl<'p> Machine<'p> {
                 .filter(|&(_, count)| count != 0)
                 .map(|(i, count)| (SiteId::from_index(i), count))
                 .collect(),
-            wall: start.elapsed(),
             snapshot_wall: self.capture_wall,
             wait_edges: self.wait_edges,
+            dispatch_mix: self.mix,
+            wall: start.elapsed(),
+            ..unwrap_arc(self.cold)
         };
-        stats.wall = start.elapsed();
         let captured = self.capture.map(|c| c.out).unwrap_or_default();
         let result = RunResult {
             outcome,
             outputs: self.outputs.into_vec(),
             stats,
-            metrics: unwrap_arc(self.metrics),
             decisions,
         };
         (result, captured, final_snap)
@@ -903,7 +892,7 @@ impl<'p> Machine<'p> {
             );
             if self.last_picked != Some(tid) {
                 if self.last_picked.is_some() {
-                    Arc::make_mut(&mut self.metrics).context_switches += 1;
+                    Arc::make_mut(&mut self.cold).context_switches += 1;
                 }
                 let from = self.last_picked;
                 let step = self.step;
@@ -940,7 +929,7 @@ impl<'p> Machine<'p> {
         let tight = !consult_every_step
             && self.config.trace_depth == 0
             && !self.maybe_timed_waiter
-            && self.mix.is_none();
+            && self.mix.is_empty();
         self.step_thread(tid, tight)
     }
 
@@ -1036,7 +1025,7 @@ impl<'p> Machine<'p> {
             // an image there can never be a resume target: every run
             // reaching this prefix has the same state (determinism),
             // hence the same eligible set, hence no divergence here.
-            depth >= c.from && c.taken < c.limit as u64 && fork
+            depth >= c.from && c.out.len() < c.limit && fork
         } else {
             depth >= c.from && depth < c.from + c.limit
         };
@@ -1053,7 +1042,6 @@ impl<'p> Machine<'p> {
         snap.step -= 1;
         let eligible = self.eligible.clone();
         let c = self.capture.as_mut().expect("checked above");
-        c.taken += 1;
         c.out.push(BranchCapture {
             depth,
             snap,
@@ -1129,7 +1117,7 @@ impl<'p> Machine<'p> {
             self.thread_snaps[i] = None;
             self.eligible_stale = true;
             let tid = ThreadId(i);
-            Arc::make_mut(&mut self.metrics).lock_waits.record(waited);
+            Arc::make_mut(&mut self.cold).lock_waits.record(waited);
             let step = self.step;
             self.emit(|| TraceEvent::LockTimeout {
                 step,
@@ -1225,8 +1213,8 @@ impl<'p> Machine<'p> {
                 let loc = self.dense.func(func_id).loc(func_id, pc);
                 self.threads[tid.index()].record_trace(step, loc, depth);
             }
-            if let Some(mix) = &self.mix {
-                mix.dispatch_mix[self.dense.func(func_id).inst(pc).opcode()].add(1);
+            if !self.mix.is_empty() {
+                self.mix[self.dense.func(func_id).inst(pc).opcode()] += 1;
             }
 
             // A 32-byte `Copy` fetch — nothing borrowed across dispatch.
@@ -1364,8 +1352,8 @@ impl<'p> Machine<'p> {
             let loc = self.dense.func(func_id).loc(func_id, pc);
             self.threads[tid.index()].record_trace(step, loc, depth);
         }
-        if let Some(mix) = &self.mix {
-            mix.dispatch_mix[inst.opcode()].add(1);
+        if !self.mix.is_empty() {
+            self.mix[inst.opcode()] += 1;
         }
         self.threads[tid.index()].stats.insts += 1;
         // Advance pc optimistically; control flow overwrites it.
@@ -1766,10 +1754,7 @@ impl<'p> Machine<'p> {
                 let reexecution = self.rolled_back.get()[tid.index()];
                 if reexecution {
                     self.rolled_back.get_mut()[tid.index()] = false;
-                }
-                Arc::make_mut(&mut self.metrics).checkpoint_executions += 1;
-                if reexecution {
-                    Arc::make_mut(&mut self.metrics).checkpoint_reexecutions += 1;
+                    Arc::make_mut(&mut self.cold).checkpoint_reexecutions += 1;
                 }
                 self.threads[tid.index()].save_checkpoint();
                 let epoch = self.threads[tid.index()].epoch;
@@ -2183,10 +2168,7 @@ impl<'p> Machine<'p> {
                 let reexecution = self.rolled_back.get()[tid.index()];
                 if reexecution {
                     self.rolled_back.get_mut()[tid.index()] = false;
-                }
-                Arc::make_mut(&mut self.metrics).checkpoint_executions += 1;
-                if reexecution {
-                    Arc::make_mut(&mut self.metrics).checkpoint_reexecutions += 1;
+                    Arc::make_mut(&mut self.cold).checkpoint_reexecutions += 1;
                 }
                 self.threads[tid.index()].save_checkpoint();
                 let epoch = self.threads[tid.index()].epoch;
@@ -2247,7 +2229,7 @@ impl<'p> Machine<'p> {
             _ => 0,
         };
         if waited > 0 {
-            Arc::make_mut(&mut self.metrics).lock_waits.record(waited);
+            Arc::make_mut(&mut self.cold).lock_waits.record(waited);
         }
         let step = self.step;
         self.emit(|| TraceEvent::LockAcquired {
@@ -2271,7 +2253,7 @@ impl<'p> Machine<'p> {
             _ => None,
         };
         if let Some((retries, latency)) = completed {
-            Arc::make_mut(&mut self.metrics)
+            Arc::make_mut(&mut self.cold)
                 .rollback_latency
                 .record(latency);
             self.emit(|| TraceEvent::RecoveryCompleted {
@@ -2359,7 +2341,7 @@ impl<'p> Machine<'p> {
                     // The block may already be freed only if the region
                     // contained a free — which regions never do.
                     let _ = self.memory.free(base);
-                    Arc::make_mut(&mut self.metrics).compensation_frees += 1;
+                    Arc::make_mut(&mut self.cold).compensation_frees += 1;
                     self.emit(|| TraceEvent::CompensationFree {
                         step,
                         thread: tid,
@@ -2368,7 +2350,7 @@ impl<'p> Machine<'p> {
                 }
                 CompensationRecord::Lock { lock, .. } => {
                     self.locks.force_release(lock);
-                    Arc::make_mut(&mut self.metrics).compensation_unlocks += 1;
+                    Arc::make_mut(&mut self.cold).compensation_unlocks += 1;
                     self.emit(|| TraceEvent::CompensationUnlock {
                         step,
                         thread: tid,
@@ -2405,9 +2387,7 @@ impl<'p> Machine<'p> {
         // Rollback cost in registers: how many undo records this epoch
         // accumulated (what restore is about to walk).
         let regs_undone = self.threads[tid.index()].undo_depth() as u64;
-        Arc::make_mut(&mut self.metrics)
-            .undo_depth
-            .record(regs_undone);
+        Arc::make_mut(&mut self.cold).undo_depth.record(regs_undone);
         let restored = self.threads[tid.index()].restore_checkpoint();
         debug_assert!(restored, "checkpoint checked above");
         self.rolled_back.get_mut()[tid.index()] = true;

@@ -7,6 +7,7 @@ use conair_ir::{FailureKind, Loc, SiteId};
 
 use crate::deadlock::WaitEdge;
 use crate::locks::ThreadId;
+use crate::metrics::Histogram;
 
 /// One value emitted by an `output` instruction.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -96,7 +97,11 @@ impl SiteRecovery {
     }
 }
 
-/// Aggregate statistics of one run.
+/// Aggregate statistics of one run: counters, per-site books and
+/// distributions, all collected unconditionally (each a counter bump or an
+/// O(1) histogram record) at the points where [`crate::TraceEvent`]s are
+/// emitted — [`crate::summarize_events`] rebuilds the event-determined
+/// fields from a trace alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Scheduler steps taken (= instructions executed, plus timeout
@@ -130,6 +135,30 @@ pub struct RunStats {
     /// The wait-for graph at the moment of a hang (empty otherwise):
     /// feed to [`crate::find_wait_cycle`] to diagnose the circular wait.
     pub wait_edges: Vec<WaitEdge>,
+    /// Steps from a site's first failure detection to its recovery
+    /// completion, one sample per site that recovered.
+    pub rollback_latency: Histogram,
+    /// Steps spent blocked per lock acquisition that had to wait (timed-out
+    /// waits included).
+    pub lock_waits: Histogram,
+    /// Register undo-log depth at each rollback: how many registers the
+    /// epoch wrote (and restore walked back) — the per-rollback cost of the
+    /// featherweight checkpoint representation, one sample per rollback.
+    pub undo_depth: Histogram,
+    /// Checkpoint executions that were re-executions after a rollback (the
+    /// rest of `checkpoints` are first-time captures).
+    pub checkpoint_reexecutions: u64,
+    /// Heap blocks freed by compensation during rollbacks.
+    pub compensation_frees: u64,
+    /// Locks force-released by compensation during rollbacks.
+    pub compensation_unlocks: u64,
+    /// Scheduler picks that switched away from the previously running
+    /// thread.
+    pub context_switches: u64,
+    /// Per-opcode execution counts, indexed by [`conair_ir::Inst::opcode`]
+    /// — empty unless the run used [`crate::Machine::with_dispatch_mix`]
+    /// (the data behind the superinstruction catalog).
+    pub dispatch_mix: Vec<u64>,
 }
 
 impl RunStats {
@@ -156,9 +185,6 @@ pub struct RunResult {
     pub outputs: Vec<OutputRecord>,
     /// Statistics.
     pub stats: RunStats,
-    /// Distributional metrics (always collected; see
-    /// [`crate::RunMetrics`]).
-    pub metrics: crate::RunMetrics,
     /// The recorded schedule, when
     /// [`crate::MachineConfig::record_decisions`] was set — replay it with
     /// [`crate::run_replay`] to reproduce this run bit-identically.
@@ -255,7 +281,6 @@ mod tests {
                 },
             ],
             stats: RunStats::default(),
-            metrics: crate::RunMetrics::default(),
             decisions: None,
         };
         assert_eq!(result.outputs_for("a"), vec![1, 3]);

@@ -123,7 +123,7 @@ impl FrontierScheduler {
     }
 
     /// Decisions this scheduler made live (excluding decisions skipped by
-    /// resuming from a snapshot) — the registry's per-scheduler decision
+    /// resuming from a snapshot) — the observer's per-scheduler decision
     /// count.
     pub fn picks(&self) -> u64 {
         self.picks

@@ -54,6 +54,7 @@
 //! [`MachineSnapshot`]: crate::MachineSnapshot
 
 use std::collections::{HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,7 +72,7 @@ use super::runner::{
 pub use super::dpor::DporCounters;
 use crate::harness::TrialPool;
 use crate::machine::MachineConfig;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::Histogram;
 use crate::outcome::RunOutcome;
 use crate::program::Program;
 use crate::trace::{TraceEvent, TraceSink};
@@ -368,11 +369,14 @@ fn wave_width(ec: &ExploreConfig, wave: usize) -> usize {
         .max(1)
 }
 
-/// Observability hooks for [`explore_observed`]: a [`MetricsRegistry`] the
-/// explorer updates at wave boundaries, an optional [`TraceSink`]
+/// Observability hooks for [`explore_observed`]: an optional [`TraceSink`]
 /// receiving [`TraceEvent::ExploreWave`] (every wave) and
 /// [`TraceEvent::ExploreProgress`] (rate-limited by the sampling
-/// interval), and the interval itself.
+/// interval), plus the wave-boundary state an [`ExploreReport`] does not
+/// carry — waves, the last wave's width, frontier depth and snapshot-tree
+/// gauges, decisions per scheduler, PCT demotions and the undo-depth
+/// histogram. [`ExploreObserver::render_prometheus`] joins these with the
+/// final report's totals.
 ///
 /// The observer is strictly read-only with respect to the search: every
 /// update reads wave-boundary state the explorer already computed, so an
@@ -380,22 +384,63 @@ fn wave_width(ec: &ExploreConfig, wave: usize) -> usize {
 /// (normalized for wall time) — pinned by tests and a CI diff.
 pub struct ExploreObserver {
     sink: Option<Box<dyn TraceSink>>,
-    registry: MetricsRegistry,
     interval_ms: u64,
     last_sample_ms: Option<u64>,
     last_phases: ExplorePhases,
+    /// Waves observed so far.
+    waves: u64,
+    /// The most recent wave's boundary state (all zero before the first).
+    last_wave: WaveObs,
+    /// Live scheduler decisions made by bounded (frontier) schedulers.
+    decisions_bounded: u64,
+    /// Live scheduler decisions made by PCT schedulers.
+    pub(super) decisions_pct: u64,
+    /// Live scheduler decisions made during DPOR exploration.
+    decisions_dpor: u64,
+    /// PCT priority demotions applied at change points.
+    pct_demotions: u64,
+    /// Register undo-log depth per rollback, across all executed schedules
+    /// (schedules sharing a resumed prefix each count the prefix's
+    /// rollbacks).
+    undo_depth: Histogram,
+}
+
+/// Observers constructed so far: the zero-cost pin's probe — an
+/// unobserved exploration must construct none.
+#[cfg(test)]
+static OBSERVERS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// Serializes the tests that construct observers against the zero-cost
+/// pin, which reads the process-global [`OBSERVERS`] count.
+#[cfg(test)]
+pub(crate) fn observer_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl Default for ExploreObserver {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ExploreObserver {
-    /// An observer updating `registry`, with no sink and a 500 ms progress
-    /// sampling interval.
-    pub fn new(registry: MetricsRegistry) -> Self {
+    /// An observer with no sink and a 500 ms progress sampling interval.
+    pub fn new() -> Self {
+        #[cfg(test)]
+        OBSERVERS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Self {
             sink: None,
-            registry,
             interval_ms: 500,
             last_sample_ms: None,
             last_phases: ExplorePhases::default(),
+            waves: 0,
+            last_wave: WaveObs::default(),
+            decisions_bounded: 0,
+            decisions_pct: 0,
+            decisions_dpor: 0,
+            pct_demotions: 0,
+            undo_depth: Histogram::new(),
         }
     }
 
@@ -412,76 +457,62 @@ impl ExploreObserver {
         self
     }
 
-    /// The registry this observer updates.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Folds one executed run's per-run telemetry into the registry.
+    /// Folds one executed run's per-run telemetry in.
     fn observe_run(&mut self, strategy: ExploreStrategy, ex: &Executed) {
         match strategy {
-            ExploreStrategy::Bounded { .. } => self.registry.decisions_bounded.add(ex.picks),
-            ExploreStrategy::Dpor { .. } => self.registry.decisions_dpor.add(ex.picks),
+            ExploreStrategy::Bounded { .. } => self.decisions_bounded += ex.picks,
+            ExploreStrategy::Dpor { .. } => self.decisions_dpor += ex.picks,
             ExploreStrategy::Pct { .. } => {
-                self.registry.decisions_pct.add(ex.picks);
-                self.registry.pct_demotions.add(ex.demotions);
+                self.decisions_pct += ex.picks;
+                self.pct_demotions += ex.demotions;
             }
         }
-        if !ex.undo_depth.is_empty() {
-            self.registry.undo_depth.merge(&ex.undo_depth);
+        self.undo_depth.merge(&ex.undo_depth);
+    }
+
+    /// Publishes a completed wave: an `ExploreWave` event and — when the
+    /// sampling interval has elapsed or the exploration is done — an
+    /// `ExploreProgress` sample.
+    fn observe_wave(&mut self, report: &ExploreReport, elapsed_ms: u64, w: WaveObs) {
+        let phases = report.phases.delta_since(&self.last_phases);
+        self.last_phases = report.phases;
+        self.waves += 1;
+        if let Some(sink) = self.sink.as_mut() {
+            sink.record(TraceEvent::ExploreWave {
+                step: elapsed_ms,
+                wave: w.wave,
+                width: w.width,
+                executed: w.executed,
+                wall_us: w.wall_us,
+                capture_us: phases.capture_us,
+                restore_us: phases.restore_us,
+                interpret_us: phases.interpret_us,
+                merge_us: phases.merge_us,
+            });
+        }
+        let due = w.last
+            || self
+                .last_sample_ms
+                .is_none_or(|t| elapsed_ms.saturating_sub(t) >= self.interval_ms);
+        if due {
+            self.sample(report, elapsed_ms, &w);
+        }
+        self.last_wave = w;
+    }
+
+    /// Closes the stream of a search that ended before any wave ran (the
+    /// probe found the bug, or spent the budget) with its one
+    /// `ExploreProgress` sample, so the stream still summarizes.
+    fn finish(&mut self, report: &ExploreReport, elapsed_ms: u64, w: &WaveObs) {
+        if self.waves == 0 {
+            self.sample(report, elapsed_ms, w);
         }
     }
 
-    /// Publishes a completed wave: registry stores/deltas, an
-    /// `ExploreWave` event, and — when the sampling interval has elapsed
-    /// or the exploration is done — an `ExploreProgress` sample.
-    fn observe_wave(&mut self, report: &ExploreReport, elapsed_ms: u64, w: &WaveObs) {
-        let phases = report.phases.delta_since(&self.last_phases);
-        self.last_phases = report.phases;
-        let reg = &self.registry;
-        reg.schedules.store(report.schedules as u64);
-        reg.failures.store(report.failures as u64);
-        reg.waves.add(1);
-        reg.wave_width.set(w.width);
-        reg.frontier_depth.set(w.frontier);
-        reg.snapshot_nodes.set(w.tree_nodes);
-        reg.snapshot_resident_bytes.set(w.tree_resident_bytes);
-        reg.snapshot_owned_pages.set(w.tree_owned_pages);
-        reg.snapshot_shared_pages.set(w.tree_shared_pages);
-        reg.snapshot_evictions.store(w.tree_evictions);
-        reg.snapshots_taken.store(report.snapshots_taken);
-        reg.snapshot_hits.store(report.snapshot_hits);
-        reg.steps_saved.store(report.steps_saved);
-        reg.dedup_skips.store(report.dedup_skips);
-        reg.independence_skips.store(report.independence_skips);
-        reg.dpor_races.set(report.dpor.races_detected);
-        reg.dpor_backtracks.set(report.dpor.backtrack_points);
-        reg.dpor_sleep_skips.set(report.dpor.sleep_skips);
-        reg.phase_capture_us.add(phases.capture_us);
-        reg.phase_restore_us.add(phases.restore_us);
-        reg.phase_interpret_us.add(phases.interpret_us);
-        reg.phase_merge_us.add(phases.merge_us);
-        let Some(sink) = self.sink.as_mut() else {
-            return;
-        };
-        sink.record(TraceEvent::ExploreWave {
-            step: elapsed_ms,
-            wave: w.wave,
-            width: w.width,
-            executed: w.executed,
-            wall_us: w.wall_us,
-            capture_us: phases.capture_us,
-            restore_us: phases.restore_us,
-            interpret_us: phases.interpret_us,
-            merge_us: phases.merge_us,
-        });
-        let due = w.last
-            || match self.last_sample_ms {
-                None => true,
-                Some(t) => elapsed_ms.saturating_sub(t) >= self.interval_ms,
-            };
-        if due {
-            self.last_sample_ms = Some(elapsed_ms);
+    /// Emits one `ExploreProgress` sample.
+    fn sample(&mut self, report: &ExploreReport, elapsed_ms: u64, w: &WaveObs) {
+        self.last_sample_ms = Some(elapsed_ms);
+        if let Some(sink) = self.sink.as_mut() {
             sink.record(TraceEvent::ExploreProgress {
                 step: elapsed_ms,
                 schedules: report.schedules as u64,
@@ -492,13 +523,102 @@ impl ExploreObserver {
                 snapshot_nodes: w.tree_nodes,
                 resident_bytes: w.tree_resident_bytes,
                 steps_saved: report.steps_saved,
-                wave: w.wave + 1,
+                wave: self.waves,
             });
         }
+    }
+
+    /// Renders the search in Prometheus text exposition format: totals,
+    /// DPOR gauges and phase timers from `report` (the search this
+    /// observer watched, minimization time included), the wave, tree and
+    /// scheduler series from the observer.
+    pub fn render_prometheus(&self, report: &ExploreReport) -> String {
+        let w = &self.last_wave;
+        let mut out = String::new();
+        let mut counter = |name: &str, v: u64| {
+            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
+        };
+        counter("conair_explore_schedules_total", report.schedules as u64);
+        counter("conair_explore_failures_total", report.failures as u64);
+        counter("conair_explore_waves_total", self.waves);
+        counter("conair_explore_snapshot_evictions_total", w.tree_evictions);
+        counter(
+            "conair_explore_snapshots_taken_total",
+            report.snapshots_taken,
+        );
+        counter("conair_explore_snapshot_hits_total", report.snapshot_hits);
+        counter("conair_explore_steps_saved_total", report.steps_saved);
+        counter("conair_explore_dedup_skips_total", report.dedup_skips);
+        counter(
+            "conair_explore_independence_skips_total",
+            report.independence_skips,
+        );
+        counter("conair_explore_pct_demotions_total", self.pct_demotions);
+        let _ = writeln!(
+            out,
+            "# TYPE conair_explore_decisions_total counter\n\
+             conair_explore_decisions_total{{scheduler=\"bounded\"}} {}\n\
+             conair_explore_decisions_total{{scheduler=\"pct\"}} {}\n\
+             conair_explore_decisions_total{{scheduler=\"dpor\"}} {}",
+            self.decisions_bounded, self.decisions_pct, self.decisions_dpor,
+        );
+        let _ = writeln!(out, "# TYPE conair_explore_phase_seconds_total counter");
+        let p = &report.phases;
+        for (phase, us) in [
+            ("capture", p.capture_us),
+            ("restore", p.restore_us),
+            ("interpret", p.interpret_us),
+            ("merge", p.merge_us),
+            ("minimize", p.minimize_us),
+        ] {
+            let _ = writeln!(
+                out,
+                "conair_explore_phase_seconds_total{{phase=\"{phase}\"}} {:.6}",
+                us as f64 / 1e6
+            );
+        }
+        let mut gauge = |name: &str, v: u64| {
+            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
+        };
+        gauge("conair_explore_dpor_races", report.dpor.races_detected);
+        gauge(
+            "conair_explore_dpor_backtracks",
+            report.dpor.backtrack_points,
+        );
+        gauge("conair_explore_dpor_sleep_skips", report.dpor.sleep_skips);
+        gauge("conair_explore_wave_width", w.width);
+        gauge("conair_explore_frontier_depth", w.frontier);
+        gauge("conair_explore_snapshot_nodes", w.tree_nodes);
+        gauge(
+            "conair_explore_snapshot_resident_bytes",
+            w.tree_resident_bytes,
+        );
+        gauge("conair_explore_snapshot_owned_pages", w.tree_owned_pages);
+        gauge("conair_explore_snapshot_shared_pages", w.tree_shared_pages);
+        let _ = writeln!(out, "# TYPE conair_explore_undo_depth histogram");
+        let mut cumulative = 0u64;
+        for (_, hi, count) in self.undo_depth.buckets() {
+            cumulative += count;
+            let _ = writeln!(
+                out,
+                "conair_explore_undo_depth_bucket{{le=\"{hi}\"}} {cumulative}"
+            );
+        }
+        let _ = writeln!(
+            out,
+            "conair_explore_undo_depth_bucket{{le=\"+Inf\"}} {}\n\
+             conair_explore_undo_depth_sum {}\n\
+             conair_explore_undo_depth_count {}",
+            self.undo_depth.count(),
+            self.undo_depth.sum(),
+            self.undo_depth.count(),
+        );
+        out
     }
 }
 
 /// Wave-boundary state handed to [`ExploreObserver::observe_wave`].
+#[derive(Default)]
 struct WaveObs {
     wave: u64,
     width: u64,
@@ -642,10 +762,10 @@ impl Frontier {
     }
 }
 
-/// [`explore`] with observability attached: wave-boundary registry
+/// [`explore`] with observability attached: wave-boundary observer
 /// updates, progress/wave events, and the same report. `explore(p, c, e)`
 /// is exactly `explore_observed(p, c, e, None)` — the unobserved path
-/// allocates no registry and emits no events.
+/// constructs no observer state and emits no events.
 pub fn explore_observed(
     program: &Program,
     config: &MachineConfig,
@@ -891,7 +1011,7 @@ pub fn explore_observed(
             let last = done(&report) || drained;
             let queued = frontier.queue.len();
             let w = WaveObs::new(wave, room, executed, wave_start, queued, &tree, last);
-            obs.observe_wave(&report, start.elapsed().as_millis() as u64, &w);
+            obs.observe_wave(&report, start.elapsed().as_millis() as u64, w);
         }
         wave += 1;
     }
@@ -902,6 +1022,10 @@ pub fn explore_observed(
 
     report.phases = clock.to_phases();
     report.wall_ms = start.elapsed().as_millis() as u64;
+    if let Some(obs) = observer {
+        let w = WaveObs::new(0, 0, 0, start, frontier.queue.len(), &tree, true);
+        obs.finish(&report, report.wall_ms, &w);
+    }
     report
 }
 
@@ -1219,37 +1343,36 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_explore_allocates_no_registry() {
-        let _guard = crate::metrics::registry_test_guard();
+    fn unobserved_explore_constructs_no_observer() {
+        let _guard = observer_test_guard();
         let program = order_violation();
         let mut ec = ExploreConfig::new(ExploreStrategy::Bounded { preemptions: 2 });
         ec.mask = PointMask::SYNC_SHARED;
         ec.budget = 48;
         ec.stop_at_first = false;
-        // A registry allocated before the run must see no counter traffic
-        // from it…
-        let bystander = MetricsRegistry::new();
-        let quiet = bystander.render_prometheus();
-        let before = MetricsRegistry::instances();
+        let before = OBSERVERS.load(std::sync::atomic::Ordering::Relaxed);
         let report = explore(&program, &MachineConfig::default(), &ec);
-        // …and the run itself must not have allocated any registry.
         assert_eq!(
-            MetricsRegistry::instances(),
+            OBSERVERS.load(std::sync::atomic::Ordering::Relaxed),
             before,
-            "unobserved explore constructed a registry"
-        );
-        assert_eq!(
-            bystander.render_prometheus(),
-            quiet,
-            "unobserved explore touched a registry"
+            "unobserved explore constructed an observer"
         );
         assert!(report.schedules > 0);
     }
 
+    /// The value of the unlabeled Prometheus series `name`.
+    fn prom_value(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no series {name} in\n{text}"))
+            .parse()
+            .expect("integer series")
+    }
+
     #[test]
-    fn observed_explore_reports_identically_and_populates_registry() {
+    fn observed_explore_reports_identically_and_populates_metrics() {
         use crate::trace::EventBuffer;
-        let _guard = crate::metrics::registry_test_guard();
+        let _guard = observer_test_guard();
         let program = order_violation();
         for strategy in [
             ExploreStrategy::Bounded { preemptions: 2 },
@@ -1261,9 +1384,8 @@ mod tests {
             ec.budget = 48;
             ec.stop_at_first = false;
             let plain = explore(&program, &MachineConfig::default(), &ec);
-            let registry = MetricsRegistry::new();
             let buffer = EventBuffer::new();
-            let mut obs = ExploreObserver::new(registry.clone())
+            let mut obs = ExploreObserver::new()
                 .with_sink(Box::new(buffer.clone()))
                 .with_interval_ms(0);
             let observed =
@@ -1273,15 +1395,24 @@ mod tests {
                 observed.normalized(),
                 "{strategy:?}: observability changed the report"
             );
-            assert_eq!(registry.schedules.get(), observed.schedules as u64);
-            assert_eq!(registry.failures.get(), observed.failures as u64);
-            assert!(registry.waves.get() > 0);
+            let prom = obs.render_prometheus(&observed);
+            let value = |name: &str| prom_value(&prom, name);
+            assert_eq!(
+                value("conair_explore_schedules_total"),
+                observed.schedules as u64
+            );
+            assert_eq!(
+                value("conair_explore_failures_total"),
+                observed.failures as u64
+            );
+            assert!(obs.waves > 0);
+            assert_eq!(value("conair_explore_waves_total"), obs.waves);
             let events = buffer.take();
             let waves = events
                 .iter()
                 .filter(|e| matches!(e, TraceEvent::ExploreWave { .. }))
                 .count();
-            assert_eq!(waves as u64, registry.waves.get());
+            assert_eq!(waves as u64, obs.waves);
             let last_progress = events
                 .iter()
                 .rev()
@@ -1293,15 +1424,21 @@ mod tests {
             assert_eq!(last_progress, observed.schedules as u64);
             match strategy {
                 ExploreStrategy::Bounded { .. } => {
-                    assert!(registry.decisions_bounded.get() > 0);
-                    assert_eq!(registry.snapshots_taken.get(), observed.snapshots_taken);
-                }
-                ExploreStrategy::Pct { .. } => assert!(registry.decisions_pct.get() > 0),
-                ExploreStrategy::Dpor { .. } => {
-                    assert!(registry.decisions_dpor.get() > 0);
-                    assert_eq!(registry.dpor_races.get(), observed.dpor.races_detected);
+                    assert!(obs.decisions_bounded > 0);
                     assert_eq!(
-                        registry.dpor_backtracks.get(),
+                        value("conair_explore_snapshots_taken_total"),
+                        observed.snapshots_taken
+                    );
+                }
+                ExploreStrategy::Pct { .. } => assert!(obs.decisions_pct > 0),
+                ExploreStrategy::Dpor { .. } => {
+                    assert!(obs.decisions_dpor > 0);
+                    assert_eq!(
+                        value("conair_explore_dpor_races"),
+                        observed.dpor.races_detected
+                    );
+                    assert_eq!(
+                        value("conair_explore_dpor_backtracks"),
                         observed.dpor.backtrack_points
                     );
                 }
@@ -1310,7 +1447,55 @@ mod tests {
                 observed.phases.interpret_us > 0 || observed.wall_ms == 0,
                 "interpretation dominates a real exploration"
             );
+            // Every non-comment line is "name[{labels}] value".
+            for line in prom.lines().filter(|l| !l.starts_with('#')) {
+                let mut parts = line.rsplitn(2, ' ');
+                let value = parts.next().unwrap();
+                assert!(
+                    value.parse::<f64>().is_ok(),
+                    "unparseable value in line: {line}"
+                );
+                assert!(parts.next().unwrap().starts_with("conair_explore_"));
+            }
         }
+    }
+
+    #[test]
+    fn prometheus_undo_depth_histogram_is_cumulative() {
+        let mut obs = ExploreObserver::new();
+        for v in [3, 3, 100] {
+            obs.undo_depth.record(v);
+        }
+        let prom = obs.render_prometheus(&ExploreReport {
+            strategy: "pct(d=3)".into(),
+            mask: 0,
+            budget: 0,
+            schedules: 8,
+            failures: 2,
+            first_failure: None,
+            frontier: 0,
+            probe_decisions: 0,
+            snapshots_taken: 0,
+            snapshot_hits: 0,
+            steps_saved: 0,
+            dedup_skips: 0,
+            independence_skips: 0,
+            wave_widths: Vec::new(),
+            dpor: DporCounters::default(),
+            exhausted: false,
+            wall_ms: 0,
+            phases: ExplorePhases {
+                capture_us: 1_500_000,
+                ..ExplorePhases::default()
+            },
+        });
+        assert!(prom.contains("# TYPE conair_explore_schedules_total counter"));
+        assert!(prom.contains("conair_explore_phase_seconds_total{phase=\"capture\"} 1.500000"));
+        assert!(prom.contains("conair_explore_undo_depth_bucket{le=\"3\"} 2"));
+        assert!(prom.contains("conair_explore_undo_depth_bucket{le=\"127\"} 3"));
+        assert!(prom.contains("conair_explore_undo_depth_bucket{le=\"+Inf\"} 3"));
+        assert_eq!(prom_value(&prom, "conair_explore_undo_depth_sum"), 106);
+        assert_eq!(prom_value(&prom, "conair_explore_undo_depth_count"), 3);
     }
 
     #[test]

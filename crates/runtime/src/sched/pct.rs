@@ -78,7 +78,7 @@ impl PctScheduler {
     }
 
     /// Priority demotions applied so far (change points crossed) — at most
-    /// `depth − 1` per run, surfaced by the exploration metrics registry.
+    /// `depth − 1` per run, surfaced by the exploration observer.
     pub fn demotions(&self) -> u64 {
         self.demotions
     }

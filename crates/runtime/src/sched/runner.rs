@@ -212,7 +212,7 @@ impl<'p> Runner<'p> {
             restore_wall,
             picks,
             demotions: 0,
-            undo_depth: result.metrics.undo_depth,
+            undo_depth: result.stats.undo_depth,
         }
     }
 
@@ -241,7 +241,7 @@ impl<'p> Runner<'p> {
             restore_wall,
             picks: sched.decisions() - skipped,
             demotions: sched.demotions(),
-            undo_depth: result.metrics.undo_depth,
+            undo_depth: result.stats.undo_depth,
         }
     }
 }
@@ -269,7 +269,7 @@ pub(super) struct SnapshotTree {
     /// the edges [`SnapshotTree::walk_pct`] follows between branch nodes.
     links: HashMap<Vec<u32>, Vec<u32>>,
     clock: u64,
-    /// LRU evictions performed so far (registry telemetry).
+    /// LRU evictions performed so far (observer telemetry).
     pub evictions: u64,
     /// Running totals of the retained nodes' insert-time footprints.
     /// Snapshots are CoW images, so node count says little about memory
@@ -717,10 +717,10 @@ mod tests {
     #[test]
     fn pct_decision_counter_counts_live_picks_only() {
         // Picks a resumed run's scheduler replayed during the tree walk
-        // were made by no live run: the registry must not count them.
-        use crate::metrics::MetricsRegistry;
+        // were made by no live run: the observer must not count them.
+        use crate::sched::explore::observer_test_guard;
         use crate::sched::{explore_observed, ExploreConfig, ExploreObserver, ExploreStrategy};
-        let _guard = crate::metrics::registry_test_guard();
+        let _guard = observer_test_guard();
         let program = counters();
         let decisions = |snapshot_budget: usize| {
             let mut ec = ExploreConfig::new(ExploreStrategy::Pct { depth: 3 });
@@ -728,11 +728,10 @@ mod tests {
             ec.budget = 48;
             ec.stop_at_first = false;
             ec.snapshot_budget = snapshot_budget;
-            let registry = MetricsRegistry::new();
-            let mut obs = ExploreObserver::new(registry.clone());
+            let mut obs = ExploreObserver::new();
             let config = MachineConfig::default();
             let report = explore_observed(&program, &config, &ec, Some(&mut obs));
-            (report, registry.decisions_pct.get())
+            (report, obs.decisions_pct)
         };
         let (cached, live) = decisions(DEFAULT_SNAPSHOT_BUDGET);
         let (uncached, all) = decisions(0);

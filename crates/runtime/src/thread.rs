@@ -410,7 +410,7 @@ impl ThreadState {
     }
 
     /// Registers recorded in the undo log this epoch (rollback cost in
-    /// registers — the metric behind `RunMetrics::undo_depth`).
+    /// registers — the metric behind `RunStats::undo_depth`).
     pub fn undo_depth(&self) -> usize {
         self.reg_undo.len()
     }

@@ -26,7 +26,7 @@ use conair_ir::{FailureKind, LockId, SiteId};
 use serde::{Deserialize, Serialize};
 
 use crate::locks::ThreadId;
-use crate::metrics::RunMetrics;
+use crate::outcome::RunStats;
 
 /// One structured event emitted by the machine.
 ///
@@ -537,50 +537,54 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> serde::Value {
     ])
 }
 
-/// Rebuilds [`RunMetrics`] from an event stream — the aggregation `conair
-/// report` performs over a JSONL trace. For a stream produced by a traced
-/// run this matches the machine's own metrics except for
-/// `per_site_retries` ordering (both are sorted, so it matches exactly).
-pub fn summarize_events(events: &[TraceEvent]) -> RunMetrics {
-    let mut m = RunMetrics::default();
-    let mut per_site: std::collections::BTreeMap<SiteId, u64> = std::collections::BTreeMap::new();
+/// Rebuilds the event-determined [`RunStats`] fields from an event stream
+/// — the aggregation `conair report` performs over a JSONL trace: `steps`,
+/// `checkpoints`, `rollbacks`, `site_recovery`, the three histograms, and
+/// the re-execution, compensation and context-switch counters. For a
+/// stream produced by a traced run each of these equals the machine's
+/// own; every other field stays at its default.
+pub fn summarize_events(events: &[TraceEvent]) -> RunStats {
+    let mut s = RunStats::default();
     for e in events {
         match e {
-            TraceEvent::ContextSwitch { from: Some(_), .. } => m.context_switches += 1,
+            TraceEvent::ContextSwitch { from: Some(_), .. } => s.context_switches += 1,
             TraceEvent::LockAcquired { waited, .. } if *waited > 0 => {
-                m.lock_waits.record(*waited);
+                s.lock_waits.record(*waited);
             }
-            TraceEvent::LockTimeout { waited, .. } => m.lock_waits.record(*waited),
+            TraceEvent::LockTimeout { waited, .. } => s.lock_waits.record(*waited),
             TraceEvent::CheckpointSaved { reexecution, .. } => {
-                m.checkpoint_executions += 1;
+                s.checkpoints += 1;
                 if *reexecution {
-                    m.checkpoint_reexecutions += 1;
+                    s.checkpoint_reexecutions += 1;
                 }
             }
-            TraceEvent::FailureDetected { site, .. } => {
-                *per_site.entry(*site).or_insert(0) += 1;
+            TraceEvent::FailureDetected { step, site, .. } => {
+                let rec = s.site_recovery.entry(*site).or_default();
+                rec.first_failure_step.get_or_insert(*step);
+                rec.retries += 1;
             }
-            TraceEvent::CompensationFree { .. } => m.compensation_frees += 1,
-            TraceEvent::CompensationUnlock { .. } => m.compensation_unlocks += 1,
+            TraceEvent::CompensationFree { .. } => s.compensation_frees += 1,
+            TraceEvent::CompensationUnlock { .. } => s.compensation_unlocks += 1,
             TraceEvent::RolledBack { regs_undone, .. } => {
-                m.undo_depth.record(*regs_undone);
+                s.rollbacks += 1;
+                s.undo_depth.record(*regs_undone);
             }
-            TraceEvent::RecoveryCompleted { latency, .. } => {
-                m.rollback_latency.record(*latency);
-            }
-            TraceEvent::ScheduleInfo {
-                decisions,
-                trace_hash,
+            TraceEvent::RecoveryCompleted {
+                step,
+                site,
+                latency,
                 ..
             } => {
-                m.sched_decisions = *decisions;
-                m.decision_trace_hash = *trace_hash;
+                if let Some(rec) = s.site_recovery.get_mut(site) {
+                    rec.recovered_step.get_or_insert(*step);
+                }
+                s.rollback_latency.record(*latency);
             }
+            TraceEvent::RunEnded { step, .. } => s.steps = *step,
             _ => {}
         }
     }
-    m.per_site_retries = per_site.into_iter().collect();
-    m
+    s
 }
 
 #[cfg(test)]
@@ -673,9 +677,16 @@ mod tests {
     #[test]
     fn summary_rebuilds_metrics() {
         let m = summarize_events(&sample_events());
-        assert_eq!(m.checkpoint_executions, 1);
+        assert_eq!(m.steps, 31);
+        assert_eq!(m.checkpoints, 1);
         assert_eq!(m.checkpoint_reexecutions, 0);
-        assert_eq!(m.per_site_retries, vec![(SiteId(3), 1)]);
+        assert_eq!(m.rollbacks, 1);
+        assert_eq!(m.total_retries(), 1);
+        assert_eq!(
+            m.max_recovery_steps(),
+            Some(18),
+            "failed at 12, recovered at 30"
+        );
         assert_eq!(m.rollback_latency.max(), Some(18));
         assert_eq!(m.lock_waits.count(), 1);
         assert_eq!(m.undo_depth.count(), 1);

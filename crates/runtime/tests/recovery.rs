@@ -6,6 +6,8 @@ use conair_runtime::{
     run_once, run_scripted, run_trials, Gate, MachineConfig, Program, RunOutcome, ScheduleScript,
 };
 
+mod common;
+
 fn config() -> MachineConfig {
     MachineConfig {
         max_retries: 10_000,
@@ -311,36 +313,7 @@ fn ptr_guard_recovers_null_dereference() {
 /// leak accumulates across thousands of retries.
 #[test]
 fn compensation_frees_region_allocations() {
-    let mut mb = ModuleBuilder::new("alloc");
-    let flag = mb.global("flag", 0);
-    let sink = mb.global("sink", 0);
-
-    let mut reader = FuncBuilder::new("reader", 0);
-    reader.marker("reader_started");
-    reader.push(Inst::Checkpoint { point: PointId(0) });
-    let block = reader.alloc(4); // allocated inside the region
-    let v = reader.load_global(flag);
-    let c = reader.cmp(CmpKind::Ne, v, 0);
-    reader.push(Inst::FailGuard {
-        kind: GuardKind::Assert,
-        cond: Operand::Reg(c),
-        site: SiteId(0),
-        msg: "flag".into(),
-    });
-    // Block survives on success: publish it.
-    reader.store_global(sink, block);
-    reader.ret();
-    mb.function(reader.finish());
-
-    let mut writer = FuncBuilder::new("writer", 0);
-    writer.marker("before_init");
-    // Let the reader spin for a while before releasing.
-    writer.store_global(flag, 1);
-    writer.ret();
-    mb.function(writer.finish());
-
-    let program = Program::from_entry_names(mb.finish(), &["reader", "writer"]);
-    let script = ScheduleScript::with_gates(vec![Gate::new(1, "before_init", "reader_started")]);
+    let (program, script) = common::compensation_alloc_program();
     let r = run_scripted(&program, &config(), &script, 3);
     assert!(r.outcome.is_completed());
     // Each retry allocated a block and compensation freed it; only the

@@ -1,11 +1,15 @@
-//! TrialSummary aggregation edge cases and the trace/stats event-count
-//! identities on a real hardened run.
+//! TrialSummary aggregation edge cases, the trace/stats event-count
+//! identities on a real hardened run, and the `summarize_events`
+//! differential: every event-determined `RunStats` field rebuilt from a
+//! trace equals the machine's own, over the hardened catalog.
 
 use conair_ir::{CmpKind, FuncBuilder, GuardKind, Inst, ModuleBuilder, Operand, PointId, SiteId};
 use conair_runtime::{
-    run_traced, run_trials, EventBuffer, MachineConfig, Program, RunOutcome, ScheduleScript,
-    TraceEvent,
+    run_traced, run_trials, summarize_events, EventBuffer, MachineConfig, Program, RunOutcome,
+    RunStats, ScheduleScript, TraceEvent,
 };
+
+mod common;
 
 fn config() -> MachineConfig {
     MachineConfig {
@@ -163,16 +167,100 @@ fn trace_event_counts_match_run_stats() {
     assert_eq!(count("thread-started"), 2);
     assert_eq!(count("run-ended"), 1);
     assert!(matches!(events.last(), Some(TraceEvent::RunEnded { .. })));
+}
 
-    // The machine-side metrics agree with a pure replay of the events.
-    let replayed = conair_runtime::summarize_events(&events);
+/// The [`RunStats`] fields a trace determines, copied from a machine-side
+/// run; every other field stays at its default, as in
+/// [`summarize_events`]'s result.
+fn event_determined(s: &RunStats) -> RunStats {
+    RunStats {
+        steps: s.steps,
+        checkpoints: s.checkpoints,
+        rollbacks: s.rollbacks,
+        site_recovery: s.site_recovery.clone(),
+        rollback_latency: s.rollback_latency.clone(),
+        lock_waits: s.lock_waits.clone(),
+        undo_depth: s.undo_depth.clone(),
+        checkpoint_reexecutions: s.checkpoint_reexecutions,
+        compensation_frees: s.compensation_frees,
+        compensation_unlocks: s.compensation_unlocks,
+        context_switches: s.context_switches,
+        ..RunStats::default()
+    }
+}
+
+/// Every event-determined stats field of a traced run equals what
+/// [`summarize_events`] rebuilds from its events alone — the identity
+/// `conair report` relies on — and the `ScheduleInfo` event names the
+/// recorded schedule. Returns the rebuilt stats.
+fn assert_trace_rebuilds_stats(
+    what: &str,
+    program: &Program,
+    script: &ScheduleScript,
+    seed: u64,
+) -> RunStats {
+    let config = MachineConfig {
+        record_decisions: true,
+        step_limit: 20_000_000,
+        ..config()
+    };
+    let buffer = EventBuffer::new();
+    let r = run_traced(program, &config, script, seed, Box::new(buffer.clone()));
+    let events = buffer.take();
+    let rebuilt = summarize_events(&events);
+    assert_eq!(rebuilt, event_determined(&r.stats), "{what}: rebuilt stats");
+    let schedule = events.iter().find_map(|e| match e {
+        TraceEvent::ScheduleInfo {
+            decisions,
+            trace_hash,
+            ..
+        } => Some((*decisions, *trace_hash)),
+        _ => None,
+    });
+    let trace = r.decisions.as_ref().expect("recorded");
     assert_eq!(
-        replayed.checkpoint_executions,
-        r.metrics.checkpoint_executions
+        schedule,
+        Some((trace.len() as u64, trace.hash())),
+        "{what}: schedule"
     );
-    assert_eq!(
-        replayed.checkpoint_reexecutions,
-        r.metrics.checkpoint_reexecutions
-    );
-    assert_eq!(replayed.per_site_retries, r.metrics.per_site_retries);
+    rebuilt
+}
+
+#[test]
+fn trace_summary_matches_machine_stats_over_the_catalog() {
+    use conair::Conair;
+    let mut corpus = Vec::new();
+    for w in conair_workloads::all_workloads() {
+        let hardened = Conair::survival().harden(&w.program).program;
+        for (kind, script) in [("benign", &w.benign_script), ("bug", &w.bug_script)] {
+            let what = format!("{} {kind}", w.meta.name);
+            corpus.push(assert_trace_rebuilds_stats(&what, &hardened, script, 1));
+        }
+    }
+    let (program, script) = common::compensation_alloc_program();
+    corpus.push(assert_trace_rebuilds_stats(
+        "compensation alloc",
+        &program,
+        &script,
+        3,
+    ));
+    // The corpus exercises every counter and histogram the comparison
+    // covers, so none of the equalities above holds vacuously.
+    let nonzero = |name: &str, f: &dyn Fn(&RunStats) -> u64| {
+        assert!(corpus.iter().any(|s| f(s) > 0), "{name} is 0 on every run");
+    };
+    nonzero("steps", &|s| s.steps);
+    nonzero("checkpoints", &|s| s.checkpoints);
+    nonzero("rollbacks", &|s| s.rollbacks);
+    nonzero("retries", &|s| s.total_retries());
+    nonzero("recovered sites", &|s| {
+        s.max_recovery_steps().map_or(0, |_| 1)
+    });
+    nonzero("rollback latency", &|s| s.rollback_latency.count());
+    nonzero("lock waits", &|s| s.lock_waits.count());
+    nonzero("undo depth", &|s| s.undo_depth.count());
+    nonzero("checkpoint reexecutions", &|s| s.checkpoint_reexecutions);
+    nonzero("compensation frees", &|s| s.compensation_frees);
+    nonzero("compensation unlocks", &|s| s.compensation_unlocks);
+    nonzero("context switches", &|s| s.context_switches);
 }

@@ -242,7 +242,6 @@ proptest! {
         prop_assert_eq!(&a.outcome, &b.outcome);
         prop_assert_eq!(&a.outputs, &b.outputs);
         prop_assert_eq!(&a.stats, &b.stats);
-        prop_assert_eq!(&a.metrics, &b.metrics);
     }
 
     #[test]

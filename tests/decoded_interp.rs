@@ -49,8 +49,10 @@ fn assert_identical(decoded: &RunResult, oracle: &RunResult, what: &str) {
         b.decisions.as_ref().map(|t| t.hash()),
         "{what}: decision trace hash"
     );
-    assert_eq!(a.stats, b.stats, "{what}: stats (steps, insts, rollbacks)");
-    assert_eq!(a.metrics, b.metrics, "{what}: metrics");
+    assert_eq!(
+        a.stats, b.stats,
+        "{what}: stats (steps, insts, rollbacks, histograms)"
+    );
 }
 
 /// Runs one forced schedule under both interpreters and compares.
