@@ -2,8 +2,8 @@
 //!
 //! The evaluation harness: one binary per table/figure of the paper's
 //! evaluation (`table1` … `table7`, `figure2`, `figure4`, `study`,
-//! `summary`), plus Criterion benches for overhead, recovery latency and
-//! static-analysis time.
+//! `summary`), plus `analysis_time` for the Section 6.4 static-analysis
+//! time.
 //!
 //! Trial counts are environment-tunable (`CONAIR_TRIALS`,
 //! `CONAIR_OVERHEAD_TRIALS`); paper-scale settings are 1000 and 20.

@@ -116,3 +116,30 @@ fn missing_file_reports_cleanly() {
     .unwrap_err();
     assert!(err.message.contains("cannot read"));
 }
+
+/// A program past the live-heap cap or the call-depth cap gets a failure
+/// report, not a process abort.
+#[test]
+fn resource_caps_report_instead_of_aborting() {
+    for (name, body, cause) in [
+        ("alloc", "%r0 = alloc 99999999999999", "heap exhausted"),
+        ("recursion", "%r0 = call @f0()", "call stack overflow"),
+    ] {
+        let path = std::env::temp_dir().join(format!("conair_cli_cap_{name}.cir"));
+        let src = format!(
+            "module m {{\nfn a(params=0, regs=1, locals=0) {{\nbb0:\n    {body}\n    ret\n}}\n}}\n"
+        );
+        std::fs::write(&path, src).unwrap();
+        let run = execute(&Command::Run {
+            input: path.to_string_lossy().into_owned(),
+            opts: RunOptions {
+                steps: 1_000_000,
+                ..RunOptions::default()
+            },
+        })
+        .unwrap();
+        assert!(run.contains("FAILED (segmentation-fault)"), "{name}: {run}");
+        assert!(run.contains(cause), "{name}: {run}");
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -336,40 +336,6 @@ impl Inst {
         )
     }
 
-    /// Dense opcode index for this instruction, `0..NUM_OPCODES`.
-    /// `MNEMONICS[inst.opcode()] == inst.mnemonic()`.
-    pub fn opcode(&self) -> usize {
-        match self {
-            Inst::Copy { .. } => 0,
-            Inst::BinOp { .. } => 1,
-            Inst::Cmp { .. } => 2,
-            Inst::LoadGlobal { .. } => 3,
-            Inst::StoreGlobal { .. } => 4,
-            Inst::AddrOfGlobal { .. } => 5,
-            Inst::LoadPtr { .. } => 6,
-            Inst::StorePtr { .. } => 7,
-            Inst::LoadLocal { .. } => 8,
-            Inst::StoreLocal { .. } => 9,
-            Inst::Alloc { .. } => 10,
-            Inst::Free { .. } => 11,
-            Inst::Lock { .. } => 12,
-            Inst::Unlock { .. } => 13,
-            Inst::TimedLock { .. } => 14,
-            Inst::Output { .. } => 15,
-            Inst::Assert { .. } => 16,
-            Inst::OutputAssert { .. } => 17,
-            Inst::Jump { .. } => 18,
-            Inst::Branch { .. } => 19,
-            Inst::Return { .. } => 20,
-            Inst::Call { .. } => 21,
-            Inst::Marker { .. } => 22,
-            Inst::Nop => 23,
-            Inst::Checkpoint { .. } => 24,
-            Inst::FailGuard { .. } => 25,
-            Inst::PtrGuard { .. } => 26,
-        }
-    }
-
     /// Short mnemonic used in printing and diagnostics.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -403,40 +369,6 @@ impl Inst {
         }
     }
 }
-
-/// Number of distinct [`Inst`] opcodes (the range of [`Inst::opcode`]).
-pub const NUM_OPCODES: usize = 27;
-
-/// Mnemonics indexed by [`Inst::opcode`].
-pub const MNEMONICS: [&str; NUM_OPCODES] = [
-    "copy",
-    "binop",
-    "cmp",
-    "ldg",
-    "stg",
-    "addrg",
-    "ldp",
-    "stp",
-    "ldl",
-    "stl",
-    "alloc",
-    "free",
-    "lock",
-    "unlock",
-    "timedlock",
-    "output",
-    "assert",
-    "oassert",
-    "jump",
-    "br",
-    "ret",
-    "call",
-    "marker",
-    "nop",
-    "checkpoint",
-    "failguard",
-    "ptrguard",
-];
 
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -55,7 +55,7 @@ pub use block::{BasicBlock, FuncRef, Function};
 pub use builder::{FuncBuilder, ModuleBuilder};
 pub use cfg::{dominates, immediate_dominators, Cfg, InstPos};
 pub use flat::{DOp, DecodedFunc, DecodedInst, FlatLayout, InstSet, MARKER_UNPATCHED};
-pub use inst::{GuardKind, Inst, MNEMONICS, NUM_OPCODES};
+pub use inst::{GuardKind, Inst};
 pub use module::{GlobalDecl, LockDecl, Module};
 pub use parse::{parse_module, ParseError};
 pub use types::{

@@ -67,7 +67,7 @@ pub use harness::{
 };
 pub use locks::{AcquireResult, LockTable, ThreadId, UnlockError};
 pub use machine::{BranchCapture, Machine, MachineConfig, MachineSnapshot};
-pub use memory::{MemFault, Memory, DEFAULT_LOWER_BOUND, GLOBAL_BASE, HEAP_BASE};
+pub use memory::{MemFault, Memory, DEFAULT_LOWER_BOUND, GLOBAL_BASE, HEAP_BASE, MAX_HEAP_WORDS};
 pub use metrics::Histogram;
 pub use outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};
 pub use program::{Program, ThreadSpec};
@@ -82,6 +82,7 @@ pub use sched::{
 pub use thread::CloneCheckpoint;
 pub use thread::{
     Checkpoint, CompensationRecord, Frame, ThreadState, ThreadStats, ThreadStatus, UndoRecord,
+    MAX_CALL_DEPTH,
 };
 pub use trace::{
     from_jsonl, summarize_events, to_chrome_trace, to_jsonl, EventBuffer, TraceEvent, TraceSink,

@@ -32,14 +32,16 @@ use crate::cow::{CowCell, CowLog};
 use crate::deadlock::WaitEdge;
 use crate::dense::DenseProgram;
 use crate::locks::{AcquireResult, LockTable, ThreadId};
-use crate::memory::{Memory, DEFAULT_LOWER_BOUND};
+use crate::memory::{Memory, DEFAULT_LOWER_BOUND, MAX_HEAP_WORDS};
 use crate::outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};
 use crate::program::Program;
 use crate::sched::{
     CompiledScript, DecisionTrace, Footprint, PointKind, PointMask, SchedContext, ScheduleScript,
     Scheduler,
 };
-use crate::thread::{CompensationRecord, Frame, ThreadState, ThreadStatus, UndoRecord};
+use crate::thread::{
+    CompensationRecord, Frame, ThreadState, ThreadStatus, UndoRecord, MAX_CALL_DEPTH,
+};
 use crate::trace::{TraceEvent, TraceSink};
 
 /// Tuning knobs of one run. All-scalar and `Copy`, so harness layers can
@@ -118,6 +120,27 @@ enum StepEffect {
     Limit,
 }
 
+// Both constructors stay out of line: inlined into the dispatch match,
+// the message formatting slowed every step.
+impl StepEffect {
+    /// An `alloc` of `words` would push the live heap past
+    /// [`MAX_HEAP_WORDS`].
+    #[cold]
+    #[inline(never)]
+    fn heap_exhausted(words: i64) -> Self {
+        let msg =
+            format!("heap exhausted: alloc of {words} words past the {MAX_HEAP_WORDS}-word cap");
+        StepEffect::Fail(FailureKind::SegFault, None, msg)
+    }
+
+    /// A call would push the thread's stack past [`MAX_CALL_DEPTH`] frames.
+    #[cold]
+    #[inline(never)]
+    fn stack_overflow() -> Self {
+        StepEffect::Fail(FailureKind::SegFault, None, "call stack overflow".into())
+    }
+}
+
 /// A structurally shared copy of one machine mid-run, taken at a
 /// scheduler decision point (just before the pick). Restoring it into a
 /// fresh machine for the same program and config and re-entering the step
@@ -188,6 +211,11 @@ impl MachineSnapshot {
     /// depth in the decision tree.
     pub fn decisions(&self) -> usize {
         self.decision_log.len()
+    }
+
+    /// The shared memory image (globals and heap).
+    pub fn memory(&self) -> &Memory {
+        &self.memory
     }
 
     /// Deep content equality of two captured machine states: step
@@ -414,11 +442,6 @@ pub struct Machine<'p> {
     /// plan — the explorer's self-profiling "capture" phase.
     capture_wall: Duration,
     sink: Option<Box<dyn TraceSink>>,
-    /// Per-opcode execution counts, empty unless
-    /// [`Machine::with_dispatch_mix`] was called; every executed
-    /// instruction then bumps its opcode's slot. Forces single-step
-    /// dispatch so fused pairs count as two.
-    mix: Vec<u64>,
 }
 
 impl<'p> Machine<'p> {
@@ -488,7 +511,6 @@ impl<'p> Machine<'p> {
             capture_final: false,
             capture_wall: Duration::ZERO,
             sink: None,
-            mix: Vec::new(),
         }
     }
 
@@ -604,15 +626,6 @@ impl<'p> Machine<'p> {
     /// a sink is present.
     pub fn with_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Counts executed instructions per opcode into
-    /// [`RunStats::dispatch_mix`] (`bench_interp --dispatch-mix`). Forces
-    /// one-instruction-per-dispatch so every logical instruction is
-    /// counted exactly once, fused pairs included.
-    pub fn with_dispatch_mix(mut self) -> Self {
-        self.mix = vec![0; conair_ir::NUM_OPCODES];
         self
     }
 
@@ -772,7 +785,6 @@ impl<'p> Machine<'p> {
                 .collect(),
             snapshot_wall: self.capture_wall,
             wait_edges: self.wait_edges,
-            dispatch_mix: self.mix,
             wall: start.elapsed(),
             ..unwrap_arc(self.cold)
         };
@@ -915,8 +927,8 @@ impl<'p> Machine<'p> {
     /// when configured, otherwise to the decoded interpreter — *tight*
     /// (fused stream, span execution up to the next maskable scheduling
     /// point) whenever nothing needs a per-step boundary: a narrow
-    /// decision mask, no trace ring, no dispatch-mix counting, and no
-    /// thread possibly waiting on a timed lock.
+    /// decision mask, no trace ring, and no thread possibly waiting on a
+    /// timed lock.
     #[inline]
     fn dispatch_step(&mut self, tid: ThreadId, consult_every_step: bool) -> Option<RunOutcome> {
         // The dispatched thread is about to mutate: its cached capture
@@ -926,10 +938,7 @@ impl<'p> Machine<'p> {
         if self.config.dense_oracle {
             return self.step_thread_oracle(tid);
         }
-        let tight = !consult_every_step
-            && self.config.trace_depth == 0
-            && !self.maybe_timed_waiter
-            && self.mix.is_empty();
+        let tight = !consult_every_step && self.config.trace_depth == 0 && !self.maybe_timed_waiter;
         self.step_thread(tid, tight)
     }
 
@@ -1213,9 +1222,6 @@ impl<'p> Machine<'p> {
                 let loc = self.dense.func(func_id).loc(func_id, pc);
                 self.threads[tid.index()].record_trace(step, loc, depth);
             }
-            if !self.mix.is_empty() {
-                self.mix[self.dense.func(func_id).inst(pc).opcode()] += 1;
-            }
 
             // A 32-byte `Copy` fetch — nothing borrowed across dispatch.
             let di = if tight {
@@ -1351,9 +1357,6 @@ impl<'p> Machine<'p> {
             let step = self.step;
             let loc = self.dense.func(func_id).loc(func_id, pc);
             self.threads[tid.index()].record_trace(step, loc, depth);
-        }
-        if !self.mix.is_empty() {
-            self.mix[inst.opcode()] += 1;
         }
         self.threads[tid.index()].stats.insts += 1;
         // Advance pc optimistically; control flow overwrites it.
@@ -1586,8 +1589,10 @@ impl<'p> Machine<'p> {
                 StepEffect::Continue
             }
             D::Alloc { dst, words } => {
-                let n = self.eval_dop(tid, words).max(0) as usize;
-                let base = self.memory.alloc(n);
+                let n = self.eval_dop(tid, words);
+                let Some(base) = self.memory.alloc(n.max(0) as usize) else {
+                    return StepEffect::heap_exhausted(n);
+                };
                 self.write_reg_idx(tid, dst, base);
                 let t = &mut self.threads[tid.index()];
                 if t.checkpoint.is_some() {
@@ -1725,6 +1730,9 @@ impl<'p> Machine<'p> {
                 args_start,
                 args_len,
             } => {
+                if self.threads[tid.index()].frames.len() >= MAX_CALL_DEPTH {
+                    return StepEffect::stack_overflow();
+                }
                 let mut vals = Vec::with_capacity(args_len as usize);
                 for k in 0..args_len {
                     let a = self.dense.func(func).call_arg(args_start + k);
@@ -2017,8 +2025,10 @@ impl<'p> Machine<'p> {
                 StepEffect::Continue
             }
             Inst::Alloc { dst, words } => {
-                let n = self.eval(tid, *words).max(0) as usize;
-                let base = self.memory.alloc(n);
+                let n = self.eval(tid, *words);
+                let Some(base) = self.memory.alloc(n.max(0) as usize) else {
+                    return StepEffect::heap_exhausted(n);
+                };
                 self.set_reg(tid, *dst, base);
                 let t = &mut self.threads[tid.index()];
                 if t.checkpoint.is_some() {
@@ -2140,6 +2150,9 @@ impl<'p> Machine<'p> {
                 self.ret(tid, v)
             }
             Inst::Call { dst, callee, args } => {
+                if self.threads[tid.index()].frames.len() >= MAX_CALL_DEPTH {
+                    return StepEffect::stack_overflow();
+                }
                 let vals: Vec<i64> = args.iter().map(|a| self.eval(tid, *a)).collect();
                 // Frame sizes come from the pre-lowered layout — no module
                 // lookup on the call path.

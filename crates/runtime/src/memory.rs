@@ -50,6 +50,11 @@ pub const PAGE_WORDS: usize = 64;
 const PAGE_SHIFT: usize = PAGE_WORDS.trailing_zeros() as usize;
 const PAGE_MASK: usize = PAGE_WORDS - 1;
 
+/// Most heap words one run may hold live at once (128 MiB of words). An
+/// allocation past it is refused, so a program that computes a huge count
+/// ends its run with a failure instead of exhausting the host.
+pub const MAX_HEAP_WORDS: usize = 1 << 24;
+
 /// A memory access fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemFault {
@@ -158,6 +163,8 @@ pub struct Memory {
     /// Live heap blocks keyed by base address.
     heap: BTreeMap<i64, CowWords>,
     next_heap: i64,
+    /// Words held by the live heap blocks (at most [`MAX_HEAP_WORDS`]).
+    live_words: usize,
     /// Words allocated over the lifetime of the run (diagnostics).
     pub total_allocated: usize,
 }
@@ -186,6 +193,7 @@ impl Memory {
             offsets: Arc::new(offsets),
             heap: BTreeMap::new(),
             next_heap: HEAP_BASE,
+            live_words: 0,
             total_allocated: 0,
         }
     }
@@ -213,16 +221,22 @@ impl Memory {
         self.pages[off >> PAGE_SHIFT].set(off & PAGE_MASK, value);
     }
 
-    /// Allocates `words` heap words, returning the block base address.
-    pub fn alloc(&mut self, words: usize) -> i64 {
+    /// Allocates `words` heap words, returning the block base address, or
+    /// `None` (allocating nothing) if the live heap would exceed
+    /// [`MAX_HEAP_WORDS`].
+    pub fn alloc(&mut self, words: usize) -> Option<i64> {
         let words = words.max(1);
+        if words > MAX_HEAP_WORDS - self.live_words {
+            return None;
+        }
+        self.live_words += words;
         let base = self.next_heap;
         // Pad between blocks so off-by-one pointers fault rather than
         // silently touching a neighbor.
         self.next_heap += words as i64 + 1;
         self.heap.insert(base, CowWords::Owned(vec![0; words]));
         self.total_allocated += words;
-        base
+        Some(base)
     }
 
     /// Structural content equality: same addressable globals (word for
@@ -254,10 +268,9 @@ impl Memory {
     /// Faults if `base` is not the base of a live block (double free or
     /// wild free).
     pub fn free(&mut self, base: i64) -> Result<(), MemFault> {
-        self.heap
-            .remove(&base)
-            .map(|_| ())
-            .ok_or(MemFault { addr: base })
+        let block = self.heap.remove(&base).ok_or(MemFault { addr: base })?;
+        self.live_words -= block.len();
+        Ok(())
     }
 
     /// Whether `addr` is a currently-valid (mapped) address.
@@ -395,7 +408,7 @@ mod tests {
     #[test]
     fn heap_alloc_read_write_free() {
         let (mut mem, _, _) = memory();
-        let p = mem.alloc(3);
+        let p = mem.alloc(3).unwrap();
         assert!(p >= HEAP_BASE);
         mem.write(p + 2, 99).unwrap();
         assert_eq!(mem.read(p + 2).unwrap(), 99);
@@ -419,8 +432,8 @@ mod tests {
     #[test]
     fn blocks_are_padded() {
         let (mut mem, _, _) = memory();
-        let p1 = mem.alloc(2);
-        let p2 = mem.alloc(2);
+        let p1 = mem.alloc(2).unwrap();
+        let p2 = mem.alloc(2).unwrap();
         assert!(p2 > p1 + 2, "gap between blocks");
         assert!(mem.read(p1 + 2).is_err(), "gap word is unmapped");
     }
@@ -428,14 +441,26 @@ mod tests {
     #[test]
     fn zero_word_alloc_rounds_up() {
         let (mut mem, _, _) = memory();
-        let p = mem.alloc(0);
+        let p = mem.alloc(0).unwrap();
         assert!(mem.read(p).is_ok());
+    }
+
+    #[test]
+    fn live_heap_is_capped() {
+        let (mut mem, _, _) = memory();
+        assert_eq!(mem.alloc(MAX_HEAP_WORDS + 1), None);
+        assert_eq!(mem.live_blocks(), 0, "a refused allocation maps nothing");
+        let p = mem.alloc(MAX_HEAP_WORDS - 1).unwrap();
+        assert_eq!(mem.alloc(2), None);
+        mem.alloc(1).expect("exactly at the cap");
+        mem.free(p).unwrap();
+        assert!(mem.alloc(2).is_some(), "a free returns its words");
     }
 
     #[test]
     fn fork_isolates_both_directions() {
         let (mut mem, a, b) = memory();
-        let p = mem.alloc(2);
+        let p = mem.alloc(2).unwrap();
         mem.write(p, 5).unwrap();
         let snap = mem.fork();
 
@@ -459,10 +484,10 @@ mod tests {
     #[test]
     fn fork_shares_alloc_free_structure() {
         let (mut mem, _, _) = memory();
-        let p1 = mem.alloc(2);
+        let p1 = mem.alloc(2).unwrap();
         let snap = mem.fork();
         // Post-fork alloc/free stay local to the live memory.
-        let p2 = mem.alloc(2);
+        let p2 = mem.alloc(2).unwrap();
         mem.free(p1).unwrap();
         assert_eq!(mem.live_blocks(), 1);
         assert_eq!(snap.live_blocks(), 1);
@@ -471,13 +496,13 @@ mod tests {
         // The bump allocator resumes from the snapshot's watermark after a
         // restore, so addresses replay identically.
         let mut restored = snap.clone();
-        assert_eq!(restored.alloc(2), p2);
+        assert_eq!(restored.alloc(2), Some(p2));
     }
 
     #[test]
     fn footprint_tracks_page_ownership() {
         let (mut mem, a, _) = memory();
-        mem.alloc(8);
+        mem.alloc(8).unwrap();
         let all = mem.cow_footprint();
         // 5 global words → 1 page, plus 1 heap block; everything owned.
         assert_eq!(all.owned_pages, 2);

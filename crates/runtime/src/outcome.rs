@@ -155,10 +155,6 @@ pub struct RunStats {
     /// Scheduler picks that switched away from the previously running
     /// thread.
     pub context_switches: u64,
-    /// Per-opcode execution counts, indexed by [`conair_ir::Inst::opcode`]
-    /// — empty unless the run used [`crate::Machine::with_dispatch_mix`]
-    /// (the data behind the superinstruction catalog).
-    pub dispatch_mix: Vec<u64>,
 }
 
 impl RunStats {

@@ -49,6 +49,11 @@ const NO_CHECKPOINT_DEPTH: u32 = u32::MAX;
 /// per-frame tag vector at all.
 const MASK_WIDTH: usize = 64;
 
+/// Most frames one thread's call stack may hold. A call past it ends the
+/// run, so unbounded recursion fails fast instead of growing the stack
+/// until the step limit.
+pub const MAX_CALL_DEPTH: usize = 1 << 16;
+
 /// One activation record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {

@@ -1,5 +1,6 @@
 //! Checkpoint-density stress programs for the featherweight-checkpoint
-//! benchmark (`bench_interp --checkpoint`, `BENCH_checkpoint.json`).
+//! probes of `perfbench` (`thread.checkpoint_ns`, `thread.rollback_ns`,
+//! `machine.steps_per_s`).
 //!
 //! The paper's cost model (§3.3, Table 7) calls a checkpoint "saving a few
 //! registers" — cheap enough to execute on hot paths at every reexecution

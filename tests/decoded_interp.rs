@@ -6,8 +6,10 @@
 //! The oracle walk stays compiled in behind the `dense-oracle` feature for
 //! exactly this comparison.
 
+use conair_ir::FailureKind;
 use conair_runtime::{
-    run_scripted, FrontierScheduler, Machine, MachineConfig, PointMask, RunResult,
+    run_scripted, FrontierScheduler, Machine, MachineConfig, PointMask, Program, RunOutcome,
+    RunResult,
 };
 use conair_workloads::workload_by_name;
 
@@ -144,3 +146,36 @@ decoded_test!(sqlite_decoded_matches_oracle, "SQLite");
 decoded_test!(hawknl_decoded_matches_oracle, "HawkNL");
 decoded_test!(mozilla_js_decoded_matches_oracle, "MozillaJS");
 decoded_test!(transmission_decoded_matches_oracle, "Transmission");
+
+/// Bodies of one-function programs that run into the interpreter's
+/// resource caps — one huge `alloc`, a moderate `alloc` in a loop, and
+/// unbounded recursion — with the cause their failure names.
+const CAP_BODIES: [(&str, &str); 3] = [
+    ("bb0:\n%r0 = alloc 99999999999999\nret", "heap exhausted"),
+    (
+        "bb0:\njump bb1\nbb1:\n%r0 = alloc 1000000\njump bb1",
+        "heap exhausted",
+    ),
+    ("bb0:\n%r0 = call @f0()\nret", "call stack overflow"),
+];
+
+/// Past either cap, both walks end the run with the same segfault naming
+/// the cause — on the tight span path (narrow mask) and the per-step one.
+#[test]
+fn resource_caps_decoded_matches_oracle() {
+    for (body, cause) in CAP_BODIES {
+        let src = format!("module m {{\nfn a(params=0, regs=1, locals=0) {{\n{body}\n}}\n}}");
+        let module = conair_ir::parse_module(&src).expect("parses");
+        let program = Program::from_entry_names(module, &["a"]);
+        for mask in [PointMask::SYNC, PointMask::ALL] {
+            let (r, _) = diff_forced(&program, Vec::new(), mask, cause);
+            match &r.outcome {
+                RunOutcome::Failed(f) => {
+                    assert_eq!(f.kind, FailureKind::SegFault, "{cause}");
+                    assert!(f.msg.starts_with(cause), "{cause}: {}", f.msg);
+                }
+                other => panic!("{cause}: expected a segfault, got {other:?}"),
+            }
+        }
+    }
+}

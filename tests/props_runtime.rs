@@ -220,7 +220,7 @@ proptest! {
                     shadow.insert(addr, v);
                 }
                 MemOp::Alloc(words) => {
-                    let base = mem.alloc(words);
+                    let base = mem.alloc(words).expect("far below the heap cap");
                     for i in 0..words {
                         shadow.insert(base + i as i64, 0);
                     }

@@ -3,7 +3,9 @@
 //! with correct output — once hardened by survival-mode ConAir.
 
 use conair::Conair;
-use conair_runtime::{run_scripted, MachineConfig, RunOutcome};
+use conair_runtime::{
+    run_scripted, Machine, MachineConfig, RunOutcome, SeededRandom, MAX_CALL_DEPTH, MAX_HEAP_WORDS,
+};
 use conair_workloads::{all_workloads, Symptom, Workload};
 
 fn config() -> MachineConfig {
@@ -129,5 +131,60 @@ fn benign_runs_unchanged_by_hardening() {
             .unwrap_or_else(|e| panic!("{} original: {e}", w.meta.name));
         w.verify_outputs(&hard)
             .unwrap_or_else(|e| panic!("{} hardened: {e}", w.meta.name));
+    }
+}
+
+/// The deepest call stack any thread of `module` can build, in frames:
+/// one plus the longest call chain. Without recursion every chain is
+/// shorter than the function count, so relaxing that many times settles.
+fn max_call_depth(module: &conair_ir::Module) -> usize {
+    let calls: Vec<(usize, usize)> = module
+        .iter_insts()
+        .filter_map(|(loc, inst)| match inst {
+            conair_ir::Inst::Call { callee, .. } => Some((loc.func.index(), callee.index())),
+            _ => None,
+        })
+        .collect();
+    let n = module.functions.len();
+    let mut depth = vec![1; n];
+    for _ in 0..n {
+        for &(caller, callee) in &calls {
+            depth[caller] = depth[caller].max(depth[callee] + 1);
+        }
+    }
+    let max = depth.into_iter().max().unwrap_or(0);
+    assert!(max <= n, "{}: recursive call chain", module.name);
+    max
+}
+
+/// Every hardened catalog app's benign and bug-script runs stay far below
+/// the interpreter's resource caps: no recursion, so the call stack is
+/// bounded by the longest call chain, and the words allocated over a whole
+/// run (an upper bound on the live heap) are a tiny fraction of the heap
+/// cap.
+#[test]
+fn catalog_runs_stay_far_below_resource_caps() {
+    for w in all_workloads() {
+        let hardened = Conair::survival().harden(&w.program);
+        let depth = max_call_depth(&hardened.program.module);
+        assert!(
+            depth * 1000 < MAX_CALL_DEPTH,
+            "{}: depth {depth}",
+            w.meta.name
+        );
+        for (script, label) in [(&w.benign_script, "benign"), (&w.bug_script, "bug")] {
+            for seed in 0..3 {
+                let (r, end) = Machine::new(&hardened.program, config())
+                    .with_script(script)
+                    .run_with_final_snapshot(&mut SeededRandom::new(seed));
+                assert!(r.outcome.is_completed(), "{}: {label}", w.meta.name);
+                let words = end.memory().total_allocated;
+                assert!(
+                    words * 1000 < MAX_HEAP_WORDS,
+                    "{}: {label} allocated {words} words",
+                    w.meta.name
+                );
+            }
+        }
     }
 }
