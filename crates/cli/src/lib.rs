@@ -137,10 +137,6 @@ pub struct RunOptions {
     pub replay: Option<String>,
     /// Record the run's decision trace to this path.
     pub record: Option<String>,
-    /// Route execution through the legacy per-step `&Inst` interpreter
-    /// walk (requires the `dense-oracle` feature) — CI diffs its output
-    /// against the decoded interpreter's.
-    pub dense_oracle: bool,
 }
 
 impl Default for RunOptions {
@@ -158,7 +154,6 @@ impl Default for RunOptions {
             scheduler: "random".into(),
             replay: None,
             record: None,
-            dense_oracle: false,
         }
     }
 }
@@ -208,9 +203,6 @@ pub struct ExploreOptions {
     pub progress_out: Option<String>,
     /// Write the search's final metrics in Prometheus text format here.
     pub metrics_out: Option<String>,
-    /// Route every schedule through the legacy per-step `&Inst`
-    /// interpreter walk (requires the `dense-oracle` feature).
-    pub dense_oracle: bool,
     /// Recovery attempts per (thread, site) before a hardened program
     /// gives up (`None` = the machine's one-million default). `verify`
     /// defaults this to 8 so retry loops stay finite-state.
@@ -245,7 +237,6 @@ impl Default for ExploreOptions {
             progress: None,
             progress_out: None,
             metrics_out: None,
-            dense_oracle: false,
             max_retries: None,
             retry_backoff: false,
         }
@@ -358,7 +349,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut progress: Option<u64> = None;
     let mut progress_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut dense_oracle = false;
     let mut max_retries: Option<u64> = None;
     let mut retry_backoff = false;
 
@@ -497,14 +487,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 )
             }
             "--retry-backoff" => retry_backoff = true,
-            "--dense-oracle" => {
-                if !cfg!(feature = "dense-oracle") {
-                    return Err(CliError::new(
-                        "--dense-oracle requires building with `--features dense-oracle`",
-                    ));
-                }
-                dense_oracle = true;
-            }
             "--snapshot-budget" => {
                 snapshot_budget = it
                     .next()
@@ -587,7 +569,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 scheduler: scheduler.unwrap_or_else(|| "random".into()),
                 replay,
                 record,
-                dense_oracle,
             },
         },
         "explore" => Command::Explore {
@@ -613,7 +594,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 progress,
                 progress_out,
                 metrics_out,
-                dense_oracle,
                 max_retries,
                 retry_backoff,
             },
@@ -645,7 +625,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 progress,
                 progress_out,
                 metrics_out,
-                dense_oracle,
                 // A finite retry cap keeps hardened retry loops
                 // finite-state — without one, exhausting a program whose
                 // guards retry a million times is hopeless.
@@ -676,7 +655,7 @@ pub const USAGE: &str =
   run     <file.cir> [--harden [--fix M]...] [--threads f1,f2] [--seed N]
           [--steps N] [--trace out.jsonl] [--trace-depth N]
           [--trials N [--jobs N]] [--scheduler random|round-robin|pct]
-          [--replay trace.json] [--record trace.json] [--dense-oracle]
+          [--replay trace.json] [--record trace.json]
           --threads defaults to every zero-parameter function;
           --trace-depth defaults to 16 (0 disables failure location traces);
           --trials N > 1 runs seeds seed..seed+N and prints an aggregate
@@ -691,7 +670,6 @@ pub const USAGE: &str =
           [--max-retries N] [--retry-backoff]
           [--report-out report.json] [--snapshot-budget N] [--wave N]
           [--progress[=MS]] [--progress-out p.jsonl] [--metrics-out m.prom]
-          [--dense-oracle]
           searches schedules for a failing interleaving; the first failing
           trace is written to -o (delta-debugged first with --minimize);
           --keep-going exhausts the budget and counts every failure;
@@ -706,10 +684,6 @@ pub const USAGE: &str =
           progress/wave event stream as JSONL for `stats` or `report`;
           --metrics-out writes the search's final metrics in Prometheus
           text format; none of the three changes the search or the report;
-          --dense-oracle (run and explore; needs the dense-oracle build
-          feature) executes on the legacy per-step instruction walk — the
-          output is bit-identical to the decoded interpreter's (CI diffs
-          the two);
           --scheduler dpor explores with dynamic partial-order reduction:
           only schedules that reverse a detected race are generated, so
           small programs exhaust in far fewer schedules than bounded
@@ -929,7 +903,6 @@ pub fn cmd_run(
         step_limit: opts.steps,
         trace_depth: opts.trace_depth,
         record_decisions: opts.record.is_some(),
-        dense_oracle: opts.dense_oracle,
         ..MachineConfig::default()
     };
 
@@ -1257,7 +1230,6 @@ fn explore_inner(
     }
     let mut config = MachineConfig {
         step_limit: opts.steps,
-        dense_oracle: opts.dense_oracle,
         retry_backoff: opts.retry_backoff,
         ..MachineConfig::default()
     };
@@ -1711,7 +1683,9 @@ pub fn cmd_report(
         }
         return Ok((render_explore_report(&report), None));
     }
-    if let Ok(trace) = DecisionTrace::from_json(jsonl) {
+    if serde_json::from_str::<DecisionTrace>(jsonl).is_ok() {
+        let trace =
+            DecisionTrace::from_json(jsonl).map_err(|e| CliError::new(format!("report: {e}")))?;
         if chrome {
             return Err(CliError::new(
                 "report: --chrome needs a JSONL event trace, not a decision trace",

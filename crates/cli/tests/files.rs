@@ -1,6 +1,7 @@
 //! File-level CLI tests over the shipped `.cir` assets.
 
 use conair_cli::{execute, Command, RunOptions};
+use conair_runtime::{ExplorePhases, ExploreReport};
 
 fn asset(name: &str) -> String {
     format!("{}/../../assets/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -142,4 +143,117 @@ fn resource_caps_report_instead_of_aborting() {
         assert!(run.contains(cause), "{name}: {run}");
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// Parses and executes one command line, as the binary does.
+fn cli(args: &[&str]) -> Result<String, conair_cli::CliError> {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    conair_cli::parse_args(&args).and_then(|cmd| execute(&cmd))
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Frames and globals too large to allocate fail validation with the cap
+/// they exceed, in every command that would execute them, instead of
+/// aborting the process on allocation.
+#[test]
+fn oversized_frames_and_globals_fail_validation() {
+    for (name, decl, header, cap) in [
+        ("regs", "", "regs=100000000000, locals=0", "frame cap"),
+        ("locals", "", "regs=1, locals=100000000000", "frame cap"),
+        (
+            "global",
+            "global g [100000000000 x i64] = 0\n",
+            "regs=1, locals=0",
+            "global cap",
+        ),
+    ] {
+        let path = std::env::temp_dir().join(format!("conair_cli_oversized_{name}.cir"));
+        let src =
+            format!("module m {{\n{decl}fn a(params=0, {header}) {{\nbb0:\n    ret\n}}\n}}\n");
+        std::fs::write(&path, src).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        for cmd in ["run", "explore", "verify", "harden"] {
+            let err = cli(&[cmd, &path]).unwrap_err().message;
+            assert!(err.contains("validation failed"), "{name} {cmd}: {err}");
+            assert!(err.contains(cap), "{name} {cmd}: {err}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// A decision trace whose mask sets bits no scheduling point defines is
+/// rejected on replay and on report, rather than replayed under a
+/// truncated mask that hashes differently.
+#[test]
+fn undefined_mask_bits_are_rejected() {
+    let dir = std::env::temp_dir();
+    let recorded = dir.join("conair_cli_mask_recorded.trace.json");
+    let recorded = recorded.to_string_lossy().into_owned();
+    let input = asset("order_violation.cir");
+    cli(&["run", &input, "--record", &recorded]).unwrap();
+    let text = std::fs::read_to_string(&recorded).unwrap();
+    assert!(text.contains("\"mask\": 127"), "{text}");
+    let bad = dir.join("conair_cli_mask_255.trace.json");
+    let bad = bad.to_string_lossy().into_owned();
+    std::fs::write(&bad, text.replace("\"mask\": 127", "\"mask\": 255")).unwrap();
+
+    let err = cli(&["run", &input, "--replay", &bad]).unwrap_err().message;
+    assert!(err.contains("undefined point bits 0x80"), "{err}");
+    let err = cli(&["report", &bad]).unwrap_err().message;
+    assert!(err.contains("undefined point bits 0x80"), "{err}");
+    let _ = std::fs::remove_file(recorded);
+    let _ = std::fs::remove_file(bad);
+}
+
+/// The hardened `order_violation` trial summary — outcome counts, retry,
+/// recovery-latency, checkpoint and undo-depth histograms — hashes to the
+/// value recorded while the legacy per-step interpreter walk was still
+/// diffed against the decoded one in the same run.
+#[test]
+fn hardened_trials_summary_matches_golden() {
+    let hardened = std::env::temp_dir().join("conair_cli_golden_hardened.cir");
+    let hardened = hardened.to_string_lossy().into_owned();
+    cli(&["harden", &asset("order_violation.cir"), "-o", &hardened]).unwrap();
+    let out = cli(&["run", &hardened, "--trials", "8", "--jobs", "1"]).unwrap();
+    assert_eq!(fnv1a(out.as_bytes()), 0x6cc0_b078_0674_76fa, "{out}");
+    let _ = std::fs::remove_file(hardened);
+}
+
+/// The keep-going bounded search of `deadlock.cir` writes a report that,
+/// with its wall-clock fields zeroed, hashes to the value recorded while
+/// the legacy per-step interpreter walk was still diffed against the
+/// decoded one.
+#[test]
+fn bounded_explore_report_matches_golden() {
+    let path = std::env::temp_dir().join("conair_cli_golden_explore.json");
+    let path = path.to_string_lossy().into_owned();
+    cli(&[
+        "explore",
+        &asset("deadlock.cir"),
+        "--scheduler",
+        "bounded",
+        "--preemptions",
+        "2",
+        "--budget",
+        "128",
+        "--keep-going",
+        "--report-out",
+        &path,
+    ])
+    .unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let report: ExploreReport = serde_json::from_str(&text).unwrap();
+    let pinned = ExploreReport {
+        wall_ms: 0,
+        phases: ExplorePhases::default(),
+        ..report
+    };
+    let json = serde_json::to_string(&pinned).unwrap();
+    assert_eq!(fnv1a(json.as_bytes()), 0x6ca0_5faf_1f4b_2ca8, "{json}");
+    let _ = std::fs::remove_file(path);
 }

@@ -61,5 +61,8 @@ pub use parse::{parse_module, ParseError};
 pub use types::{
     BlockId, FailureKind, FuncId, GlobalId, Loc, LocalId, LockId, PointId, Reg, SiteId,
 };
-pub use validate::{validate, validate_hardened, validate_with, ValidateError, ValidateOptions};
+pub use validate::{
+    validate, validate_hardened, validate_with, ValidateError, ValidateOptions, MAX_FRAME_WORDS,
+    MAX_GLOBAL_WORDS,
+};
 pub use value::{BinOpKind, CmpKind, Operand};

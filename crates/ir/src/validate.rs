@@ -2,8 +2,9 @@
 //!
 //! A valid module is one the interpreter can execute without internal
 //! panics: all ids in range, all blocks terminated (with the terminator the
-//! final instruction), markers unique, and hardened-only instructions absent
-//! unless explicitly allowed.
+//! final instruction), markers unique, hardened-only instructions absent
+//! unless explicitly allowed, and frames and globals small enough to
+//! allocate.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -12,6 +13,15 @@ use crate::inst::Inst;
 use crate::module::Module;
 use crate::types::{BlockId, FuncId, Loc};
 use crate::value::Operand;
+
+/// Most words one frame may hold (`regs + locals`). Frames are allocated
+/// whole on every call, so a larger declaration would abort the process
+/// on allocation instead of failing validation.
+pub const MAX_FRAME_WORDS: usize = 1 << 16;
+
+/// Most global words a module may declare in total — the same bound as
+/// the interpreter's live-heap cap.
+pub const MAX_GLOBAL_WORDS: usize = 1 << 24;
 
 /// A single validation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +83,18 @@ pub fn validate_with(module: &Module, options: ValidateOptions) -> Result<(), Ve
     let mut seen_markers: HashSet<&str> = HashSet::new();
     let mut seen_funcs: HashSet<&str> = HashSet::new();
 
+    let global_words = module
+        .globals
+        .iter()
+        .fold(0usize, |n, g| n.saturating_add(g.words));
+    if global_words > MAX_GLOBAL_WORDS {
+        errors.push(ValidateError {
+            loc: Loc::new(FuncId(0), BlockId(0), 0),
+            message: format!(
+                "globals declare {global_words} words, past the {MAX_GLOBAL_WORDS}-word global cap"
+            ),
+        });
+    }
     for (fi, func) in module.functions.iter().enumerate() {
         let fid = FuncId::from_index(fi);
         if !seen_funcs.insert(func.name.as_str()) {
@@ -87,6 +109,17 @@ pub fn validate_with(module: &Module, options: ValidateOptions) -> Result<(), Ve
                 message: format!(
                     "num_params ({}) exceeds num_regs ({})",
                     func.num_params, func.num_regs
+                ),
+            });
+        }
+        let frame_words = func.num_regs.saturating_add(func.num_locals);
+        if frame_words > MAX_FRAME_WORDS {
+            errors.push(ValidateError {
+                loc: Loc::new(fid, BlockId(0), 0),
+                message: format!(
+                    "frame of `{}` holds {frame_words} words (regs + locals), past the \
+                     {MAX_FRAME_WORDS}-word frame cap",
+                    func.name
                 ),
             });
         }
@@ -355,5 +388,24 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| e.message.contains("duplicate function name")));
+    }
+
+    #[test]
+    fn frame_and_global_sizes_capped() {
+        let mut m = module_with(vec![Inst::Return { value: None }]);
+        m.functions[0].num_regs = MAX_FRAME_WORDS - 2;
+        m.functions[0].num_locals = 2;
+        m.add_global_array("g", MAX_GLOBAL_WORDS, 0);
+        assert!(validate(&m).is_ok(), "at the caps");
+
+        m.functions[0].num_locals = usize::MAX;
+        m.add_global_array("h", 1, 0);
+        let errs = validate_hardened(&m).unwrap_err();
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(
+            errs[0].message.contains("16777216-word global cap"),
+            "{errs:?}"
+        );
+        assert!(errs[1].message.contains("65536-word frame cap"), "{errs:?}");
     }
 }

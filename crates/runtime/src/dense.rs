@@ -1,6 +1,6 @@
-//! Dense program lowering: a flat-indexed instruction table built once
-//! before execution, so the step loop fetches `&Inst` by `u32` program
-//! counter with zero per-step cloning.
+//! Dense program lowering: flat-indexed instruction tables built once
+//! before execution, so the step loop fetches a `Copy`
+//! [`DecodedInst`] by `u32` program counter with zero per-step cloning.
 //!
 //! The numbering is [`conair_ir::FlatLayout`] — the same flat index the
 //! analyses key their region bitsets by — so a resume position in a
@@ -13,9 +13,7 @@
 //! [`PointKind`](crate::PointKind), so per-step gate checks and decision
 //! masking never inspect instruction payloads.
 
-use conair_ir::{
-    BlockId, DOp, DecodedFunc, DecodedInst, FlatLayout, FuncId, Inst, InstPos, Loc, Module,
-};
+use conair_ir::{DOp, DecodedFunc, DecodedInst, FlatLayout, FuncId, Inst, InstPos, Loc, Module};
 
 use crate::sched::PointKind;
 
@@ -24,7 +22,6 @@ const NOT_A_MARKER: u32 = u32::MAX;
 
 /// One function's pre-lowered instruction table.
 pub struct FuncLayout<'p> {
-    insts: Vec<&'p Inst>,
     layout: FlatLayout,
     /// Interned marker id per pc (`NOT_A_MARKER` elsewhere).
     marker_ids: Vec<u32>,
@@ -42,15 +39,14 @@ pub struct FuncLayout<'p> {
 impl<'p> FuncLayout<'p> {
     fn new(func: &'p conair_ir::Function, interner: &mut MarkerInterner<'p>) -> Self {
         let layout = FlatLayout::new(func);
-        let insts: Vec<&'p Inst> = func.blocks.iter().flat_map(|b| b.insts.iter()).collect();
-        let marker_ids: Vec<u32> = insts
-            .iter()
+        let insts = || func.blocks.iter().flat_map(|b| b.insts.iter());
+        let marker_ids: Vec<u32> = insts()
             .map(|i| match i {
                 Inst::Marker { name } => interner.intern(name.as_str()),
                 _ => NOT_A_MARKER,
             })
             .collect();
-        let kinds = insts.iter().map(|i| PointKind::of_inst(i)).collect();
+        let kinds = insts().map(PointKind::of_inst).collect();
         let mut decoded = DecodedFunc::decode(func, &layout);
         for (pc, &id) in marker_ids.iter().enumerate() {
             if id != NOT_A_MARKER {
@@ -58,7 +54,6 @@ impl<'p> FuncLayout<'p> {
             }
         }
         Self {
-            insts,
             layout,
             marker_ids,
             kinds,
@@ -66,24 +61,6 @@ impl<'p> FuncLayout<'p> {
             num_regs: func.num_regs,
             num_locals: func.num_locals,
         }
-    }
-
-    /// The instruction at `pc`. The returned reference borrows the
-    /// *program* (lifetime `'p`), not this table — which is what lets the
-    /// interpreter hold it across a `&mut self` dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pc` is out of range.
-    #[inline]
-    pub fn inst(&self, pc: u32) -> &'p Inst {
-        self.insts[pc as usize]
-    }
-
-    /// The instruction at `pc`, or `None` past the function's end.
-    #[inline]
-    pub fn get(&self, pc: u32) -> Option<&'p Inst> {
-        self.insts.get(pc as usize).copied()
     }
 
     /// The interned marker id at `pc`, when the instruction there is a
@@ -145,12 +122,6 @@ impl<'p> FuncLayout<'p> {
         self.decoded.fused_pairs()
     }
 
-    /// Flat pc of a block's first instruction.
-    #[inline]
-    pub fn block_start(&self, block: BlockId) -> u32 {
-        self.layout.block_start(block)
-    }
-
     /// The `(block, inst)` position of a pc (trace/diagnostics only).
     #[inline]
     pub fn pos(&self, pc: u32) -> InstPos {
@@ -166,11 +137,6 @@ impl<'p> FuncLayout<'p> {
     /// The shared flat numbering.
     pub fn layout(&self) -> &FlatLayout {
         &self.layout
-    }
-
-    /// Total instructions.
-    pub fn num_insts(&self) -> usize {
-        self.insts.len()
     }
 
     /// Register-file width of the function's frames (pre-lowered so the
@@ -285,18 +251,14 @@ mod tests {
         let func = module.func(FuncId(0));
         let mut flat = 0u32;
         for (bid, block) in func.iter_blocks() {
-            assert_eq!(table.block_start(bid), flat);
+            assert_eq!(table.layout().block_start(bid), flat);
             for (i, inst) in block.insts.iter().enumerate() {
-                assert!(
-                    std::ptr::eq(table.inst(flat), inst),
-                    "table entry {flat} aliases the module instruction"
-                );
                 assert_eq!(table.pos(flat), InstPos::new(bid, i));
+                assert_eq!(table.point_kind(flat), PointKind::of_inst(inst));
                 flat += 1;
             }
         }
-        assert_eq!(table.num_insts() as u32, flat);
-        assert_eq!(table.get(flat), None);
+        assert_eq!(flat as usize, func.num_insts());
     }
 
     #[test]

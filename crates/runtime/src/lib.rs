@@ -78,8 +78,6 @@ pub use sched::{
     PointKind, PointMask, ReplayScheduler, RoundRobin, SchedContext, ScheduleScript, Scheduler,
     SeededRandom, VectorClock,
 };
-#[cfg(any(test, feature = "clone-oracle"))]
-pub use thread::CloneCheckpoint;
 pub use thread::{
     Checkpoint, CompensationRecord, Frame, ThreadState, ThreadStats, ThreadStatus, UndoRecord,
     MAX_CALL_DEPTH,

@@ -21,9 +21,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use conair_ir::{
-    DOp, DecodedInst, FailureKind, FuncId, GlobalId, Inst, LockId, Operand, Reg, SiteId,
-};
+use conair_ir::{DOp, DecodedInst, FailureKind, FuncId, GlobalId, LockId, Reg, SiteId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -79,12 +77,6 @@ pub struct MachineConfig {
     /// Record every scheduler pick into a [`DecisionTrace`] attached to
     /// the [`RunResult`] (replay/minimization input; off by default).
     pub record_decisions: bool,
-    /// Interpret through the legacy per-step `&Inst` walk instead of the
-    /// pre-decoded stream — the differential oracle the decoded
-    /// interpreter is tested against (mirrors the clone-oracle pattern).
-    /// Only honored under `cfg(test)` or the `dense-oracle` feature;
-    /// setting it otherwise panics at run start.
-    pub dense_oracle: bool,
 }
 
 impl Default for MachineConfig {
@@ -100,7 +92,6 @@ impl Default for MachineConfig {
             buffered_writes: false,
             trace_depth: 0,
             record_decisions: false,
-            dense_oracle: false,
         }
     }
 }
@@ -348,10 +339,11 @@ struct CaptureState {
 /// The interpreter for one program run.
 pub struct Machine<'p> {
     program: &'p Program,
-    /// Pre-lowered flat instruction tables: the step loop fetches `&Inst`
-    /// by `u32` pc with no per-step cloning. Behind an `Arc` so harness
-    /// layers that run the same program thousands of times (the explorer)
-    /// can share one lowering instead of rebuilding it per run.
+    /// Pre-lowered flat instruction tables: the step loop fetches a `Copy`
+    /// [`DecodedInst`] by `u32` pc with no per-step cloning. Behind an
+    /// `Arc` so harness layers that run the same program thousands of
+    /// times (the explorer) can share one lowering instead of rebuilding
+    /// it per run.
     dense: Arc<DenseProgram<'p>>,
     config: MachineConfig,
     memory: Memory,
@@ -723,11 +715,6 @@ impl<'p> Machine<'p> {
         mut self,
         scheduler: &mut S,
     ) -> (RunResult, Vec<BranchCapture>, Option<MachineSnapshot>) {
-        #[cfg(not(any(test, feature = "dense-oracle")))]
-        assert!(
-            !self.config.dense_oracle,
-            "MachineConfig::dense_oracle requires the `dense-oracle` feature"
-        );
         let start = Instant::now();
         if self.sink.is_some() {
             for i in 0..self.threads.len() {
@@ -923,21 +910,16 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// One scheduler-visible dispatch: routes to the oracle interpreter
-    /// when configured, otherwise to the decoded interpreter — *tight*
-    /// (fused stream, span execution up to the next maskable scheduling
-    /// point) whenever nothing needs a per-step boundary: a narrow
-    /// decision mask, no trace ring, and no thread possibly waiting on a
-    /// timed lock.
+    /// One scheduler-visible dispatch through the decoded interpreter —
+    /// *tight* (fused stream, span execution up to the next maskable
+    /// scheduling point) whenever nothing needs a per-step boundary: a
+    /// narrow decision mask, no trace ring, and no thread possibly waiting
+    /// on a timed lock.
     #[inline]
     fn dispatch_step(&mut self, tid: ThreadId, consult_every_step: bool) -> Option<RunOutcome> {
         // The dispatched thread is about to mutate: its cached capture
         // image (if any) is no longer current.
         self.thread_snaps[tid.index()] = None;
-        #[cfg(any(test, feature = "dense-oracle"))]
-        if self.config.dense_oracle {
-            return self.step_thread_oracle(tid);
-        }
         let tight = !consult_every_step && self.config.trace_depth == 0 && !self.maybe_timed_waiter;
         self.step_thread(tid, tight)
     }
@@ -992,15 +974,23 @@ impl<'p> Machine<'p> {
 
     /// The first shared effect `tid`'s next instruction would have.
     fn footprint_of(&self, tid: ThreadId) -> Footprint {
+        use DecodedInst as D;
         let frame = self.threads[tid.index()].top();
-        match self.dense.func(frame.func).inst(frame.pc) {
-            Inst::Lock { lock } | Inst::TimedLock { lock, .. } | Inst::Unlock { lock } => {
-                Footprint::Lock(lock.0)
+        match self.dense.func(frame.func).decoded(frame.pc) {
+            D::Lock { lock } | D::TimedLock { lock, .. } | D::Unlock { lock } => {
+                Footprint::Lock(lock)
             }
-            Inst::LoadGlobal { global, .. } => Footprint::Read(self.memory.global_addr(*global)),
-            Inst::StoreGlobal { global, .. } => Footprint::Write(self.memory.global_addr(*global)),
-            Inst::LoadPtr { ptr, .. } => Footprint::Read(self.eval(tid, *ptr)),
-            Inst::StorePtr { ptr, .. } => Footprint::Write(self.eval(tid, *ptr)),
+            D::LoadGlobal { global, .. } => {
+                Footprint::Read(self.memory.global_addr(GlobalId(global)))
+            }
+            D::StoreGlobal { global, .. } => {
+                Footprint::Write(self.memory.global_addr(GlobalId(global)))
+            }
+            D::LoadPtr { ptr, .. } => Footprint::Read(self.eval_dop(tid, ptr)),
+            D::StorePtrRR { ptr, .. } | D::StorePtrRC { ptr, .. } => {
+                Footprint::Write(self.reg_idx(tid, ptr))
+            }
+            D::StorePtrCR { addr, .. } | D::StorePtrCC { addr, .. } => Footprint::Write(addr),
             _ => Footprint::Opaque,
         }
     }
@@ -1181,8 +1171,9 @@ impl<'p> Machine<'p> {
     /// finishes, or hits the step limit. Mid-span, the outer loop's
     /// per-step work (timeout scan, eligibility refill, consult check) is
     /// provably a no-op for a narrow decision mask, so skipping it is
-    /// bit-identical to the oracle; the span replicates the only state
-    /// transitions that remain (step counter, `pending_wait` reset).
+    /// bit-identical to stepping one instruction at a time; the span
+    /// replicates the only state transitions that remain (step counter,
+    /// `pending_wait` reset).
     fn step_thread(&mut self, tid: ThreadId, tight: bool) -> Option<RunOutcome> {
         // Remember an in-progress lock wait before the status reset erases
         // it (wait-time accounting for the acquisition about to retry), and
@@ -1276,7 +1267,7 @@ impl<'p> Machine<'p> {
             // Span continuation: stop at anything the outer loop could
             // observe — a finished thread, or a next instruction that is a
             // maskable scheduling point (markers included, so schedule
-            // gates are re-checked exactly where the oracle would).
+            // gates are re-checked exactly where a per-step walk would).
             if !matches!(self.threads[tid.index()].status, ThreadStatus::Runnable) {
                 return None;
             }
@@ -1317,105 +1308,6 @@ impl<'p> Machine<'p> {
         t.status = ThreadStatus::BlockedOnLock { lock, since, site };
         self.eligible_stale = true;
         self.maybe_timed_waiter |= site.is_some();
-    }
-
-    /// Executes one instruction of `tid` through the legacy `&Inst` walk —
-    /// the differential oracle for the decoded interpreter; returns a
-    /// terminal outcome if the run ends.
-    #[cfg(any(test, feature = "dense-oracle"))]
-    fn step_thread_oracle(&mut self, tid: ThreadId) -> Option<RunOutcome> {
-        // Remember an in-progress lock wait before the status reset erases
-        // it (wait-time accounting for the acquisition about to retry), and
-        // wake sleepers / unblock on entry.
-        let t = &mut self.threads[tid.index()];
-        let mut woke = false;
-        self.pending_wait = match t.status {
-            ThreadStatus::BlockedOnLock { lock, since, .. } => {
-                t.status = ThreadStatus::Runnable;
-                woke = true;
-                Some((lock, since))
-            }
-            ThreadStatus::SleepingUntil(_) => {
-                t.status = ThreadStatus::Runnable;
-                woke = true;
-                None
-            }
-            _ => None,
-        };
-        if woke {
-            self.eligible_stale = true;
-        }
-
-        let top = self.threads[tid.index()].top();
-        let (func_id, pc) = (top.func, top.pc);
-        // The table entry borrows the *program* (`'p`), not `self`, so no
-        // clone is needed to hold it across the `&mut self` dispatch.
-        let inst = self.dense.func(func_id).inst(pc);
-
-        let depth = self.config.trace_depth;
-        if depth > 0 {
-            let step = self.step;
-            let loc = self.dense.func(func_id).loc(func_id, pc);
-            self.threads[tid.index()].record_trace(step, loc, depth);
-        }
-        self.threads[tid.index()].stats.insts += 1;
-        // Advance pc optimistically; control flow overwrites it.
-        self.threads[tid.index()].top_mut().pc += 1;
-
-        let effect = self.exec(tid, inst, func_id, pc);
-        match effect {
-            StepEffect::Continue => None,
-            StepEffect::Limit => unreachable!("the oracle walk never fuses steps"),
-            StepEffect::Blocked(lock, site) => {
-                self.block_on_lock(tid, lock, site);
-                None
-            }
-            StepEffect::AttemptRecovery(site, kind, msg) => {
-                match self.attempt_recovery(tid, site, kind) {
-                    RecoveryOutcome::RolledBack => {
-                        if self.config.retry_backoff {
-                            self.backoff_sleep(tid);
-                        }
-                        None
-                    }
-                    RecoveryOutcome::Exhausted => Some(RunOutcome::Failed(FailureRecord {
-                        kind,
-                        site: Some(site),
-                        thread: tid,
-                        step: self.step,
-                        msg,
-                        trace: self.thread_trace(tid),
-                    })),
-                }
-            }
-            StepEffect::Fail(kind, site, msg) => Some(RunOutcome::Failed(FailureRecord {
-                kind,
-                site,
-                thread: tid,
-                step: self.step,
-                msg,
-                trace: self.thread_trace(tid),
-            })),
-        }
-    }
-
-    fn reg(&self, tid: ThreadId, r: Reg) -> i64 {
-        self.threads[tid.index()].top().regs[r.index()]
-    }
-
-    fn eval(&self, tid: ThreadId, op: Operand) -> i64 {
-        match op {
-            Operand::Reg(r) => self.reg(tid, r),
-            Operand::Const(c) => c,
-        }
-    }
-
-    #[cfg(any(test, feature = "dense-oracle"))]
-    #[inline]
-    fn set_reg(&mut self, tid: ThreadId, r: Reg, v: i64) {
-        // The single register-write path: maintains the checkpoint
-        // undo-log (one integer compare when recovery is disabled).
-        self.threads[tid.index()].write_reg(r, v);
     }
 
     /// Register read by pre-decoded index.
@@ -1464,14 +1356,6 @@ impl<'p> Machine<'p> {
         }
         t.undo.push(UndoRecord::Mem { addr, old, epoch });
         self.aux_work += 1;
-    }
-
-    /// Jumps the thread's top frame to the start of `target`.
-    #[cfg(any(test, feature = "dense-oracle"))]
-    fn jump_to(&mut self, tid: ThreadId, target: conair_ir::BlockId) {
-        let func = self.threads[tid.index()].top().func;
-        let pc = self.dense.func(func).block_start(target);
-        self.threads[tid.index()].top_mut().pc = pc;
     }
 
     /// Executes one pre-decoded instruction (or a fused pair). `func` is
@@ -1876,7 +1760,7 @@ impl<'p> Machine<'p> {
                 self.threads[tid.index()].stats.insts += 1;
                 self.threads[tid.index()].top_mut().pc += 1;
                 // `rhs` is re-read after the head's write, so `rhs ==
-                // gdst` sees the loaded value — oracle order.
+                // gdst` sees the loaded value — unfused order.
                 let r = op.apply(v, self.reg_idx(tid, rhs));
                 self.write_reg_idx(tid, dst, r);
                 StepEffect::Continue
@@ -1938,295 +1822,6 @@ impl<'p> Machine<'p> {
             self.emit(|| TraceEvent::ThreadFinished { step, thread: tid });
         }
         StepEffect::Continue
-    }
-
-    #[cfg(any(test, feature = "dense-oracle"))]
-    fn exec(&mut self, tid: ThreadId, inst: &'p Inst, func: FuncId, pc: u32) -> StepEffect {
-        match inst {
-            Inst::Copy { dst, src } => {
-                let v = self.eval(tid, *src);
-                self.set_reg(tid, *dst, v);
-                StepEffect::Continue
-            }
-            Inst::BinOp { dst, op, lhs, rhs } => {
-                let v = op.apply(self.eval(tid, *lhs), self.eval(tid, *rhs));
-                self.set_reg(tid, *dst, v);
-                StepEffect::Continue
-            }
-            Inst::Cmp { dst, op, lhs, rhs } => {
-                let v = op.apply(self.eval(tid, *lhs), self.eval(tid, *rhs));
-                self.set_reg(tid, *dst, v);
-                StepEffect::Continue
-            }
-            Inst::LoadGlobal { dst, global } => {
-                let v = self.memory.read_global(*global);
-                self.set_reg(tid, *dst, v);
-                StepEffect::Continue
-            }
-            Inst::StoreGlobal { global, src } => {
-                let v = self.eval(tid, *src);
-                let old = self.memory.read_global(*global);
-                let addr = self.memory.global_addr(*global);
-                self.log_mem_undo(tid, addr, old);
-                self.memory.write_global(*global, v);
-                StepEffect::Continue
-            }
-            Inst::AddrOfGlobal { dst, global } => {
-                let a = self.memory.global_addr(*global);
-                self.set_reg(tid, *dst, a);
-                StepEffect::Continue
-            }
-            Inst::LoadPtr { dst, ptr } => {
-                let addr = self.eval(tid, *ptr);
-                match self.memory.read(addr) {
-                    Ok(v) => {
-                        self.set_reg(tid, *dst, v);
-                        StepEffect::Continue
-                    }
-                    Err(f) => StepEffect::Fail(FailureKind::SegFault, None, f.to_string()),
-                }
-            }
-            Inst::StorePtr { ptr, src } => {
-                let addr = self.eval(tid, *ptr);
-                let v = self.eval(tid, *src);
-                match self.memory.read(addr) {
-                    Ok(old) => {
-                        self.log_mem_undo(tid, addr, old);
-                        self.memory.write(addr, v).expect("validated by read");
-                        StepEffect::Continue
-                    }
-                    Err(f) => StepEffect::Fail(FailureKind::SegFault, None, f.to_string()),
-                }
-            }
-            Inst::LoadLocal { dst, local } => {
-                let v = self.threads[tid.index()].top().locals[local.index()];
-                self.set_reg(tid, *dst, v);
-                StepEffect::Continue
-            }
-            Inst::StoreLocal { local, src } => {
-                let v = self.eval(tid, *src);
-                let t = &mut self.threads[tid.index()];
-                // Like `log_mem_undo`: whole-program buffering stays on
-                // after the first reexecution point, live checkpoint or not.
-                if self.config.buffered_writes && t.epoch > 0 {
-                    let epoch = t.epoch;
-                    let old = t.top().locals[local.index()];
-                    if t.undo.last().is_some_and(|u| u.epoch() != epoch) {
-                        t.undo.clear();
-                    }
-                    t.undo.push(UndoRecord::Local {
-                        slot: local.index(),
-                        old,
-                        epoch,
-                    });
-                    self.aux_work += 1;
-                }
-                t.top_mut().locals[local.index()] = v;
-                StepEffect::Continue
-            }
-            Inst::Alloc { dst, words } => {
-                let n = self.eval(tid, *words);
-                let Some(base) = self.memory.alloc(n.max(0) as usize) else {
-                    return StepEffect::heap_exhausted(n);
-                };
-                self.set_reg(tid, *dst, base);
-                let t = &mut self.threads[tid.index()];
-                if t.checkpoint.is_some() {
-                    let epoch = t.epoch;
-                    t.record_compensation(CompensationRecord::Allocation { base, epoch });
-                    self.aux_work += 1;
-                }
-                StepEffect::Continue
-            }
-            Inst::Free { ptr } => {
-                let addr = self.eval(tid, *ptr);
-                match self.memory.free(addr) {
-                    Ok(()) => StepEffect::Continue,
-                    Err(f) => {
-                        StepEffect::Fail(FailureKind::SegFault, None, format!("invalid free: {f}"))
-                    }
-                }
-            }
-            Inst::Lock { lock } => match self.locks.try_acquire(*lock, tid) {
-                AcquireResult::Acquired => {
-                    let t = &mut self.threads[tid.index()];
-                    if t.checkpoint.is_some() {
-                        let epoch = t.epoch;
-                        t.record_compensation(CompensationRecord::Lock { lock: *lock, epoch });
-                        self.aux_work += 1;
-                    }
-                    self.note_lock_acquired(tid, *lock, false);
-                    StepEffect::Continue
-                }
-                AcquireResult::WouldBlock => StepEffect::Blocked(*lock, None),
-            },
-            Inst::TimedLock { lock, site } => {
-                Self::bump_site_check(&mut self.site_checks, *site);
-                match self.locks.try_acquire(*lock, tid) {
-                    AcquireResult::Acquired => {
-                        self.note_site_success(tid, *site);
-                        let t = &mut self.threads[tid.index()];
-                        if t.checkpoint.is_some() {
-                            let epoch = t.epoch;
-                            t.record_compensation(CompensationRecord::Lock { lock: *lock, epoch });
-                            self.aux_work += 1;
-                        }
-                        self.note_lock_acquired(tid, *lock, true);
-                        StepEffect::Continue
-                    }
-                    AcquireResult::WouldBlock => StepEffect::Blocked(*lock, Some(*site)),
-                }
-            }
-            Inst::Unlock { lock } => match self.locks.release(*lock, tid) {
-                Ok(()) => {
-                    let step = self.step;
-                    let lock = *lock;
-                    self.emit(|| TraceEvent::LockReleased {
-                        step,
-                        thread: tid,
-                        lock,
-                    });
-                    StepEffect::Continue
-                }
-                Err(e) => StepEffect::Fail(
-                    FailureKind::AssertionViolation,
-                    None,
-                    format!(
-                        "unlock of {} not held by {tid} (owner {:?})",
-                        e.lock, e.owner
-                    ),
-                ),
-            },
-            Inst::Output { label, value } => {
-                let v = self.eval(tid, *value);
-                self.outputs.push(OutputRecord {
-                    thread: tid,
-                    label: label.clone(),
-                    value: v,
-                });
-                StepEffect::Continue
-            }
-            Inst::Assert { cond, msg } => {
-                if self.eval(tid, *cond) != 0 {
-                    StepEffect::Continue
-                } else {
-                    StepEffect::Fail(
-                        FailureKind::AssertionViolation,
-                        None,
-                        format!("assertion failed: {msg}"),
-                    )
-                }
-            }
-            Inst::OutputAssert { cond, msg } => {
-                if self.eval(tid, *cond) != 0 {
-                    StepEffect::Continue
-                } else {
-                    StepEffect::Fail(
-                        FailureKind::WrongOutput,
-                        None,
-                        format!("output oracle violated: {msg}"),
-                    )
-                }
-            }
-            Inst::Jump { target } => {
-                self.jump_to(tid, *target);
-                StepEffect::Continue
-            }
-            Inst::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let taken = if self.eval(tid, *cond) != 0 {
-                    *then_bb
-                } else {
-                    *else_bb
-                };
-                self.jump_to(tid, taken);
-                StepEffect::Continue
-            }
-            Inst::Return { value } => {
-                let v = value.map(|op| self.eval(tid, op));
-                self.ret(tid, v)
-            }
-            Inst::Call { dst, callee, args } => {
-                if self.threads[tid.index()].frames.len() >= MAX_CALL_DEPTH {
-                    return StepEffect::stack_overflow();
-                }
-                let vals: Vec<i64> = args.iter().map(|a| self.eval(tid, *a)).collect();
-                // Frame sizes come from the pre-lowered layout — no module
-                // lookup on the call path.
-                let layout = self.dense.func(*callee);
-                let frame =
-                    Frame::with_sizes(*callee, layout.num_regs(), layout.num_locals(), &vals, *dst);
-                self.threads[tid.index()].frames.push(frame);
-                StepEffect::Continue
-            }
-            Inst::Marker { .. } => {
-                let id = self
-                    .dense
-                    .func(func)
-                    .marker_id(pc)
-                    .expect("every marker is interned at lowering");
-                self.marker_counts.get_mut()[id as usize] += 1;
-                self.note_marker_hit();
-                StepEffect::Continue
-            }
-            Inst::Nop => StepEffect::Continue,
-            Inst::Checkpoint { .. } => {
-                // A checkpoint re-executes (like a re-entered `setjmp`) when
-                // the thread rolled back since its last checkpoint.
-                // Read-then-write: clearing an already-clear flag must not
-                // re-own a shared cell.
-                let reexecution = self.rolled_back.get()[tid.index()];
-                if reexecution {
-                    self.rolled_back.get_mut()[tid.index()] = false;
-                    Arc::make_mut(&mut self.cold).checkpoint_reexecutions += 1;
-                }
-                self.threads[tid.index()].save_checkpoint();
-                let epoch = self.threads[tid.index()].epoch;
-                let step = self.step;
-                self.emit(|| TraceEvent::CheckpointSaved {
-                    step,
-                    thread: tid,
-                    epoch,
-                    reexecution,
-                });
-                StepEffect::Continue
-            }
-            Inst::FailGuard {
-                kind,
-                cond,
-                site,
-                msg,
-            } => {
-                Self::bump_site_check(&mut self.site_checks, *site);
-                if self.eval(tid, *cond) != 0 {
-                    self.note_site_success(tid, *site);
-                    StepEffect::Continue
-                } else {
-                    let fk = match kind {
-                        conair_ir::GuardKind::Assert => FailureKind::AssertionViolation,
-                        conair_ir::GuardKind::WrongOutput => FailureKind::WrongOutput,
-                    };
-                    StepEffect::AttemptRecovery(*site, fk, format!("guard failed: {msg}"))
-                }
-            }
-            Inst::PtrGuard { ptr, site } => {
-                Self::bump_site_check(&mut self.site_checks, *site);
-                let addr = self.eval(tid, *ptr);
-                if self.ptr_is_valid(addr) {
-                    self.note_site_success(tid, *site);
-                    StepEffect::Continue
-                } else {
-                    StepEffect::AttemptRecovery(
-                        *site,
-                        FailureKind::SegFault,
-                        format!("pointer sanity check failed for {addr:#x}"),
-                    )
-                }
-            }
-        }
     }
 
     /// The failing thread's recorded trace, oldest first.

@@ -87,8 +87,24 @@ impl DecisionTrace {
     }
 
     /// Parses the JSON form.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed JSON, and on a mask with bits outside
+    /// [`PointMask::ALL`]: such a trace would replay under the truncated
+    /// mask but hash differently from it, so its hash would not survive a
+    /// replay-and-record round trip.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid decision trace: {e}"))
+        let trace: Self =
+            serde_json::from_str(text).map_err(|e| format!("invalid decision trace: {e}"))?;
+        let undefined = trace.mask & !PointMask::ALL.bits();
+        if undefined != 0 {
+            return Err(format!(
+                "invalid decision trace: mask {:#04x} sets undefined point bits {undefined:#04x}",
+                trace.mask
+            ));
+        }
+        Ok(trace)
     }
 }
 
@@ -127,5 +143,15 @@ mod tests {
     #[test]
     fn bad_json_is_an_error() {
         assert!(DecisionTrace::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn undefined_mask_bits_are_an_error() {
+        let mut t = DecisionTrace::new("pct", 7, PointMask::ALL);
+        t.push(ThreadId(1));
+        assert!(DecisionTrace::from_json(&t.to_json()).is_ok());
+        t.mask = 0xFF;
+        let err = DecisionTrace::from_json(&t.to_json()).unwrap_err();
+        assert!(err.contains("undefined point bits 0x80"), "{err}");
     }
 }

@@ -28,10 +28,10 @@
 //! between the checkpoint and the failure site. Writes to frames *deeper*
 //! than the checkpoint frame need no undo records at all: rollback
 //! truncates those frames wholesale (the `longjmp` across frames).
-//!
-//! The pre-undo-log implementation (clone the register image on save,
-//! clone it back on restore) is kept behind `cfg(test)` /
-//! `feature = "clone-oracle"` as a differential-testing oracle.
+//! `tests/checkpoint_undo.rs` checks the log against the trivially
+//! correct alternative — clone the register image on save, clone it back
+//! on restore — over random write, call, checkpoint and rollback
+//! sequences.
 
 use std::collections::HashMap;
 
@@ -126,20 +126,6 @@ pub struct Checkpoint {
     /// Resume pc (the checkpoint instruction's own flat index — on resume
     /// the checkpoint re-executes, re-saving and bumping the epoch, exactly
     /// like a re-entered `setjmp`).
-    pub pc: u32,
-}
-
-/// The full-clone checkpoint of the pre-undo-log implementation, kept as a
-/// differential-testing oracle (`tests/checkpoint_undo.rs` asserts the
-/// undo-log restore is register-for-register identical to it).
-#[cfg(any(test, feature = "clone-oracle"))]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CloneCheckpoint {
-    /// Call-stack depth at the checkpoint.
-    pub frame_depth: usize,
-    /// Saved register image of the checkpoint frame.
-    pub regs: Vec<i64>,
-    /// Resume pc.
     pub pc: u32,
 }
 
@@ -501,37 +487,6 @@ impl ThreadState {
     }
 }
 
-/// The pre-undo-log checkpoint implementation, preserved verbatim as the
-/// differential-testing oracle: cloning the whole register image on save
-/// and cloning it back on restore is trivially correct, so any divergence
-/// from the undo-log restore is a bug in the log discipline.
-#[cfg(any(test, feature = "clone-oracle"))]
-impl ThreadState {
-    /// The full-clone `setjmp`: snapshot the top frame's registers and
-    /// position as the old implementation did.
-    pub fn clone_oracle_save(&self) -> CloneCheckpoint {
-        let top = self.top();
-        CloneCheckpoint {
-            frame_depth: self.frames.len(),
-            regs: top.regs.clone(),
-            pc: top.pc.wrapping_sub(1),
-        }
-    }
-
-    /// The full-clone `longjmp`: truncate frames and restore the saved
-    /// register image wholesale.
-    pub fn clone_oracle_restore(&mut self, cp: &CloneCheckpoint) {
-        assert!(
-            cp.frame_depth <= self.frames.len(),
-            "oracle checkpoint above current stack"
-        );
-        self.frames.truncate(cp.frame_depth);
-        let top = self.frames.last_mut().expect("checkpoint frame is live");
-        top.regs = cp.regs.clone();
-        top.pc = cp.pc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,24 +654,6 @@ mod tests {
         assert_eq!(t.undo_depth(), 1, "ret_dst write is logged");
         assert!(t.restore_checkpoint());
         assert_eq!(t.top().regs[3], 0, "ret_dst write undone");
-    }
-
-    #[test]
-    fn undo_log_matches_clone_oracle() {
-        let mut t = mk_thread();
-        t.top_mut().pc = 4;
-        let oracle = t.clone_oracle_save();
-        let mut shadow = t.clone();
-        t.save_checkpoint();
-
-        for (r, v) in [(0, -1), (2, 999), (0, 17), (3, 3), (2, 1000)] {
-            t.write_reg(Reg(r), v);
-            shadow.write_reg(Reg(r), v);
-        }
-        assert!(t.restore_checkpoint());
-        shadow.clone_oracle_restore(&oracle);
-        assert_eq!(t.top().regs, shadow.top().regs);
-        assert_eq!(t.top().pc, shadow.top().pc);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! epoch-tagged register undo-log (`ThreadState::write_reg` +
 //! `save_checkpoint`/`restore_checkpoint`) must restore thread state
 //! register-for-register identically to the pre-undo-log full-clone
-//! implementation, which is kept behind the `clone-oracle` feature
-//! precisely for this comparison.
+//! implementation, kept here as the private [`clone_save`] /
+//! [`clone_restore`] pair precisely for this comparison.
 //!
 //! The driver replays a random interleaving of register writes, nested
 //! calls/returns, checkpoint saves and rollbacks against two threads:
@@ -25,7 +25,7 @@
 //! as `Inst::Checkpoint` does.
 
 use conair_ir::{FuncId, Function, Reg};
-use conair_runtime::{CloneCheckpoint, Frame, ThreadId, ThreadState};
+use conair_runtime::{Frame, ThreadId, ThreadState};
 use proptest::prelude::*;
 
 /// Register-file width of the root frame — wider than the 64-register
@@ -114,24 +114,58 @@ fn pinned_depth(real: &ThreadState) -> usize {
     real.checkpoint.map(|cp| cp.frame_depth).unwrap_or(1)
 }
 
+/// The full-clone checkpoint of the pre-undo-log implementation:
+/// call-stack depth, the checkpoint frame's register image, resume pc.
+#[derive(Debug, Clone)]
+struct FullClone {
+    frame_depth: usize,
+    regs: Vec<i64>,
+    pc: u32,
+}
+
+/// The full-clone `setjmp`: snapshot the top frame's registers and
+/// position. Cloning the whole image is trivially correct, so any
+/// divergence from the undo-log restore is a bug in the log discipline.
+fn clone_save(t: &ThreadState) -> FullClone {
+    let top = t.top();
+    FullClone {
+        frame_depth: t.frames.len(),
+        regs: top.regs.clone(),
+        pc: top.pc.wrapping_sub(1),
+    }
+}
+
+/// The full-clone `longjmp`: truncate frames and restore the saved
+/// register image wholesale.
+fn clone_restore(t: &mut ThreadState, cp: &FullClone) {
+    assert!(
+        cp.frame_depth <= t.frames.len(),
+        "clone checkpoint above current stack"
+    );
+    t.frames.truncate(cp.frame_depth);
+    let top = t.top_mut();
+    top.regs = cp.regs.clone();
+    top.pc = cp.pc;
+}
+
 /// Executes the checkpoint instruction on both threads: position the pc,
 /// save through each implementation.
-fn exec_checkpoint(real: &mut ThreadState, shadow: &mut ThreadState, pc: u32) -> CloneCheckpoint {
+fn exec_checkpoint(real: &mut ThreadState, shadow: &mut ThreadState, pc: u32) -> FullClone {
     real.top_mut().pc = pc + 1; // interpreter has advanced past the inst
     shadow.top_mut().pc = pc + 1;
     real.save_checkpoint();
-    // The oracle snapshot also derives the resume pc as `pc - 1`.
-    shadow.clone_oracle_save()
+    // The clone snapshot also derives the resume pc as `pc - 1`.
+    clone_save(shadow)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn undo_log_restore_matches_full_clone_oracle(ops in proptest::collection::vec(op(), 0..120)) {
+    fn undo_log_restore_matches_full_clone(ops in proptest::collection::vec(op(), 0..120)) {
         let mut real = mk_thread();
         let mut shadow = mk_thread();
-        let mut oracle: Option<CloneCheckpoint> = None;
+        let mut oracle: Option<FullClone> = None;
         let mut pc_counter = 0u32;
         let mut rollbacks = 0usize;
 
@@ -191,7 +225,7 @@ proptest! {
                 Op::Rollback => {
                     let Some(cp) = oracle.clone() else { continue };
                     prop_assert!(real.restore_checkpoint(), "checkpoint exists");
-                    shadow.clone_oracle_restore(&cp);
+                    clone_restore(&mut shadow, &cp);
                     rollbacks += 1;
                     assert_same(&real, &shadow, step)?;
                     // The interpreter resumes at the checkpoint
@@ -209,39 +243,11 @@ proptest! {
         // every generated case ends on a restored state comparison.
         if let Some(cp) = oracle {
             prop_assert!(real.restore_checkpoint());
-            shadow.clone_oracle_restore(&cp);
+            clone_restore(&mut shadow, &cp);
             rollbacks += 1;
             assert_same(&real, &shadow, ops.len())?;
         }
         prop_assert_eq!(real.stats.rollbacks as usize, rollbacks);
-    }
-
-    #[test]
-    fn rollback_dense_decoded_matches_dense_oracle(seed in 0u64..32) {
-        // Machine-level rollback differential: the rollback-dense stress
-        // program (guard failures forcing a checkpoint restore and
-        // re-execution every few steps) must produce a byte-identical
-        // RunResult on the pre-decoded interpreter and on the legacy
-        // per-step `&Inst` walk (`MachineConfig::dense_oracle`) — the
-        // undo-log exercised end-to-end through both dispatch paths.
-        use conair_runtime::{run_once, MachineConfig};
-        use conair_workloads::rollback_dense_program;
-        let program = rollback_dense_program(80, 200, 4);
-        let decoded = run_once(&program, &MachineConfig::default(), seed);
-        let oracle = run_once(
-            &program,
-            &MachineConfig { dense_oracle: true, ..MachineConfig::default() },
-            seed,
-        );
-        prop_assert_eq!(decoded.stats.rollbacks, 200 * 3, "rollbacks happened");
-        let (mut a, mut b) = (decoded, oracle);
-        a.stats.wall = std::time::Duration::ZERO;
-        b.stats.wall = std::time::Duration::ZERO;
-        a.stats.snapshot_wall = std::time::Duration::ZERO;
-        b.stats.snapshot_wall = std::time::Duration::ZERO;
-        prop_assert_eq!(&a.outcome, &b.outcome);
-        prop_assert_eq!(&a.outputs, &b.outputs);
-        prop_assert_eq!(&a.stats, &b.stats);
     }
 
     #[test]

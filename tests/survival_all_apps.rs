@@ -3,6 +3,7 @@
 //! with correct output — once hardened by survival-mode ConAir.
 
 use conair::Conair;
+use conair_ir::{MAX_FRAME_WORDS, MAX_GLOBAL_WORDS};
 use conair_runtime::{
     run_scripted, Machine, MachineConfig, RunOutcome, SeededRandom, MAX_CALL_DEPTH, MAX_HEAP_WORDS,
 };
@@ -161,15 +162,34 @@ fn max_call_depth(module: &conair_ir::Module) -> usize {
 /// the interpreter's resource caps: no recursion, so the call stack is
 /// bounded by the longest call chain, and the words allocated over a whole
 /// run (an upper bound on the live heap) are a tiny fraction of the heap
-/// cap.
+/// cap. The widest frame and the global words are as far below the
+/// validator's frame and global caps.
 #[test]
 fn catalog_runs_stay_far_below_resource_caps() {
     for w in all_workloads() {
         let hardened = Conair::survival().harden(&w.program);
-        let depth = max_call_depth(&hardened.program.module);
+        let module = &hardened.program.module;
+        let depth = max_call_depth(module);
         assert!(
             depth * 1000 < MAX_CALL_DEPTH,
             "{}: depth {depth}",
+            w.meta.name
+        );
+        let frame = module
+            .functions
+            .iter()
+            .map(|f| f.num_regs + f.num_locals)
+            .max()
+            .unwrap_or(0);
+        let globals: usize = module.globals.iter().map(|g| g.words).sum();
+        assert!(
+            frame * 1000 < MAX_FRAME_WORDS,
+            "{}: widest frame {frame} words",
+            w.meta.name
+        );
+        assert!(
+            globals * 1000 < MAX_GLOBAL_WORDS,
+            "{}: {globals} global words",
             w.meta.name
         );
         for (script, label) in [(&w.benign_script, "benign"), (&w.bug_script, "bug")] {
