@@ -1311,10 +1311,21 @@ fn explore_inner(
                 let min = minimize(&program, &config, &found.trace, opts.budget)
                     .map_err(|e| CliError::new(format!("explore: minimize failed: {e}")))?;
                 report.phases.minimize_us += minimize_start.elapsed().as_micros() as u64;
+                let plural = if min.minimized_preemptions == 1 {
+                    ""
+                } else {
+                    "s"
+                };
                 let _ = writeln!(
                     out,
-                    "minimized: {} -> {} decisions ({} candidate replays)",
-                    min.original_len, min.minimized_len, min.candidates
+                    "minimized: {} -> {} decisions, {} -> {} deviations ({} preemption{plural}), \
+                     {} candidate replays",
+                    min.original_len,
+                    min.minimized_len,
+                    min.original_deviations,
+                    min.minimized_deviations,
+                    min.minimized_preemptions,
+                    min.candidates
                 );
                 min.trace
             } else {

@@ -257,3 +257,47 @@ fn bounded_explore_report_matches_golden() {
     assert_eq!(fnv1a(json.as_bytes()), 0x6ca0_5faf_1f4b_2ca8, "{json}");
     let _ = std::fs::remove_file(path);
 }
+
+/// A keep-going PCT sweep's counterexample minimizes in a handful of
+/// replays instead of spending the whole budget, reports its deviations
+/// from the non-preemptive default, and the written trace replays to the
+/// same hang.
+#[test]
+fn pct_counterexample_minimizes_below_its_budget() {
+    let path = std::env::temp_dir().join("conair_cli_pct_minimized.trace.json");
+    let path = path.to_string_lossy().into_owned();
+    let input = asset("deadlock.cir");
+    let out = cli(&[
+        "explore",
+        &input,
+        "--scheduler",
+        "pct",
+        "--budget",
+        "64",
+        "--keep-going",
+        "--minimize",
+        "-o",
+        &path,
+    ])
+    .unwrap();
+    assert!(out.contains("outcome hang"), "{out}");
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("minimized: "))
+        .unwrap_or_else(|| panic!("{out}"));
+    assert!(line.contains(" deviations ("), "{line}");
+    let replays: usize = line
+        .rsplit(", ")
+        .next()
+        .and_then(|tail| tail.strip_suffix(" candidate replays"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{line}"));
+    assert!(replays < 64, "{line}");
+    let replay = cli(&["run", &input, "--replay", &path]).unwrap();
+    assert!(
+        replay.contains("HANG: 2 threads blocked on locks"),
+        "{replay}"
+    );
+    assert!(!replay.contains("diverged"), "{replay}");
+    let _ = std::fs::remove_file(path);
+}

@@ -87,6 +87,22 @@ impl Consult {
     pub fn is_preemption(&self) -> bool {
         self.is_preemption_for(self.chosen)
     }
+
+    /// Whether the recorded choice left the non-preemptive default — a
+    /// preemption, or a switch to another thread than the default one
+    /// when the running thread could not continue.
+    pub fn is_deviation(&self) -> bool {
+        self.chosen != default_pick(&self.eligible, self.last)
+    }
+}
+
+/// The non-preemptive default: keep the running thread while it is
+/// eligible, else run the lowest-id eligible thread.
+pub(super) fn default_pick(eligible: &[ThreadId], last: Option<ThreadId>) -> ThreadId {
+    match last {
+        Some(prev) if eligible.contains(&prev) => prev,
+        _ => eligible[0],
+    }
 }
 
 /// Forced-prefix + non-preemptive-continuation scheduler.
@@ -148,8 +164,9 @@ impl FrontierScheduler {
     /// fell back to the default continuation, as a
     /// [`ReplayScheduler`](super::ReplayScheduler) does). Never happens
     /// when the prefix came from a prior run of the same program and
-    /// config — execution up to the frontier is bit-identical; the
-    /// minimizer's edited traces rely on the fallback.
+    /// config — execution up to the frontier is bit-identical. The
+    /// minimizer's candidates rely on the fallback: they name a thread
+    /// that never exists at every decision that is not a deviation.
     pub fn infeasible(&self) -> bool {
         self.infeasible
     }
@@ -165,10 +182,7 @@ impl Scheduler for FrontierScheduler {
                 if other.is_some() {
                     self.infeasible = true;
                 }
-                match ctx.last {
-                    Some(prev) if ctx.eligible.contains(&prev) => prev,
-                    _ => ctx.eligible[0],
-                }
+                default_pick(ctx.eligible, ctx.last)
             }
         };
         self.picks += 1;

@@ -32,12 +32,11 @@
 //! Three layers make the search cheap without changing what it reports
 //! (all deterministic, all enforced bit-identical by tests):
 //!
-//! * **Prefix-sharing snapshot tree** (`runner.rs`, shared with
-//!   [`super::minimize`]) — executed runs deposit [`MachineSnapshot`]s
-//!   keyed by decision prefix (LRU-bounded by `--snapshot-budget`), and
-//!   each run resumes from its deepest retained ancestor instead of
-//!   interpreting from step zero. Bounded/DPOR candidates share long
-//!   forced prefixes by construction. PCT runs share the probe's path up
+//! * **Prefix-sharing snapshot tree** (`runner.rs`) — executed runs
+//!   deposit [`MachineSnapshot`]s keyed by decision prefix (LRU-bounded
+//!   by `--snapshot-budget`), and each run resumes from its deepest
+//!   retained ancestor instead of interpreting from step zero.
+//!   Bounded/DPOR candidates share long forced prefixes by construction. PCT runs share the probe's path up
 //!   to their first divergent pick, which under sync masks often lies deep
 //!   in the run: MozillaXP consults the scheduler at steps 1, 554505 and
 //!   554512. Each PCT run's scheduler is advanced down the retained nodes

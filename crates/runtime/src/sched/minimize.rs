@@ -1,37 +1,32 @@
 //! Delta-debugging minimization of failing decision traces.
 //!
-//! A failing schedule found by exploration may carry hundreds of decisions
-//! that have nothing to do with the bug. The minimizer shrinks the trace
-//! while preserving the *failure signature* (outcome class, failure kind,
-//! site and thread), in two phases:
+//! A failing schedule is a sparse set of *deviations* from the
+//! non-preemptive default (keep the running thread while it is eligible,
+//! else run the lowest-id eligible thread): the `(decision index, thread)`
+//! pairs where the run chose otherwise. The minimizer runs one ddmin over
+//! them (Jalbert & Sen, FSE 2010), preserving the *failure signature*
+//! (outcome class, failure kind, site and thread):
 //!
-//! 1. **Prefix truncation** — binary-search the shortest failing prefix
-//!    (decisions after the bug triggers are dead weight; dropping the tail
-//!    usually removes most of the trace at `log n` cost).
-//! 2. **ddmin chunk removal** — classic delta debugging over the
-//!    remaining decisions at progressively finer granularity.
+//! * The baseline replays the input; it checks the failure and yields the
+//!   input's deviations.
+//! * A candidate drops one chunk of the current deviations and runs from
+//!   step zero, forcing the rest by index and the default elsewhere.
+//! * A candidate is accepted only if it fails the same way with a strictly
+//!   smaller `(preemptions, deviations, decisions)`; its recorded log and
+//!   actual deviations become the current trace.
+//! * The search stops after a pass at single-deviation granularity removes
+//!   nothing; the budget only caps it.
 //!
-//! Every candidate is a lenient replay with re-recording on; a candidate
-//! is accepted only if its failure signature matches **and** its
-//! re-recorded trace is no longer than the current one. The accepted
-//! re-recording becomes the new current trace, so the final result is
-//! always the exact decision log of a real failing run — strictly
-//! replayable, never longer than the input.
-//!
-//! Candidates run on the shared resume runner rather than from step zero.
-//! A candidate agrees with the current trace up to the point it edits, and
-//! a [`FrontierScheduler`](super::FrontierScheduler) forcing the whole
-//! candidate falls back on an ineligible decision exactly as a
-//! [`ReplayScheduler`](super::ReplayScheduler) does, so each candidate
-//! resumes from the deepest snapshot any earlier candidate left along its
-//! decisions, and deposits its own captures from the edit point on. All
-//! runs share one lowering of the program.
+//! The result is always the decision log of a real failing run, so it
+//! replays bit-exactly. All runs share one lowering of the program.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use super::bounded::Consult;
 use super::decision::DecisionTrace;
-use super::point::PointMask;
-use super::runner::{RunPlan, Runner, SnapshotTree, CAPTURE_PER_RUN, DEFAULT_SNAPSHOT_BUDGET};
+use super::runner::{Executed, Runner};
 use crate::machine::MachineConfig;
 use crate::outcome::RunOutcome;
 use crate::program::Program;
@@ -43,7 +38,15 @@ pub struct MinimizeReport {
     pub original_len: usize,
     /// Decisions in the minimized trace.
     pub minimized_len: usize,
-    /// Candidate replays executed.
+    /// Deviations from the non-preemptive default in the input trace.
+    pub original_deviations: usize,
+    /// Deviations in the minimized trace.
+    pub minimized_deviations: usize,
+    /// Input deviations that preempted a still-eligible running thread.
+    pub original_preemptions: usize,
+    /// Preemptions in the minimized trace.
+    pub minimized_preemptions: usize,
+    /// Replays executed, the baseline included.
     pub candidates: usize,
     /// The minimized trace (the decision log of a real failing run).
     pub trace: DecisionTrace,
@@ -68,7 +71,7 @@ fn signature(outcome: &RunOutcome) -> Option<String> {
 }
 
 /// Minimizes `trace` (a failing schedule of `program` under `config`),
-/// executing at most `budget` candidate replays.
+/// executing at most `budget` replays.
 ///
 /// Errors if the input trace does not fail when replayed.
 pub fn minimize(
@@ -77,117 +80,101 @@ pub fn minimize(
     trace: &DecisionTrace,
     budget: usize,
 ) -> Result<MinimizeReport, String> {
-    let mut cands = Candidates {
-        runner: Runner::new(program, config),
-        tree: SnapshotTree::new(DEFAULT_SNAPSHOT_BUDGET),
-        mask: trace.point_mask(),
-        count: 0,
-    };
+    let runner = Runner::new(program, config);
+    let mask = trace.point_mask();
+    let mut current = runner.replay(trace.decisions.clone(), mask);
+    let original = rank(&current);
+    let sig = signature(&current.outcome)
+        .ok_or("trace does not fail under replay; nothing to minimize")?;
 
-    let (outcome, recorded) = cands.run(&trace.decisions, 0);
-    let Some(sig) = signature(&outcome) else {
-        return Err("trace does not fail under replay; nothing to minimize".into());
-    };
-    // The baseline re-recording is the canonical form of the input (a
-    // failing run stops at the failure, so it is never longer — but clamp
-    // to the input anyway to keep the no-longer-than-original guarantee).
-    let (mut current, mut current_outcome) = if recorded.len() <= trace.len() {
-        (recorded, outcome)
-    } else {
-        (trace.clone(), outcome)
-    };
-
-    let matches = |o: &RunOutcome| signature(o).as_deref() == Some(sig.as_str());
-
-    // Phase 1: shortest failing prefix by binary search.
-    let mut lo = 0usize;
-    let mut hi = current.len();
-    while lo < hi && cands.count < budget {
-        let mid = lo + (hi - lo) / 2;
-        let (o, rec) = cands.run(&current.decisions[..mid], mid);
-        if matches(&o) && rec.len() <= current.len() {
-            hi = mid.min(rec.len());
-            current = rec;
-            current_outcome = o;
-        } else {
-            lo = mid + 1;
-        }
-    }
-
-    // Phase 2: ddmin-style chunk removal.
-    let mut n = 2usize;
-    while current.len() >= 2 && cands.count < budget {
-        let chunk = current.len().div_ceil(n);
-        let mut reduced = false;
-        let mut start = 0usize;
-        while start < current.len() && cands.count < budget {
-            let mut cand: Vec<u32> = current.decisions[..start].to_vec();
-            cand.extend_from_slice(&current.decisions[(start + chunk).min(current.len())..]);
-            let (o, rec) = cands.run(&cand, start);
-            if matches(&o) && rec.len() <= current.len() {
-                current = rec;
-                current_outcome = o;
-                reduced = true;
-                // Stay at the same offset: the next chunk slid into place.
-            } else {
-                start += chunk;
-            }
-        }
-        if reduced {
-            n = n.saturating_sub(1).max(2);
-        } else if chunk <= 1 {
+    let (mut candidates, mut n) = (1, 2usize);
+    loop {
+        let devs = deviations(&current);
+        if devs.is_empty() || candidates >= budget {
             break;
-        } else {
-            n = (n * 2).min(current.len());
+        }
+        let chunk = devs.len().div_ceil(n);
+        let accepted = (0..devs.len())
+            .step_by(chunk)
+            .take(budget - candidates)
+            .map(|start| {
+                candidates += 1;
+                runner.replay(prefix_without(&devs, start..start + chunk), mask)
+            })
+            .find(|cand| {
+                signature(&cand.outcome).as_ref() == Some(&sig) && rank(cand) < rank(&current)
+            });
+        match accepted {
+            Some(cand) => {
+                current = cand;
+                n = n.saturating_sub(1).max(2);
+            }
+            None if chunk == 1 => break,
+            None => n = (n * 2).min(devs.len()),
         }
     }
 
+    let minimized = rank(&current);
     Ok(MinimizeReport {
         original_len: trace.len(),
-        minimized_len: current.len(),
-        candidates: cands.count,
-        trace: current,
-        outcome: current_outcome,
+        minimized_len: current.trace.len(),
+        original_deviations: original.1,
+        minimized_deviations: minimized.1,
+        original_preemptions: original.0,
+        minimized_preemptions: minimized.0,
+        candidates,
+        // The minimized trace keeps the replay provenance.
+        trace: DecisionTrace {
+            scheduler: "replay".into(),
+            ..current.trace
+        },
+        outcome: current.outcome,
     })
 }
 
-/// The minimizer's candidate executor: one runner and one snapshot tree
-/// for the whole minimization.
-struct Candidates<'p> {
-    runner: Runner<'p>,
-    tree: SnapshotTree,
-    mask: PointMask,
-    /// Candidate replays executed.
-    count: usize,
+/// `(decision index, thread)` wherever `run` left the default.
+fn deviations(run: &Executed) -> Vec<(usize, u32)> {
+    run.consults
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.is_deviation())
+        .map(|(i, c)| (i, c.chosen.index() as u32))
+        .collect()
 }
 
-impl Candidates<'_> {
-    /// Replays `decisions` leniently and re-records the run. The candidate
-    /// agrees with the current trace on its first `edit` decisions, so its
-    /// own captures start there (or past its resume point).
-    fn run(&mut self, decisions: &[u32], edit: usize) -> (RunOutcome, DecisionTrace) {
-        self.count += 1;
-        let resume = self.tree.lookup(decisions);
-        let resumed = resume.as_ref().map_or(0, |r| r.depth + 1);
-        let plan = RunPlan {
-            prefix: decisions.to_vec(),
-            resume,
-            capture: CAPTURE_PER_RUN,
-            capture_from: edit.max(resumed).max(1),
-        };
-        let mut ex = self.runner.frontier(&plan, self.mask);
-        self.tree.absorb(&mut ex);
-        // A lenient replay, whichever scheduler ran it: the minimized trace
-        // keeps the replay provenance.
-        ex.trace.scheduler = "replay".into();
-        (ex.outcome, ex.trace)
+/// The order accepted candidates strictly descend in: preemptions (each
+/// one a deviation), deviations, decisions.
+fn rank(run: &Executed) -> (usize, usize, usize) {
+    let count = |pred: fn(&Consult) -> bool| run.consults.iter().filter(|c| pred(c)).count();
+    (
+        count(Consult::is_preemption),
+        count(Consult::is_deviation),
+        run.trace.len(),
+    )
+}
+
+/// The forced prefix keeping every deviation outside `drop`. Every other
+/// decision names a thread that is never eligible, so it takes the
+/// default.
+fn prefix_without(deviations: &[(usize, u32)], drop: Range<usize>) -> Vec<u32> {
+    let mut prefix = vec![u32::MAX; deviations.last().map_or(0, |d| d.0 + 1)];
+    for (i, &(at, thread)) in deviations.iter().enumerate() {
+        if !drop.contains(&i) {
+            prefix[at] = thread;
+        }
     }
+    prefix
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{explore, run_replay, ExploreConfig, ExploreStrategy};
+    use crate::machine::Machine;
+    use crate::sched::point::PointMask;
+    use crate::sched::{
+        explore, run_replay, ExploreConfig, ExploreStrategy, PctConfig, PctScheduler, Scheduler,
+        SeededRandom,
+    };
     use conair_ir::{CmpKind, FuncBuilder, ModuleBuilder};
 
     fn order_violation() -> Program {
@@ -213,24 +200,176 @@ mod tests {
         Program::from_entry_names(mb.finish(), &["reader", "writer"])
     }
 
-    #[test]
-    fn minimized_trace_still_fails_and_is_no_longer() {
-        let program = order_violation();
+    /// An atomicity violation that needs exactly one preemption: `owner`
+    /// stores its token and reads it back across a window of filler
+    /// markers; `intruder`, after its own filler, overwrites the token.
+    /// The run fails only when the intruder's store lands inside the
+    /// owner's window.
+    fn atomicity_violation() -> Program {
+        let mut mb = ModuleBuilder::new("av");
+        let token = mb.global("token", 0);
+        let mut fb = FuncBuilder::new("owner", 0);
+        for _ in 0..3 {
+            fb.marker("before");
+        }
+        fb.store_global(token, 1);
+        for _ in 0..8 {
+            fb.marker("window");
+        }
+        let v = fb.load_global(token);
+        let ok = fb.cmp(CmpKind::Eq, v, 1);
+        fb.assert(ok, "token changed inside the window");
+        for _ in 0..3 {
+            fb.marker("after");
+        }
+        fb.ret();
+        mb.function(fb.finish());
+        let mut fb = FuncBuilder::new("intruder", 0);
+        for _ in 0..4 {
+            fb.marker("ifill");
+        }
+        fb.store_global(token, 2);
+        for _ in 0..4 {
+            fb.marker("ifill");
+        }
+        fb.ret();
+        mb.function(fb.finish());
+        Program::from_entry_names(mb.finish(), &["owner", "intruder"])
+    }
+
+    /// Minimizes `trace` and checks the result against the input: the same
+    /// failure, a rank no higher, and a clean replay to the same outcome.
+    fn minimize_and_replay(program: &Program, trace: &DecisionTrace) -> MinimizeReport {
         let config = MachineConfig::default();
-        let mut ec = ExploreConfig::new(ExploreStrategy::Pct { depth: 3 });
-        ec.mask = PointMask::SYNC_SHARED;
-        let report = explore(&program, &config, &ec);
-        let found = report.first_failure.expect("bug found");
-        let min = minimize(&program, &config, &found.trace, 256).unwrap();
-        assert_eq!(signature(&min.outcome), signature(&found.outcome));
-        assert!(min.minimized_len <= min.original_len);
+        let min = minimize(program, &config, trace, 10_000).unwrap();
+        let (input, _) = run_replay(program, &config, trace);
+        assert_eq!(signature(&min.outcome), signature(&input.outcome));
+        assert!(
+            (
+                min.minimized_preemptions,
+                min.minimized_deviations,
+                min.minimized_len
+            ) <= (
+                min.original_preemptions,
+                min.original_deviations,
+                min.original_len
+            )
+        );
+        assert!(min.candidates < 10_000, "stops before the budget");
         assert_eq!(min.trace.len(), min.minimized_len);
-        // The minimized trace replays to the same failure, cleanly.
-        let mut cfg = config;
-        cfg.record_decisions = true;
-        let (replayed, div) = run_replay(&program, &cfg, &min.trace);
+        let cfg = MachineConfig {
+            record_decisions: true,
+            ..config
+        };
+        let (replayed, div) = run_replay(program, &cfg, &min.trace);
         assert_eq!(div, None);
         assert_eq!(replayed.outcome, min.outcome);
+        assert_eq!(
+            replayed.decisions.as_ref().map(DecisionTrace::hash),
+            Some(min.trace.hash())
+        );
+        min
+    }
+
+    #[test]
+    fn minimized_trace_still_fails_and_ranks_no_higher() {
+        let program = order_violation();
+        let mut ec = ExploreConfig::new(ExploreStrategy::Pct { depth: 3 });
+        ec.mask = PointMask::SYNC_SHARED;
+        let report = explore(&program, &MachineConfig::default(), &ec);
+        let found = report.first_failure.expect("bug found");
+        minimize_and_replay(&program, &found.trace);
+    }
+
+    /// The first failing trace with at least three deviations among
+    /// `scheduler`'s runs of `program` over seeds `0..256`.
+    fn noisy_failing_trace<S: Scheduler>(
+        program: &Program,
+        scheduler: impl Fn(u64) -> S,
+    ) -> DecisionTrace {
+        let config = MachineConfig {
+            record_decisions: true,
+            ..MachineConfig::default()
+        };
+        (0..256)
+            .map(|seed| Machine::new(program, config).run(&mut scheduler(seed)))
+            .filter(|r| r.outcome.is_failure())
+            .filter_map(|r| r.decisions)
+            .find(|t| {
+                let baseline = minimize(program, &MachineConfig::default(), t, 1).unwrap();
+                baseline.original_deviations >= 3
+            })
+            .expect("a noisy failing run")
+    }
+
+    #[test]
+    fn noisy_traces_minimize_to_their_one_preemption() {
+        let program = atomicity_violation();
+        let pct = PctConfig {
+            depth: 3,
+            k: 64,
+            mask: PointMask::SYNC_SHARED,
+        };
+        for trace in [
+            noisy_failing_trace(&program, SeededRandom::new),
+            noisy_failing_trace(&program, |seed| PctScheduler::new(seed, pct)),
+        ] {
+            let min = minimize_and_replay(&program, &trace);
+            assert!(min.original_deviations >= 3, "{}", trace.scheduler);
+            assert_eq!(
+                (min.minimized_deviations, min.minimized_preemptions),
+                (1, 1),
+                "{}: one deviation, and it preempts",
+                trace.scheduler
+            );
+        }
+    }
+
+    /// ddmin promises 1-minimality, not a global minimum: removing a
+    /// deviation by index moves the running threads' progress at every
+    /// later one, so a few noisy traces stop above one deviation. Every
+    /// result must still be a replayable failing run from which no single
+    /// deviation can be removed.
+    #[test]
+    fn every_noisy_trace_minimizes_to_a_one_minimal_run() {
+        let program = atomicity_violation();
+        let config = MachineConfig {
+            record_decisions: true,
+            ..MachineConfig::default()
+        };
+        let runner = Runner::new(&program, &config);
+        let pct = PctConfig {
+            depth: 3,
+            k: 64,
+            mask: PointMask::SYNC_SHARED,
+        };
+        for seed in 0..64 {
+            for result in [
+                Machine::new(&program, config).run(&mut SeededRandom::new(seed)),
+                Machine::new(&program, config).run(&mut PctScheduler::new(seed, pct)),
+            ] {
+                let Some(trace) = result.decisions.filter(|_| result.outcome.is_failure()) else {
+                    continue;
+                };
+                let min = minimize_and_replay(&program, &trace);
+                let mask = trace.point_mask();
+                let run = runner.replay(min.trace.decisions.clone(), mask);
+                let devs = deviations(&run);
+                assert_eq!(
+                    rank(&run),
+                    (min.minimized_preemptions, devs.len(), min.minimized_len)
+                );
+                for i in 0..devs.len() {
+                    let cand = runner.replay(prefix_without(&devs, i..i + 1), mask);
+                    assert!(
+                        signature(&cand.outcome) != signature(&min.outcome)
+                            || rank(&cand) >= rank(&run),
+                        "{} seed {seed}: deviation {i} is removable",
+                        trace.scheduler
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! [`Divergence`] for the caller to surface. A clean replay of an
 //! unmodified trace never diverges.
 
+use super::bounded::default_pick;
 use super::decision::DecisionTrace;
 use super::point::PointMask;
 use super::{SchedContext, Scheduler};
@@ -92,12 +93,7 @@ impl Scheduler for ReplayScheduler {
                 wanted: None,
             });
         }
-        // Default continuation: keep the last thread running, else the
-        // lowest-id eligible thread.
-        match ctx.last {
-            Some(prev) if ctx.eligible.contains(&prev) => prev,
-            _ => ctx.eligible[0],
-        }
+        default_pick(ctx.eligible, ctx.last)
     }
 
     fn name(&self) -> &'static str {
@@ -111,8 +107,7 @@ impl Scheduler for ReplayScheduler {
 
 /// Replays `trace` on `program` and returns the result plus the first
 /// divergence, if any. `config.record_decisions` is honored, so a replay
-/// can re-record its own (possibly shorter) canonical trace — the
-/// minimizer relies on this.
+/// can re-record its own canonical trace.
 pub fn run_replay(
     program: &Program,
     config: &MachineConfig,

@@ -5,12 +5,6 @@
 //! * **Bounded and DPOR** candidates carry a forced decision prefix; they
 //!   resume from the deepest retained ancestor of that prefix
 //!   ([`SnapshotTree::lookup`]).
-//! * **Minimization** candidates are lenient replays of an edited trace.
-//!   A [`FrontierScheduler`] forcing the whole candidate falls back exactly
-//!   like a [`ReplayScheduler`](super::ReplayScheduler) on an ineligible
-//!   decision, and every tree key is the decision log of a real run — so a
-//!   candidate agreeing with a key on its first `d` decisions reaches that
-//!   node's state, and resumes there.
 //! * **PCT** runs have no forced prefix, but a PCT pick reads only the
 //!   eligible set and the thread count. Each node stores the eligible set
 //!   of the consult it precedes, and links record runs of single-choice
@@ -23,6 +17,10 @@
 //! schedule-index order, so hits, evictions and the LRU clock are
 //! deterministic and identical across `--jobs`. Workers only ever read
 //! images through the `Arc`.
+//!
+//! [`super::minimize`] uses the runner without a tree: its few candidates
+//! run from step zero ([`Runner::replay`]) on the runner's one
+//! lowering of the program.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -214,6 +212,18 @@ impl<'p> Runner<'p> {
             demotions: 0,
             undo_depth: result.stats.undo_depth,
         }
+    }
+
+    /// Executes `prefix` as a frontier candidate from step zero, capturing
+    /// nothing.
+    pub fn replay(&self, prefix: Vec<u32>, mask: PointMask) -> Executed {
+        let plan = RunPlan {
+            prefix,
+            resume: None,
+            capture: 0,
+            capture_from: 0,
+        };
+        self.frontier(&plan, mask)
     }
 
     /// Executes a PCT run. Its own captures start just past its resume

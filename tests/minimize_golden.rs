@@ -1,12 +1,16 @@
 //! Golden fixtures for the delta-debugging minimizer and the searches.
 //!
-//! Each minimize row was recorded when every minimizer candidate still
-//! replayed from step zero. Candidates now resume from the snapshot tree;
-//! resuming is a pure perf layer, so every app's minimization must
-//! reproduce its row exactly: the candidate count, the minimized length,
-//! the decision hash, the failure signature, and a hash of the whole
-//! serialized report (which also pins the trace's provenance fields and
-//! the full outcome).
+//! Each minimize row was recorded when the minimizer became one ddmin
+//! over the failing run's deviations from the non-preemptive default,
+//! stopping after a single-deviation pass removes nothing. Every app's
+//! minimization must reproduce its row exactly: the candidate count, the
+//! minimized length, the decision hash, the failure signature, and a hash
+//! of the whole serialized report (which also pins the deviation and
+//! preemption counts, the trace's provenance fields and the full
+//! outcome). Beyond its row, each minimization must replay without
+//! divergence to the same outcome, rank no higher than its input in
+//! `(preemptions, deviations, decisions)`, and end on its own well below
+//! a 10 000-replay budget.
 //!
 //! The apps and budgets are the repository benchmark's `explore` workload:
 //! the catalog minus MySQL1/MySQL2, each minimized with its
@@ -24,8 +28,8 @@
 
 use conair::Conair;
 use conair_runtime::{
-    explore, minimize, ExploreConfig, ExplorePhases, ExploreReport, ExploreStrategy, MachineConfig,
-    PointMask, RunOutcome,
+    explore, minimize, run_replay, ExploreConfig, ExplorePhases, ExploreReport, ExploreStrategy,
+    MachineConfig, PointMask, RunOutcome,
 };
 use conair_workloads::{explore_hint, verify_hint, workload_by_name};
 
@@ -43,67 +47,67 @@ struct Golden {
 const GOLDEN: &[Golden] = &[
     Golden {
         app: "FFT",
-        candidates: 8,
+        candidates: 1,
         minimized_len: 4,
         decisions_hash: 0x78a8_83a3_60d1_6049,
         signature: "failed:WrongOutput:None:0",
-        report_hash: 0x45e8_c277_141d_8894,
+        report_hash: 0xcea4_259b_0152_941f,
     },
     Golden {
         app: "HawkNL",
-        candidates: 32,
+        candidates: 2,
         minimized_len: 19,
-        decisions_hash: 0xecf6_5721_8e30_2a38,
+        decisions_hash: 0xe6b3_1dae_b11f_56b8,
         signature: "hang",
-        report_hash: 0xdf1a_4bee_be37_6a74,
+        report_hash: 0xc7a3_6e03_5ce2_35d7,
     },
     Golden {
         app: "HTTrack",
-        candidates: 8,
+        candidates: 1,
         minimized_len: 3,
         decisions_hash: 0x59f4_5999_1df6_2439,
         signature: "failed:SegFault:None:0",
-        report_hash: 0x96eb_1243_5d6f_f65b,
+        report_hash: 0x7030_2076_200e_90cc,
     },
     Golden {
         app: "MozillaXP",
-        candidates: 8,
+        candidates: 1,
         minimized_len: 3,
         decisions_hash: 0x59f4_5999_1df6_2439,
         signature: "failed:SegFault:None:0",
-        report_hash: 0xf488_b842_77d0_c581,
+        report_hash: 0x4e55_feb9_34f3_1dfa,
     },
     Golden {
         app: "MozillaJS",
-        candidates: 64,
+        candidates: 2,
         minimized_len: 33,
         decisions_hash: 0x7691_3d14_8f63_f298,
         signature: "hang",
-        report_hash: 0xd4d8_9bc5_2991_4717,
+        report_hash: 0xd3d2_5aff_a11e_635f,
     },
     Golden {
         app: "Transmission",
-        candidates: 8,
+        candidates: 1,
         minimized_len: 3,
         decisions_hash: 0x59f4_5999_1df6_2439,
         signature: "failed:AssertionViolation:None:0",
-        report_hash: 0x19cb_ef3e_e816_ac98,
+        report_hash: 0x0297_edd0_0ef9_c46d,
     },
     Golden {
         app: "SQLite",
-        candidates: 32,
+        candidates: 2,
         minimized_len: 16,
-        decisions_hash: 0xb577_edd2_a253_9eb8,
+        decisions_hash: 0xec92_2e0c_06ca_ac18,
         signature: "hang",
-        report_hash: 0x27fe_1700_5187_8f36,
+        report_hash: 0x3eaf_fea9_aaca_e5d1,
     },
     Golden {
         app: "ZSNES",
-        candidates: 8,
+        candidates: 1,
         minimized_len: 4,
         decisions_hash: 0x78a8_83a3_60d1_6049,
         signature: "failed:AssertionViolation:None:0",
-        report_hash: 0x20ad_bd56_44ee_23df,
+        report_hash: 0x0ab5_b56d_6171_60b0,
     },
 ];
 
@@ -312,6 +316,9 @@ fn signature(outcome: &RunOutcome) -> String {
     }
 }
 
+/// Replay budget no minimization may reach.
+const UNBINDING_BUDGET: usize = 10_000;
+
 fn check(golden: &Golden) {
     let name = golden.app;
     let w = workload_by_name(name).expect("registered workload");
@@ -343,6 +350,35 @@ fn check(golden: &Golden) {
             golden.report_hash,
         ),
         "{name}: minimization drifted from its golden fixture"
+    );
+
+    let (replayed, divergence) = run_replay(&w.program, &config, &min.trace);
+    assert_eq!(divergence, None, "{name}: minimized replay diverged");
+    assert_eq!(
+        replayed.outcome, min.outcome,
+        "{name}: minimized replay drifted"
+    );
+    assert!(
+        (
+            min.minimized_preemptions,
+            min.minimized_deviations,
+            min.minimized_len
+        ) <= (
+            min.original_preemptions,
+            min.original_deviations,
+            min.original_len
+        ),
+        "{name}: minimization ranks above its input"
+    );
+    let unbound = minimize(&w.program, &config, &found.trace, UNBINDING_BUDGET)
+        .unwrap_or_else(|e| panic!("{name}: minimize failed: {e}"));
+    assert!(
+        unbound.candidates < UNBINDING_BUDGET,
+        "{name}: minimization used its whole budget"
+    );
+    assert_eq!(
+        unbound, min,
+        "{name}: the hint budget cut minimization short"
     );
 }
 
