@@ -224,6 +224,21 @@ fn hardened_trials_summary_matches_golden() {
     let _ = std::fs::remove_file(hardened);
 }
 
+/// The hardened `deadlock.cir` over 64 consult-every-step trials: blocked
+/// threads keep the eligibility set uncacheable, and timed-lock timeouts
+/// roll back and mark it stale. The summary hashes to the value recorded
+/// before the cache was kept under schedule gates.
+#[test]
+fn hardened_deadlock_trials_summary_matches_golden() {
+    let hardened = std::env::temp_dir().join("conair_cli_golden_deadlock.cir");
+    let hardened = hardened.to_string_lossy().into_owned();
+    cli(&["harden", &asset("deadlock.cir"), "-o", &hardened]).unwrap();
+    let out = cli(&["run", &hardened, "--trials", "64", "--jobs", "1"]).unwrap();
+    assert!(out.contains("64 completed"), "{out}");
+    assert_eq!(fnv1a(out.as_bytes()), 0xc2bd_d43c_74d9_8db9, "{out}");
+    let _ = std::fs::remove_file(hardened);
+}
+
 /// The keep-going bounded search of `deadlock.cir` writes a report that,
 /// with its wall-clock fields zeroed, hashes to the value recorded while
 /// the legacy per-step interpreter walk was still diffed against the

@@ -141,8 +141,8 @@ impl StepEffect {
 ///
 /// The image is complete: shared memory, lock table, every thread's
 /// frames/undo-log/compensation state, outputs, marker counts, per-site
-/// recovery books, the backoff RNG, the cold run counters, and the
-/// decision log so far.
+/// recovery books, the backoff RNG, the cold run counters and the
+/// context-switch count, and the decision log so far.
 /// What it deliberately excludes is re-derivable from the program and
 /// config: the dense lowering, the compiled schedule script, and the
 /// scratch eligibility buffers.
@@ -169,6 +169,7 @@ pub struct MachineSnapshot {
     aux_work: u64,
     backoff_rng: SmallRng,
     cold: Arc<RunStats>,
+    context_switches: u64,
     last_picked: Option<ThreadId>,
     rolled_back: CowCell<Vec<bool>>,
     pending_wait: Option<(LockId, u64)>,
@@ -215,12 +216,12 @@ impl MachineSnapshot {
     /// timed-wait and compensation work.
     ///
     /// Scheduler bookkeeping that does not describe the program state —
-    /// `last_picked`, the decision log, the backoff RNG — and the cold run
-    /// counters are deliberately excluded: the independence property test
-    /// compares states reached by swapping two adjacent *independent*
-    /// steps, and a swap permutes exactly those fields while the program
-    /// state must come out identical (the commutation axiom DPOR's
-    /// soundness rests on).
+    /// `last_picked`, the decision log, the backoff RNG — and the run
+    /// counters (cold and context-switch) are deliberately excluded: the
+    /// independence property test compares states reached by swapping two
+    /// adjacent *independent* steps, and a swap permutes exactly those
+    /// fields while the program state must come out identical (the
+    /// commutation axiom DPOR's soundness rests on).
     pub fn state_eq(&self, other: &MachineSnapshot) -> bool {
         self.step == other.step
             && self.memory.content_eq(&other.memory)
@@ -356,7 +357,9 @@ pub struct Machine<'p> {
     /// Whether any compiled gate could still hold a thread. Marker counts
     /// only grow, so this goes `false` at most once per run (re-evaluated
     /// only when a marker executes) — after which the per-step eligibility
-    /// path treats the script as empty and the eligibility cache engages.
+    /// path treats the script as empty. While it is set, a marker hit and
+    /// the running thread's arrival at a marker pc mark the eligibility
+    /// cache stale, since a gate's hold moves only with those two.
     gates_active: bool,
     /// Output stream: sealed-chunk CoW, so a capture shares all history
     /// chunks and copies only the short tail.
@@ -376,10 +379,14 @@ pub struct Machine<'p> {
     aux_work: u64,
     backoff_rng: SmallRng,
     /// The [`RunStats`] fields bumped off the hot path — the rollback,
-    /// lock-wait and undo-depth histograms and the compensation,
-    /// re-execution and context-switch counters. `Arc` so a capture shares
-    /// them; the hot fields are filled in at run end.
+    /// lock-wait and undo-depth histograms and the compensation and
+    /// re-execution counters. `Arc` so a capture shares them; the hot
+    /// fields are filled in at run end.
     cold: Arc<RunStats>,
+    /// Scheduler switches between threads — bumped on a large share of
+    /// consult-every-step steps, so a plain counter beside `cold` rather
+    /// than a field behind its `Arc`; folded into [`RunStats`] at run end.
+    context_switches: u64,
     /// Thread the scheduler ran last step (context-switch detection).
     last_picked: Option<ThreadId>,
     /// Per-thread flag: rolled back since its last checkpoint execution
@@ -396,11 +403,12 @@ pub struct Machine<'p> {
     /// transition; while clear (and the last fill found the set cacheable)
     /// the per-step refill is skipped entirely.
     eligible_stale: bool,
-    /// Whether the last fill produced a set that stays valid until a
-    /// status transition: no schedule gates (a gate hold moves with each
-    /// thread's pc) and every thread `Runnable`/`Done` (blocked and
-    /// sleeping threads' eligibility shifts with locks and the step
-    /// counter).
+    /// Whether the last fill produced a set that stays valid until it is
+    /// marked stale: every thread `Runnable`/`Done` (blocked and sleeping
+    /// threads' eligibility shifts with locks and the step counter).
+    /// Schedule gates do not disable it: a hold depends only on marker
+    /// counts and the held thread's pc, so a marker hit marks the set
+    /// stale, and so does the running thread stopping at a marker pc.
     eligible_cacheable: bool,
     /// Whether any thread may be blocked on a *timed* lock — lets the
     /// per-step timeout scan bail without touching the thread list. Set on
@@ -488,6 +496,7 @@ impl<'p> Machine<'p> {
             aux_work: 0,
             backoff_rng: SmallRng::seed_from_u64(backoff_seed),
             cold: Arc::new(RunStats::default()),
+            context_switches: 0,
             last_picked: None,
             rolled_back: CowCell::new(vec![false; thread_count]),
             pending_wait: None,
@@ -539,6 +548,7 @@ impl<'p> Machine<'p> {
             aux_work: self.aux_work,
             backoff_rng: self.backoff_rng.clone(),
             cold: Arc::clone(&self.cold),
+            context_switches: self.context_switches,
             last_picked: self.last_picked,
             rolled_back: self.rolled_back.share(),
             pending_wait: self.pending_wait,
@@ -578,6 +588,7 @@ impl<'p> Machine<'p> {
         self.aux_work = snap.aux_work;
         self.backoff_rng = snap.backoff_rng.clone();
         self.cold = Arc::clone(&snap.cold);
+        self.context_switches = snap.context_switches;
         self.last_picked = snap.last_picked;
         self.rolled_back = snap.rolled_back.clone();
         self.pending_wait = snap.pending_wait;
@@ -773,6 +784,7 @@ impl<'p> Machine<'p> {
             snapshot_wall: self.capture_wall,
             wait_edges: self.wait_edges,
             wall: start.elapsed(),
+            context_switches: self.context_switches,
             ..unwrap_arc(self.cold)
         };
         let captured = self.capture.map(|c| c.out).unwrap_or_default();
@@ -891,7 +903,7 @@ impl<'p> Machine<'p> {
             );
             if self.last_picked != Some(tid) {
                 if self.last_picked.is_some() {
-                    Arc::make_mut(&mut self.cold).context_switches += 1;
+                    self.context_switches += 1;
                 }
                 let from = self.last_picked;
                 let step = self.step;
@@ -926,15 +938,34 @@ impl<'p> Machine<'p> {
 
     /// Refills the eligibility buffer with the threads that can execute an
     /// instruction this step. Skipped when the previous fill is provably
-    /// still valid: no schedule gates, every thread `Runnable` or `Done`,
-    /// and no status transition since (`eligible_stale`).
+    /// still valid: every thread `Runnable` or `Done`, no status transition
+    /// and no marker hit under active gates since (`eligible_stale`), and
+    /// the thread that ran last not stopped at a marker pc where a gate
+    /// could now hold it. No other thread moved, so no other hold changed.
     fn fill_eligible(&mut self) {
-        if self.eligible_cacheable && !self.eligible_stale {
+        if self.eligible_cacheable && !self.eligible_stale && !self.last_picked_at_marker() {
+            debug_assert_eq!(
+                self.eligible,
+                self.compute_eligible(Vec::new()).0,
+                "cached eligible set diverged from a recompute at step {}",
+                self.step
+            );
             return;
         }
+        let buf = std::mem::take(&mut self.eligible);
+        let (out, all_settled) = self.compute_eligible(buf);
+        self.eligible = out;
+        // An empty set feeds the completion/hang detection — never cache it.
+        self.eligible_cacheable = all_settled && !self.eligible.is_empty();
+        self.eligible_stale = false;
+    }
+
+    /// The threads that can execute an instruction this step, written into
+    /// `out` (cleared first), and whether every thread is `Runnable` or
+    /// `Done`.
+    fn compute_eligible(&self, mut out: Vec<ThreadId>) -> (Vec<ThreadId>, bool) {
         let gates = self.gates_active;
         let mut all_settled = true;
-        let mut out = std::mem::take(&mut self.eligible);
         out.clear();
         for t in &self.threads {
             let ok = match t.status {
@@ -953,10 +984,24 @@ impl<'p> Machine<'p> {
                 out.push(t.id);
             }
         }
-        self.eligible = out;
-        // An empty set feeds the completion/hang detection — never cache it.
-        self.eligible_cacheable = !gates && all_settled && !self.eligible.is_empty();
-        self.eligible_stale = false;
+        (out, all_settled)
+    }
+
+    /// Whether gates are active and the thread that ran last now sits at a
+    /// marker pc — the one way a hold can start without a marker hit.
+    #[inline]
+    fn last_picked_at_marker(&self) -> bool {
+        if !self.gates_active {
+            return false;
+        }
+        let Some(tid) = self.last_picked else {
+            return false;
+        };
+        let t = &self.threads[tid.index()];
+        !t.frames.is_empty() && {
+            let frame = t.top();
+            self.dense.func(frame.func).marker_id(frame.pc).is_some()
+        }
     }
 
     /// Refills the footprint buffer for the current eligible set (decision
@@ -1051,10 +1096,12 @@ impl<'p> Machine<'p> {
 
     /// Re-evaluates `gates_active` after a marker count increment: a hit on
     /// some gate's `until` marker may release it for good (counts never
-    /// decrease during a run), letting the eligibility cache engage.
+    /// decrease during a run). While gates are active the count change may
+    /// release a held thread, so the eligibility cache goes stale.
     #[inline]
     fn note_marker_hit(&mut self) {
         if self.gates_active {
+            self.eligible_stale = true;
             self.gates_active = self
                 .compiled_script
                 .any_unreleased(self.marker_counts.get());
