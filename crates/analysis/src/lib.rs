@@ -36,7 +36,7 @@
 //! mb.function(fb.finish());
 //! let module = mb.finish();
 //!
-//! let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+//! let plan = analyze(&module, &AnalysisConfig::default());
 //! assert_eq!(plan.sites.len(), 1);
 //! assert_eq!(plan.checkpoints.len(), 1); // one checkpoint at the entrance
 //! ```

@@ -19,8 +19,9 @@ use crate::region::find_reexec_points;
 use crate::sites::{identify_sites, FailureSite, SiteSelection};
 use crate::slicing::slice_in_region;
 
-/// Configuration for the whole analysis.
-#[derive(Debug, Clone, Default)]
+/// Configuration for the whole analysis — and of a `conair::Conair`
+/// hardening pipeline, which holds one.
+#[derive(Debug, Clone)]
 pub struct AnalysisConfig {
     /// Survival or fix mode (Section 3.1).
     pub selection: SiteSelection,
@@ -33,10 +34,10 @@ pub struct AnalysisConfig {
     pub interproc_depth: Option<usize>,
 }
 
-impl AnalysisConfig {
-    /// The paper's default configuration: survival mode, compensated
-    /// regions, optimization on, inter-procedural depth 3.
-    pub fn survival_defaults() -> Self {
+impl Default for AnalysisConfig {
+    /// The paper's configuration: survival mode, compensated regions,
+    /// optimization on, inter-procedural depth 3.
+    fn default() -> Self {
         Self {
             selection: SiteSelection::Survival,
             policy: RegionPolicy::Compensated,
@@ -44,12 +45,14 @@ impl AnalysisConfig {
             interproc_depth: Some(3),
         }
     }
+}
 
-    /// Fix-mode defaults for a set of failure markers.
+impl AnalysisConfig {
+    /// The paper's configuration in fix mode, for a set of failure markers.
     pub fn fix_defaults(markers: Vec<String>) -> Self {
         Self {
             selection: SiteSelection::Fix(markers),
-            ..Self::survival_defaults()
+            ..Self::default()
         }
     }
 }
@@ -265,6 +268,15 @@ mod tests {
     use super::*;
     use conair_ir::{CmpKind, FuncBuilder, ModuleBuilder, Operand};
 
+    #[test]
+    fn default_is_the_papers_configuration() {
+        let c = AnalysisConfig::default();
+        assert_eq!(c.selection, SiteSelection::Survival);
+        assert_eq!(c.policy, RegionPolicy::Compensated);
+        assert!(c.optimize);
+        assert_eq!(c.interproc_depth, Some(3));
+    }
+
     /// A module with one site of each kind plus an unrecoverable deadlock
     /// site and an unrecoverable assert.
     fn mixed_module() -> Module {
@@ -303,7 +315,7 @@ mod tests {
     #[test]
     fn plan_counts_and_verdicts() {
         let m = mixed_module();
-        let plan = analyze(&m, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&m, &AnalysisConfig::default());
         assert_eq!(
             plan.stats.sites_by_kind[&FailureKind::AssertionViolation],
             2
@@ -326,14 +338,16 @@ mod tests {
     #[test]
     fn disabling_optimization_keeps_all_sites() {
         let m = mixed_module();
-        let mut cfg = AnalysisConfig::survival_defaults();
-        cfg.optimize = false;
+        let cfg = AnalysisConfig {
+            optimize: false,
+            ..AnalysisConfig::default()
+        };
         let plan = analyze(&m, &cfg);
         assert_eq!(plan.stats.recoverable_sites, plan.sites.len());
         assert_eq!(plan.stats.removed_deadlock_sites, 0);
         assert_eq!(plan.stats.removed_non_deadlock_sites, 0);
 
-        let optimized = analyze(&m, &AnalysisConfig::survival_defaults());
+        let optimized = analyze(&m, &AnalysisConfig::default());
         assert!(
             optimized.stats.static_points <= plan.stats.static_points,
             "optimization never adds points"
@@ -343,7 +357,7 @@ mod tests {
     #[test]
     fn checkpoints_are_deduped_and_sorted() {
         let m = mixed_module();
-        let plan = analyze(&m, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&m, &AnalysisConfig::default());
         let mut sorted = plan.checkpoints.clone();
         sorted.sort();
         sorted.dedup();
@@ -373,7 +387,7 @@ mod tests {
         let plan = analyze(&m, &AnalysisConfig::fix_defaults(vec!["the_bug".into()]));
         assert_eq!(plan.sites.len(), 1);
         assert_eq!(plan.sites[0].site.kind, FailureKind::AssertionViolation);
-        let survival = analyze(&m, &AnalysisConfig::survival_defaults());
+        let survival = analyze(&m, &AnalysisConfig::default());
         assert!(survival.sites.len() > plan.sites.len());
     }
 
@@ -394,7 +408,7 @@ mod tests {
         mb.function(fb.finish());
         let m = mb.finish();
 
-        let plan = analyze(&m, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&m, &AnalysisConfig::default());
         let seg = plan
             .sites
             .iter()
@@ -408,8 +422,10 @@ mod tests {
         // With inter-procedural analysis disabled the point stays at the
         // callee entrance, and the optimization then removes the site
         // (no shared read reachable intra-procedurally).
-        let mut cfg = AnalysisConfig::survival_defaults();
-        cfg.interproc_depth = None;
+        let cfg = AnalysisConfig {
+            interproc_depth: None,
+            ..AnalysisConfig::default()
+        };
         let plan2 = analyze(&m, &cfg);
         let seg2 = plan2
             .sites
@@ -423,7 +439,7 @@ mod tests {
     #[test]
     fn point_class_attribution() {
         let m = mixed_module();
-        let plan = analyze(&m, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&m, &AnalysisConfig::default());
         let dl = plan.points_for_class(true);
         let ndl = plan.points_for_class(false);
         assert!(!ndl.is_empty());

@@ -28,9 +28,9 @@ fn hardened_module_reanalyzes_consistently() {
     mb.function(fb.finish());
     let module = mb.finish();
 
-    let plan1 = analyze(&module, &AnalysisConfig::survival_defaults());
+    let plan1 = analyze(&module, &AnalysisConfig::default());
     let hardened = harden(module, &plan1);
-    let plan2 = analyze(&hardened.module, &AnalysisConfig::survival_defaults());
+    let plan2 = analyze(&hardened.module, &AnalysisConfig::default());
 
     for kind in FailureKind::ALL {
         let count = |plan: &conair_analysis::HardeningPlan| {
@@ -67,7 +67,7 @@ fn deadlock_site_promotes_across_call() {
     mb.function(fb.finish());
     let module = mb.finish();
 
-    let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+    let plan = analyze(&module, &AnalysisConfig::default());
     let inner_site = plan
         .sites
         .iter()
@@ -83,8 +83,10 @@ fn deadlock_site_promotes_across_call() {
 
     // Without inter-procedural analysis the site is unrecoverable
     // (Figure 7a) and disappears entirely.
-    let mut cfg = AnalysisConfig::survival_defaults();
-    cfg.interproc_depth = None;
+    let cfg = AnalysisConfig {
+        interproc_depth: None,
+        ..AnalysisConfig::default()
+    };
     let plan2 = analyze(&module, &cfg);
     let inner_site2 = plan2
         .sites
@@ -116,8 +118,8 @@ fn plans_are_local() {
         }
         mb.finish()
     };
-    let small = analyze(&build(false), &AnalysisConfig::survival_defaults());
-    let big = analyze(&build(true), &AnalysisConfig::survival_defaults());
+    let small = analyze(&build(false), &AnalysisConfig::default());
+    let big = analyze(&build(true), &AnalysisConfig::default());
     // The original assert site keeps identical points.
     assert_eq!(small.sites[0].points, big.sites[0].points);
     assert_eq!(small.sites[0].verdict, big.sites[0].verdict);
@@ -146,7 +148,7 @@ fn strict_regions_are_subsets_of_compensated() {
             &module,
             &AnalysisConfig {
                 policy,
-                ..AnalysisConfig::survival_defaults()
+                ..AnalysisConfig::default()
             },
         )
     };
@@ -173,7 +175,7 @@ fn transform_site_ids_are_dense_and_valid() {
     fb.ret();
     mb.function(fb.finish());
     let module = mb.finish();
-    let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+    let plan = analyze(&module, &AnalysisConfig::default());
     let hardened = harden(module, &plan);
     for (_, inst) in hardened.module.iter_insts() {
         match inst {

@@ -7,7 +7,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use conair::{Conair, ConairConfig};
+use conair::{AnalysisConfig, Conair};
 use conair_bench::{micros, TextTable};
 use conair_workloads::workload_by_name;
 
@@ -31,9 +31,9 @@ fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
 
 fn main() {
     let full = Conair::survival();
-    let intra = Conair::with_config(ConairConfig {
+    let intra = Conair::with_config(AnalysisConfig {
         interproc_depth: None,
-        ..ConairConfig::default()
+        ..AnalysisConfig::default()
     });
     let mut t = TextTable::new(vec![
         "App.",

@@ -16,9 +16,10 @@ pub struct BenchConfig {
     pub overhead_trials: usize,
     /// First scheduler seed.
     pub seed0: u64,
-    /// Worker threads for trial fan-out (`run_trials_parallel`). `1` keeps
-    /// everything on the calling thread. Results are merged in seed order,
-    /// so any job count produces the same numbers.
+    /// Worker threads for trial fan-out (`run_trials`, clamped to the
+    /// host's available parallelism). `1` keeps everything on the calling
+    /// thread. Results are merged in seed order, so any job count produces
+    /// the same numbers.
     pub jobs: usize,
     /// Pinned nanoseconds-per-step conversion for the time columns. When
     /// unset, each experiment derives it from its own wall clock — fine for

@@ -2,12 +2,12 @@
 //! structured data the binaries render (and the integration tests assert
 //! shapes over).
 
-use conair::{Conair, ConairConfig, Mode};
+use conair::{AnalysisConfig, Conair};
 use conair_analysis::RegionPolicy;
 use conair_ir::FailureKind;
 use conair_runtime::{
-    measure_restart, run_scripted, run_trials_parallel, MachineConfig, RunOutcome, RunResult,
-    TrialPool,
+    measure_overhead, measure_restart, run_scripted, run_trials, MachineConfig, Program,
+    RunOutcome, RunResult, TrialPool,
 };
 use conair_workloads::{all_workloads, build_micro, AtomicityPattern, Workload};
 
@@ -43,7 +43,7 @@ pub fn table3(cfg: &BenchConfig) -> Vec<Table3Row> {
 
 fn all_trials_recover(
     w: &Workload,
-    program: &conair_runtime::Program,
+    program: &Program,
     machine: &MachineConfig,
     cfg: &BenchConfig,
 ) -> bool {
@@ -53,37 +53,24 @@ fn all_trials_recover(
     })
 }
 
+/// Work overhead of `hardened` over `w`'s original program on
+/// seed-paired benign runs (paper methodology: same input, no failure
+/// during measurement).
 fn overhead_vs_original(
     w: &Workload,
-    hardened: &conair_runtime::Program,
+    hardened: &Program,
     machine: &MachineConfig,
     cfg: &BenchConfig,
-) -> (f64, f64) {
-    // Benign-interleaving runs, seed-paired (paper methodology: same input,
-    // no failure during measurement).
-    let mut base = 0u64;
-    let mut hard = 0u64;
-    let mut points = 0u64;
-    for i in 0..cfg.overhead_trials {
-        let seed = cfg.seed0 + 1000 + i as u64;
-        let b = run_scripted(&w.program, machine, &w.benign_script, seed);
-        let h = run_scripted(hardened, machine, &w.benign_script, seed);
-        assert!(
-            b.outcome.is_completed() && h.outcome.is_completed(),
-            "{}: overhead runs must not fail ({:?}/{:?})",
-            w.meta.name,
-            b.outcome,
-            h.outcome
-        );
-        base += b.stats.insts + b.stats.aux_work;
-        hard += h.stats.insts + h.stats.aux_work;
-        points += h.stats.checkpoints;
-    }
-    let overhead = (hard as f64 - base as f64) / base as f64;
-    (
-        overhead.max(0.0),
-        points as f64 / cfg.overhead_trials.max(1) as f64,
+) -> f64 {
+    measure_overhead(
+        &w.program,
+        hardened,
+        machine,
+        &w.benign_script,
+        cfg.seed0 + 1000,
+        cfg.overhead_trials,
     )
+    .overhead
 }
 
 fn table3_row(w: &Workload, cfg: &BenchConfig) -> Table3Row {
@@ -91,8 +78,8 @@ fn table3_row(w: &Workload, cfg: &BenchConfig) -> Table3Row {
     let survival = Conair::survival().harden(&w.program);
     let fix = Conair::fix(w.fix_markers.clone()).harden(&w.program);
 
-    let (survival_overhead, _) = overhead_vs_original(w, &survival.program, &machine, cfg);
-    let (fix_overhead, _) = overhead_vs_original(w, &fix.program, &machine, cfg);
+    let survival_overhead = overhead_vs_original(w, &survival.program, &machine, cfg);
+    let fix_overhead = overhead_vs_original(w, &fix.program, &machine, cfg);
 
     Table3Row {
         app: w.meta.name,
@@ -183,7 +170,7 @@ pub fn table5(cfg: &BenchConfig) -> Vec<Table5Row> {
         .map(|w| {
             let survival = Conair::survival().harden(&w.program);
             let fix = Conair::fix(w.fix_markers.clone()).harden(&w.program);
-            let run = |p: &conair_runtime::Program| {
+            let run = |p: &Program| {
                 run_scripted(p, &machine, &w.benign_script, cfg.seed0)
                     .stats
                     .checkpoints
@@ -230,7 +217,10 @@ pub fn table6(cfg: &BenchConfig) -> Vec<Table6Row> {
         .iter()
         .map(|w| {
             let optimized = Conair::survival();
-            let unoptimized = Conair::with_config(Conair::builder().optimize(false).build());
+            let unoptimized = Conair::with_config(AnalysisConfig {
+                optimize: false,
+                ..AnalysisConfig::default()
+            });
             let plan_opt = optimized.analyze(&w.program.module);
             let plan_unopt = unoptimized.analyze(&w.program.module);
 
@@ -334,7 +324,7 @@ pub fn table7(cfg: &BenchConfig) -> Vec<Table7Row> {
             // pins the headline numbers to seed0, matching older reports).
             // The fan-out merges per-seed results in seed order, so the
             // summary is identical for any job count.
-            let summary = run_trials_parallel(
+            let summary = run_trials(
                 &hardened.program,
                 &machine,
                 &w.bug_script,
@@ -401,10 +391,9 @@ pub fn figure2(cfg: &BenchConfig) -> Vec<Figure2Cell> {
         for policy in RegionPolicy::ALL {
             let m = build_micro(pattern);
             let orig = run_scripted(&m.program, &machine, &m.bug_script, cfg.seed0);
-            let pipeline = Conair::with_config(ConairConfig {
-                mode: Mode::Survival,
+            let pipeline = Conair::with_config(AnalysisConfig {
                 policy,
-                ..ConairConfig::default()
+                ..AnalysisConfig::default()
             });
             let hardened = pipeline.harden(&m.program);
             let mut run_machine = machine;
@@ -455,9 +444,9 @@ pub fn figure4(cfg: &BenchConfig) -> Vec<Figure4Point> {
         let mut recovery_steps = Vec::new();
         for pattern in AtomicityPattern::ALL {
             let m = build_micro(pattern);
-            let pipeline = Conair::with_config(ConairConfig {
+            let pipeline = Conair::with_config(AnalysisConfig {
                 policy,
-                ..ConairConfig::default()
+                ..AnalysisConfig::default()
             });
             let hardened = pipeline.harden(&m.program);
             let mut rm = machine;
@@ -476,14 +465,14 @@ pub fn figure4(cfg: &BenchConfig) -> Vec<Figure4Point> {
         let pool = TrialPool::new(cfg.jobs);
         let overheads: Vec<f64> = pool.map(workloads.len(), |i| {
             let w = &workloads[i];
-            let pipeline = Conair::with_config(ConairConfig {
+            let pipeline = Conair::with_config(AnalysisConfig {
                 policy,
-                ..ConairConfig::default()
+                ..AnalysisConfig::default()
             });
             let hardened = pipeline.harden(&w.program);
             let mut rm = machine;
             rm.buffered_writes = policy == RegionPolicy::BufferedWrites;
-            overhead_vs_original(w, &hardened.program, &rm, cfg).0
+            overhead_vs_original(w, &hardened.program, &rm, cfg)
         });
         out.push(Figure4Point {
             label: policy.name(),

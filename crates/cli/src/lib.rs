@@ -55,13 +55,13 @@
 
 use std::fmt::Write as _;
 
-use conair::{Conair, ConairConfig, Mode};
+use conair::{AnalysisConfig, Conair, SiteSelection};
 use conair_ir::{parse_module, validate, validate_hardened, FailureKind, Module};
 use conair_runtime::{
-    explore_observed, from_jsonl, minimize, run_replay, run_trials_parallel, run_with,
-    summarize_events, to_chrome_trace, to_jsonl, DecisionTrace, EventBuffer, ExploreConfig,
-    ExploreObserver, ExploreReport, ExploreStrategy, MachineConfig, PctConfig, PctScheduler,
-    PointMask, Program, RoundRobin, RunOutcome, RunResult, ScheduleScript, Scheduler, SeededRandom,
+    explore_observed, from_jsonl, minimize, run_replay, run_trials, summarize_events,
+    to_chrome_trace, to_jsonl, DecisionTrace, EventBuffer, ExploreConfig, ExploreObserver,
+    ExploreReport, ExploreStrategy, Machine, MachineConfig, PctConfig, PctScheduler, PointMask,
+    Program, RoundRobin, RunOutcome, RunResult, ScheduleScript, Scheduler, SeededRandom,
     TraceEvent, TraceSink,
 };
 
@@ -194,8 +194,6 @@ pub struct ExploreOptions {
     /// Retained snapshots in the prefix-sharing tree (0 disables it;
     /// reports are bit-identical at any value).
     pub snapshot_budget: usize,
-    /// Pin the wave width instead of the adaptive ramp.
-    pub wave: Option<usize>,
     /// Print a live progress ticker to stderr, sampled at most every this
     /// many milliseconds (0 = every wave).
     pub progress: Option<u64>,
@@ -233,7 +231,6 @@ impl Default for ExploreOptions {
             out: None,
             report_out: None,
             snapshot_budget: 8192,
-            wave: None,
             progress: None,
             progress_out: None,
             metrics_out: None,
@@ -345,7 +342,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut keep_going = false;
     let mut report_out: Option<String> = None;
     let mut snapshot_budget = 8192usize;
-    let mut wave: Option<usize> = None;
     let mut progress: Option<u64> = None;
     let mut progress_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -493,14 +489,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| CliError::new("--snapshot-budget needs a number (0 disables)"))?
             }
-            "--wave" => {
-                wave = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| CliError::new("--wave needs a number >= 1"))?,
-                )
-            }
             "--report-out" => {
                 report_out = Some(
                     it.next()
@@ -590,7 +578,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 out: output,
                 report_out,
                 snapshot_budget,
-                wave,
                 progress,
                 progress_out,
                 metrics_out,
@@ -621,7 +608,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 out: output,
                 report_out,
                 snapshot_budget,
-                wave,
                 progress,
                 progress_out,
                 metrics_out,
@@ -659,8 +645,9 @@ pub const USAGE: &str =
           --threads defaults to every zero-parameter function;
           --trace-depth defaults to 16 (0 disables failure location traces);
           --trials N > 1 runs seeds seed..seed+N and prints an aggregate
-          summary; --jobs N spreads the trials over N worker threads
-          (the summary is identical for any job count);
+          summary; --jobs N spreads the trials over N worker threads,
+          at most one per core (the summary is identical for any job
+          count);
           --replay re-executes a recorded decision trace bit-identically;
           --record writes the run's decision trace for later --replay
   explore <file.cir> [--harden [--fix M]...] [--threads f1,f2]
@@ -668,7 +655,7 @@ pub const USAGE: &str =
           [--depth D] [--points sync|shared|all] [--seed N] [--jobs N]
           [--minimize] [--keep-going] [-o trace.json]
           [--max-retries N] [--retry-backoff]
-          [--report-out report.json] [--snapshot-budget N] [--wave N]
+          [--report-out report.json] [--snapshot-budget N]
           [--progress[=MS]] [--progress-out p.jsonl] [--metrics-out m.prom]
           searches schedules for a failing interleaving; the first failing
           trace is written to -o (delta-debugged first with --minimize);
@@ -677,8 +664,6 @@ pub const USAGE: &str =
           search resumes schedules from (default 8192 CoW images,
           0 disables it; reports are bit-identical at any value; resident
           bytes are additionally capped, so deep trees stay cheap);
-          --wave pins the fan-out wave
-          width instead of the adaptive 16..256 ramp;
           --progress prints a live stderr ticker (sampled every MS ms,
           default 500, 0 = every wave); --progress-out records the
           progress/wave event stream as JSONL for `stats` or `report`;
@@ -723,15 +708,15 @@ fn load(text: &str) -> Result<Module, CliError> {
 }
 
 fn pipeline(fix_markers: &[String], no_optimize: bool, no_interproc: bool) -> Conair {
-    Conair::with_config(ConairConfig {
-        mode: if fix_markers.is_empty() {
-            Mode::Survival
+    Conair::with_config(AnalysisConfig {
+        selection: if fix_markers.is_empty() {
+            SiteSelection::Survival
         } else {
-            Mode::Fix(fix_markers.to_vec())
+            SiteSelection::Fix(fix_markers.to_vec())
         },
         optimize: !no_optimize,
         interproc_depth: if no_interproc { None } else { Some(3) },
-        ..ConairConfig::default()
+        ..AnalysisConfig::default()
     })
 }
 
@@ -957,7 +942,7 @@ pub fn cmd_run(
                 "run: --trace records a single run; use --trials 1",
             ));
         }
-        let s = run_trials_parallel(
+        let s = run_trials(
             &program,
             &config,
             &ScheduleScript::none(),
@@ -1003,11 +988,11 @@ pub fn cmd_run(
 
     let buffer = EventBuffer::new();
     let mut sched = make_scheduler(&opts.scheduler, opts.seed)?;
-    let r = if opts.trace.is_some() {
-        run_traced_with(&program, &config, sched.as_mut(), Box::new(buffer.clone()))
-    } else {
-        run_with(&program, &config, &ScheduleScript::none(), sched.as_mut())
-    };
+    let mut machine = Machine::new(&program, config);
+    if opts.trace.is_some() {
+        machine = machine.with_sink(Box::new(buffer.clone()));
+    }
+    let r = machine.run(sched.as_mut());
 
     render_outcome(&mut out, &program, &r, opts.steps);
     if r.stats.rollbacks > 0 {
@@ -1039,19 +1024,6 @@ pub fn cmd_run(
     }
     finish_recording(&mut out, &mut files, opts, r.decisions)?;
     Ok((out, files))
-}
-
-/// Runs once with an arbitrary scheduler *and* a trace sink (the harness
-/// helpers fix one or the other).
-fn run_traced_with(
-    program: &Program,
-    config: &MachineConfig,
-    scheduler: &mut dyn Scheduler,
-    sink: Box<dyn conair_runtime::TraceSink>,
-) -> RunResult {
-    conair_runtime::Machine::new(program, *config)
-        .with_sink(sink)
-        .run(scheduler)
 }
 
 /// Appends the outcome/output section of a run report.
@@ -1251,7 +1223,6 @@ fn explore_inner(
     ec.seed = opts.seed;
     ec.stop_at_first = !opts.keep_going;
     ec.snapshot_budget = opts.snapshot_budget;
-    ec.wave = opts.wave;
 
     // The observatory: construct an observer only when asked, so the plain
     // path keeps the zero-cost discipline.
@@ -2300,8 +2271,6 @@ bb0:
                 "r.json",
                 "--snapshot-budget",
                 "64",
-                "--wave",
-                "8",
             ]))
             .unwrap(),
             Command::Explore {
@@ -2317,12 +2286,10 @@ bb0:
                     out: Some("t.json".into()),
                     report_out: Some("r.json".into()),
                     snapshot_budget: 64,
-                    wave: Some(8),
                     ..ExploreOptions::default()
                 },
             }
         );
-        assert!(parse_args(&args(&["explore", "a.cir", "--wave", "0"])).is_err());
         assert_eq!(
             parse_args(&args(&[
                 "run",

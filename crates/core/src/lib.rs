@@ -48,19 +48,19 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod config;
 pub mod oracle;
 mod pipeline;
 pub mod properties;
 pub mod prune;
 mod timing;
 
-pub use config::{ConairConfig, ConairConfigBuilder, Mode};
 pub use oracle::{infer_oracles, instrument_oracles, InferConfig, Invariant, OracleSet};
 pub use pipeline::{Conair, HardenedProgram};
 pub use prune::{harden_with_pruning, prune_plan, well_tested_sites, PruneConfig, PruneReport};
 pub use timing::{PhaseSpan, PhaseSpans};
 
 // Re-export the pieces users need to drive the pipeline end to end.
-pub use conair_analysis::{HardeningPlan, PlanStats, RegionPolicy, SitePlan};
+pub use conair_analysis::{
+    AnalysisConfig, HardeningPlan, PlanStats, RegionPolicy, SitePlan, SiteSelection,
+};
 pub use conair_transform::TransformStats;

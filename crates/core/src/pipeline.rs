@@ -2,12 +2,11 @@
 
 use std::time::Instant;
 
-use conair_analysis::{analyze, HardeningPlan};
+use conair_analysis::{analyze, AnalysisConfig, HardeningPlan};
 use conair_ir::{validate_hardened, Module};
 use conair_runtime::Program;
 use conair_transform::{harden, TransformStats};
 
-use crate::config::{ConairConfig, ConairConfigBuilder, Mode};
 use crate::timing::PhaseSpans;
 
 /// The ConAir tool: a configured analysis + transformation pipeline.
@@ -33,7 +32,7 @@ use crate::timing::PhaseSpans;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Conair {
-    config: ConairConfig,
+    config: AnalysisConfig,
 }
 
 /// The product of hardening a program.
@@ -49,63 +48,34 @@ pub struct HardenedProgram {
 }
 
 impl Conair {
-    /// Survival-mode pipeline with paper defaults.
+    /// Survival-mode pipeline in the paper's configuration.
     pub fn survival() -> Self {
         Self::default()
     }
 
     /// Fix-mode pipeline for the failure sites named by `markers`.
     pub fn fix(markers: Vec<String>) -> Self {
-        Self {
-            config: ConairConfig {
-                mode: Mode::Fix(markers),
-                ..ConairConfig::default()
-            },
-        }
+        Self::with_config(AnalysisConfig::fix_defaults(markers))
     }
 
     /// A pipeline with an explicit configuration.
-    pub fn with_config(config: ConairConfig) -> Self {
+    pub fn with_config(config: AnalysisConfig) -> Self {
         Self { config }
     }
 
-    /// Starts a configuration builder.
-    pub fn builder() -> ConairConfigBuilder {
-        ConairConfigBuilder::new()
-    }
-
     /// The active configuration.
-    pub fn config(&self) -> &ConairConfig {
+    pub fn config(&self) -> &AnalysisConfig {
         &self.config
     }
 
     /// Runs only the static analysis.
     pub fn analyze(&self, module: &Module) -> HardeningPlan {
-        analyze(module, &self.config.to_analysis_config())
-    }
-
-    /// Hardens a module: analysis + transformation.
-    pub fn harden_module(
-        &self,
-        module: Module,
-    ) -> (conair_transform::HardenedModule, HardeningPlan) {
-        let plan = self.analyze(&module);
-        let hardened = harden(module, &plan);
-        debug_assert!(
-            validate_hardened(&hardened.module).is_ok(),
-            "transform must produce a valid module"
-        );
-        (hardened, plan)
+        analyze(module, &self.config)
     }
 
     /// Hardens a whole program, preserving its thread specs.
     pub fn harden(&self, program: &Program) -> HardenedProgram {
-        let (hardened, plan) = self.harden_module(program.module.clone());
-        HardenedProgram {
-            program: program.with_module(hardened.module),
-            plan,
-            transform: hardened.stats,
-        }
+        self.harden_timed(program).0
     }
 
     /// Runs the static analysis with phase timing: an `analyze` span (region
@@ -219,9 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_policy_reaches_analysis() {
+    fn configured_policy_reaches_analysis() {
         let program = demo_program();
-        let strict = Conair::with_config(Conair::builder().policy(RegionPolicy::Strict).build());
+        let strict = Conair::with_config(AnalysisConfig {
+            policy: RegionPolicy::Strict,
+            ..AnalysisConfig::default()
+        });
         let hardened = strict.harden(&program);
         // Under the strict policy locks terminate regions, so the lock
         // sites are unrecoverable and no timed lock appears.

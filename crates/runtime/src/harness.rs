@@ -1,7 +1,10 @@
-//! Experiment harness: repeated trials (sequential or fanned across a
-//! [`TrialPool`]), overhead measurement and the whole-program-restart
-//! baseline used by Table 7 and Figure 4.
+//! Experiment harness: seeded single runs, repeated trials fanned across
+//! a [`TrialPool`], the seed-paired overhead meter behind Table 3 and
+//! Figure 4, and the whole-program-restart baseline of Table 7 and
+//! Figure 4. A run with any other scheduler, script or trace sink is a
+//! [`Machine`] builder chain at the call site.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -10,8 +13,7 @@ use crate::machine::{Machine, MachineConfig};
 use crate::metrics::Histogram;
 use crate::outcome::{RunOutcome, RunResult};
 use crate::program::Program;
-use crate::sched::{ScheduleScript, Scheduler, SeededRandom};
-use crate::trace::TraceSink;
+use crate::sched::{ScheduleScript, SeededRandom};
 
 /// Runs `program` once with a seeded random scheduler.
 pub fn run_once(program: &Program, config: &MachineConfig, seed: u64) -> RunResult {
@@ -30,34 +32,6 @@ pub fn run_scripted(
     let mut sched = SeededRandom::new(seed);
     Machine::new(program, *config)
         .with_script(script)
-        .run(&mut sched)
-}
-
-/// Runs `program` once under an arbitrary scheduler and script.
-pub fn run_with(
-    program: &Program,
-    config: &MachineConfig,
-    script: &ScheduleScript,
-    scheduler: &mut dyn Scheduler,
-) -> RunResult {
-    Machine::new(program, *config)
-        .with_script(script)
-        .run(scheduler)
-}
-
-/// Runs `program` once with structured tracing: every machine event goes
-/// to `sink`. Pass a clone of a [`crate::EventBuffer`] to keep the events.
-pub fn run_traced(
-    program: &Program,
-    config: &MachineConfig,
-    script: &ScheduleScript,
-    seed: u64,
-    sink: Box<dyn TraceSink>,
-) -> RunResult {
-    let mut sched = SeededRandom::new(seed);
-    Machine::new(program, *config)
-        .with_script(script)
-        .with_sink(sink)
         .run(&mut sched)
 }
 
@@ -115,53 +89,53 @@ impl TrialSummary {
     }
 }
 
-/// Folds per-trial results into a [`TrialSummary`]. Both the sequential
-/// and the parallel trial runners go through this single fold, in seed
-/// order, so their summaries are identical by construction (modulo the
-/// nondeterministic `wall` sum).
-fn summarize(results: impl IntoIterator<Item = RunResult>, trials: usize) -> TrialSummary {
-    let mut summary = TrialSummary {
-        trials,
-        ..TrialSummary::default()
-    };
-    let mut insts_total = 0u64;
-    let mut retries_total = 0u64;
-    for result in results {
-        match &result.outcome {
-            RunOutcome::Completed => summary.completed += 1,
-            RunOutcome::Failed(_) => summary.failed += 1,
-            RunOutcome::Hang { .. } => summary.hung += 1,
-            RunOutcome::StepLimit => summary.step_limited += 1,
-        }
-        insts_total += result.stats.insts;
-        let run_retries = result.stats.total_retries();
-        retries_total += run_retries;
-        summary.retries_hist.record(run_retries);
-        summary.recovery_hist.merge(&result.stats.rollback_latency);
-        summary.checkpoints_hist.record(result.stats.checkpoints);
-        summary.undo_depth_hist.merge(&result.stats.undo_depth);
-        summary.max_recovery_steps = summary
-            .max_recovery_steps
-            .max(result.stats.max_recovery_steps());
-        summary.wall += result.stats.wall;
-    }
-    summary.mean_insts = insts_total as f64 / trials.max(1) as f64;
-    summary.mean_retries = retries_total as f64 / trials.max(1) as f64;
-    summary
-}
-
-/// Runs `trials` seeded trials (seeds `seed0..seed0+trials`) under `script`.
+/// Runs `trials` seeded trials (seeds `seed0..seed0+trials`) under
+/// `script`, fanned across a [`TrialPool`] of `jobs` workers.
+///
+/// Trial `i` always runs with seed `seed0 + i`, whichever worker picks it
+/// up, and the results are folded in seed order, not completion order.
+/// The summary is therefore identical at every `jobs` in every field but
+/// `wall`, a sum of measured per-run durations.
 pub fn run_trials(
     program: &Program,
     config: &MachineConfig,
     script: &ScheduleScript,
     seed0: u64,
     trials: usize,
+    jobs: usize,
 ) -> TrialSummary {
-    summarize(
-        (0..trials).map(|i| run_scripted(program, config, script, seed0 + i as u64)),
+    let mut summary = TrialSummary {
         trials,
-    )
+        ..TrialSummary::default()
+    };
+    let mut insts_total = 0u64;
+    let mut retries_total = 0u64;
+    TrialPool::new(jobs).for_each_in_order(
+        trials,
+        |i| run_scripted(program, config, script, seed0 + i as u64),
+        |result| {
+            match &result.outcome {
+                RunOutcome::Completed => summary.completed += 1,
+                RunOutcome::Failed(_) => summary.failed += 1,
+                RunOutcome::Hang { .. } => summary.hung += 1,
+                RunOutcome::StepLimit => summary.step_limited += 1,
+            }
+            insts_total += result.stats.insts;
+            let run_retries = result.stats.total_retries();
+            retries_total += run_retries;
+            summary.retries_hist.record(run_retries);
+            summary.recovery_hist.merge(&result.stats.rollback_latency);
+            summary.checkpoints_hist.record(result.stats.checkpoints);
+            summary.undo_depth_hist.merge(&result.stats.undo_depth);
+            summary.max_recovery_steps = summary
+                .max_recovery_steps
+                .max(result.stats.max_recovery_steps());
+            summary.wall += result.stats.wall;
+        },
+    );
+    summary.mean_insts = insts_total as f64 / trials.max(1) as f64;
+    summary.mean_retries = retries_total as f64 / trials.max(1) as f64;
+    summary
 }
 
 /// A scoped worker pool for index-addressed fan-out, built on
@@ -171,25 +145,27 @@ pub fn run_trials(
 /// atomic increment), so uneven task durations balance automatically; the
 /// results are returned **in index order** regardless of completion order,
 /// which is what makes downstream folds deterministic.
+///
+/// The worker count is clamped to the host's available parallelism. For
+/// CPU-bound tasks extra workers only add context switches and allocator
+/// contention (on a single-core host a `--jobs 4` fan-out ran ~10%
+/// *slower* than sequential), and since [`TrialPool::map`] returns
+/// identical results at any worker count, the clamp changes only wall
+/// time. Building a pool starts no thread.
 pub struct TrialPool {
     jobs: usize,
 }
 
 impl TrialPool {
-    /// A pool with `jobs` workers (`0` and `1` both mean "run inline").
+    /// A pool with `jobs` workers, clamped to `1..=available_parallelism`
+    /// (`0` and `1` both mean "run inline").
     pub fn new(jobs: usize) -> Self {
-        Self { jobs: jobs.max(1) }
-    }
-
-    /// A pool with `jobs` workers, clamped to the machine's available
-    /// parallelism. For CPU-bound tasks extra workers only add context
-    /// switches and allocator contention (on a single-core host a
-    /// `--jobs 4` fan-out ran ~10% *slower* than sequential); since
-    /// [`TrialPool::map`] returns identical results at any worker count,
-    /// clamping is a pure perf decision.
-    pub fn auto(jobs: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::new(jobs.min(cores))
+        let jobs = if jobs > 1 {
+            jobs.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        } else {
+            1
+        };
+        Self { jobs }
     }
 
     /// Worker count.
@@ -198,135 +174,120 @@ impl TrialPool {
     }
 
     /// Runs `task(0..count)` across the pool and returns the results in
-    /// index order. With one worker (or one task) this degenerates to a
-    /// plain sequential map on the calling thread.
+    /// index order.
     pub fn map<T, F>(&self, count: usize, task: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        let mut out = Vec::with_capacity(count);
+        self.for_each_in_order(count, task, |r| out.push(r));
+        out
+    }
+
+    /// Runs `task(0..count)` across the pool and hands each result to
+    /// `sink` on the calling thread, in index order, as soon as every
+    /// lower index has been handed over. Only results that finish ahead of
+    /// a slower lower index are held, so a long fold keeps a small,
+    /// bounded working set instead of every result. With one worker (or
+    /// one task) this is a plain sequential loop on the calling thread.
+    pub fn for_each_in_order<T, F>(&self, count: usize, task: F, mut sink: impl FnMut(T))
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
         if self.jobs <= 1 || count <= 1 {
-            return (0..count).map(task).collect();
+            (0..count).map(task).for_each(sink);
+            return;
         }
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let workers = self.jobs.min(count);
+        let mut due = 0;
         std::thread::scope(|s| {
-            for _ in 0..workers {
+            for _ in 0..self.jobs.min(count) {
                 let tx = tx.clone();
                 let next = &next;
                 let task = &task;
                 s.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    if tx.send((i, task(i))).is_err() {
+                    if i >= count || tx.send((i, task(i))).is_err() {
                         break;
                     }
                 });
             }
+            // The workers hold the only senders now, so the drain below
+            // ends when the last of them finishes.
+            drop(tx);
+            let mut ahead = BTreeMap::new();
+            for (i, r) in rx {
+                ahead.insert(i, r);
+                while let Some(r) = ahead.remove(&due) {
+                    sink(r);
+                    due += 1;
+                }
+            }
         });
-        drop(tx);
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("pool worker delivered every result"))
-            .collect()
+        assert_eq!(due, count, "pool worker delivered every result");
     }
 }
 
-/// Runs `trials` seeded trials fanned across `jobs` workers.
-///
-/// Seed-pairing is preserved — trial `i` always runs with seed
-/// `seed0 + i`, whichever worker picks it up — and the per-trial results
-/// are folded **in seed order, not completion order**, through the same
-/// fold as [`run_trials`]. The summary is therefore identical to the
-/// sequential one in every field except `wall` (a sum of measured
-/// per-run durations, inherently nondeterministic).
-pub fn run_trials_parallel(
-    program: &Program,
-    config: &MachineConfig,
-    script: &ScheduleScript,
-    seed0: u64,
-    trials: usize,
-    jobs: usize,
-) -> TrialSummary {
-    let pool = TrialPool::new(jobs);
-    if pool.jobs() <= 1 {
-        return run_trials(program, config, script, seed0, trials);
-    }
-    let results = pool.map(trials, |i| {
-        run_scripted(program, config, script, seed0 + i as u64)
-    });
-    summarize(results, trials)
-}
-
-/// Overhead of a hardened program relative to the original, in both
-/// instruction count and wall time, measured on non-failing runs with
-/// identical scheduler seeds (the paper's run-time overhead methodology:
-/// same input, no failure-inducing noise, 20 runs).
+/// Seed-paired run-time overhead of a hardened program over its original:
+/// the paper's methodology (same input, no failure during measurement).
+/// Work counts executed instructions plus the recovery runtime's auxiliary
+/// bookkeeping ([`crate::RunStats::aux_work`]), so the buffered-writes
+/// policy of Figure 4 is charged for its logging.
 #[derive(Debug, Clone, Default)]
 pub struct OverheadReport {
-    /// Mean instructions per run, original program.
-    pub base_insts: f64,
-    /// Mean instructions per run, hardened program.
-    pub hardened_insts: f64,
+    /// Mean work per run, original program.
+    pub base_work: f64,
+    /// Mean work per run, hardened program.
+    pub hardened_work: f64,
     /// Mean dynamic reexecution points per hardened run.
     pub dynamic_points: f64,
-    /// Instruction-count overhead fraction (e.g. 0.004 = 0.4%).
-    pub inst_overhead: f64,
-    /// Wall-clock overhead fraction (noisier; reported for completeness).
-    pub wall_overhead: f64,
+    /// Work overhead fraction, clamped at 0 (e.g. 0.004 = 0.4%).
+    pub overhead: f64,
 }
 
-/// Measures overhead over `trials` seeds.
+/// Measures overhead over `trials` seed pairs: run `i` of each program
+/// uses seed `seed0 + i` under `script` (a benign one: Table 3 and
+/// Figure 4 pass the workload's benign script).
+///
+/// # Panics
+///
+/// If any run fails to complete: overhead is defined on non-failing runs
+/// only.
 pub fn measure_overhead(
     original: &Program,
     hardened: &Program,
     config: &MachineConfig,
+    script: &ScheduleScript,
     seed0: u64,
     trials: usize,
 ) -> OverheadReport {
-    let mut base_insts = 0u64;
-    let mut hard_insts = 0u64;
+    let mut base = 0u64;
+    let mut hard = 0u64;
     let mut points = 0u64;
-    let mut base_wall = Duration::ZERO;
-    let mut hard_wall = Duration::ZERO;
     for i in 0..trials {
         let seed = seed0 + i as u64;
-        let b = run_once(original, config, seed);
-        let h = run_once(hardened, config, seed);
-        debug_assert!(
+        let b = run_scripted(original, config, script, seed);
+        let h = run_scripted(hardened, config, script, seed);
+        assert!(
             b.outcome.is_completed() && h.outcome.is_completed(),
-            "overhead must be measured on non-failing runs \
-             (original: {:?}, hardened: {:?})",
+            "overhead runs must not fail (original: {:?}, hardened: {:?})",
             b.outcome,
             h.outcome
         );
-        base_insts += b.stats.insts;
-        hard_insts += h.stats.insts;
+        base += b.stats.insts + b.stats.aux_work;
+        hard += h.stats.insts + h.stats.aux_work;
         points += h.stats.checkpoints;
-        base_wall += b.stats.wall;
-        hard_wall += h.stats.wall;
     }
     let t = trials.max(1) as f64;
-    let base = base_insts as f64 / t;
-    let hard = hard_insts as f64 / t;
     OverheadReport {
-        base_insts: base,
-        hardened_insts: hard,
+        base_work: base as f64 / t,
+        hardened_work: hard as f64 / t,
         dynamic_points: points as f64 / t,
-        inst_overhead: if base > 0.0 {
-            (hard - base) / base
-        } else {
-            0.0
-        },
-        wall_overhead: if base_wall.as_nanos() > 0 {
-            (hard_wall.as_secs_f64() - base_wall.as_secs_f64()) / base_wall.as_secs_f64()
+        overhead: if base > 0 {
+            ((hard as f64 - base as f64) / base as f64).max(0.0)
         } else {
             0.0
         },
@@ -386,5 +347,26 @@ pub fn measure_restart(
         total_steps,
         restarts: max_restarts,
         succeeded: false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pool_clamps_workers_to_the_host() {
+        // Building a pool starts no thread, so an absurd request is safe
+        // to construct; it must come back clamped.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(TrialPool::new(usize::MAX).jobs() <= cores);
+        assert_eq!(TrialPool::new(0).jobs(), 1);
+        assert_eq!(TrialPool::new(1).jobs(), 1);
+    }
+
+    #[test]
+    fn pool_returns_results_in_index_order() {
+        let got = TrialPool::new(64).map(100, |i| i);
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 }

@@ -62,8 +62,8 @@ mod trace;
 pub use deadlock::{find_wait_cycle, WaitCycle, WaitEdge};
 pub use dense::{DenseProgram, FuncLayout};
 pub use harness::{
-    measure_overhead, measure_restart, run_once, run_scripted, run_traced, run_trials,
-    run_trials_parallel, run_with, OverheadReport, RestartReport, TrialPool, TrialSummary,
+    measure_overhead, measure_restart, run_once, run_scripted, run_trials, OverheadReport,
+    RestartReport, TrialPool, TrialSummary,
 };
 pub use locks::{AcquireResult, LockTable, ThreadId, UnlockError};
 pub use machine::{BranchCapture, Machine, MachineConfig, MachineSnapshot};

@@ -322,15 +322,12 @@ pub struct BranchCapture {
     pub singles_from: usize,
 }
 
-/// In-flight snapshot capture: one image per decision index in
-/// `[from, from + limit)`, in ascending depth order.
+/// In-flight snapshot capture: one image per branch point at decision
+/// index `from` or deeper, at most `limit` of them, in ascending depth
+/// order (see [`Machine::run_captured_at_branches`]).
 struct CaptureState {
     from: usize,
     limit: usize,
-    /// Capture only at consults with at least two eligible threads (see
-    /// [`Machine::run_captured_at_branches`]); `limit` then bounds the
-    /// *number* of captures instead of the depth window.
-    branches_only: bool,
     /// The latest decision index that had two or more eligible threads,
     /// or was this run's first consult.
     last_fork: Option<usize>,
@@ -430,11 +427,8 @@ pub struct Machine<'p> {
     /// consult of a decision-recording run, empty otherwise.
     footprints: Vec<Footprint>,
     /// Snapshot capture plan for this run (`None` outside
-    /// [`Machine::run_captured`]).
+    /// [`Machine::run_captured_at_branches`]).
     capture: Option<CaptureState>,
-    /// Capture-plan flavor for the next [`Machine::run_captured`] call
-    /// (set by [`Machine::run_captured_at_branches`]).
-    capture_branches_only: bool,
     /// Capture one extra image of the *final* state, after the run loop
     /// exits (set by [`Machine::run_with_final_snapshot`]).
     capture_final: bool,
@@ -508,7 +502,6 @@ impl<'p> Machine<'p> {
             thread_snaps: vec![None; thread_count],
             footprints: Vec::with_capacity(thread_count),
             capture: None,
-            capture_branches_only: false,
             capture_final: false,
             capture_wall: Duration::ZERO,
             sink: None,
@@ -603,13 +596,6 @@ impl<'p> Machine<'p> {
         self.footprints.clear();
     }
 
-    /// [`Machine::new`] + [`Machine::restore_from`] in one step.
-    pub fn resume(program: &'p Program, config: MachineConfig, snap: &MachineSnapshot) -> Self {
-        let mut m = Self::new(program, config);
-        m.restore_from(snap);
-        m
-    }
-
     /// Installs a bug-forcing schedule script. The script is compiled
     /// against the module's interned marker ids here, once — repeated
     /// trials share the source script and each run pays a small
@@ -663,43 +649,16 @@ impl<'p> Machine<'p> {
         (result, snap.expect("capture_final requested an image"))
     }
 
-    /// [`Machine::run_captured`], but images are taken only at *branch
-    /// points* — consults at decision index `capture_from` or deeper where
-    /// at least two threads are eligible, the only depths a divergent
-    /// sibling schedule can resume from. `capture_limit` bounds the number
-    /// of captures instead of the depth window, so sparse branch points
-    /// deep in a run stay covered. Each capture carries its consult's
-    /// eligible set and the single-choice run of decisions leading to it.
-    pub fn run_captured_at_branches<S: Scheduler + ?Sized>(
-        mut self,
-        scheduler: &mut S,
-        capture_from: usize,
-        capture_limit: usize,
-    ) -> (RunResult, Vec<BranchCapture>) {
-        self.capture_branches_only = true;
-        self.run_capture_plan(scheduler, capture_from, capture_limit)
-    }
-
     /// Runs like [`Machine::run`], additionally capturing a
-    /// [`MachineSnapshot`] just before each scheduler decision with index
-    /// in `[capture_from, capture_from + capture_limit)`. Returned pairs
-    /// are `(decision index, image)` in ascending order. Capture keys on
-    /// the decision log, so [`MachineConfig::record_decisions`] must be
-    /// set.
-    pub fn run_captured<S: Scheduler + ?Sized>(
-        self,
-        scheduler: &mut S,
-        capture_from: usize,
-        capture_limit: usize,
-    ) -> (RunResult, Vec<(usize, MachineSnapshot)>) {
-        let (result, captured) = self.run_capture_plan(scheduler, capture_from, capture_limit);
-        (
-            result,
-            captured.into_iter().map(|c| (c.depth, c.snap)).collect(),
-        )
-    }
-
-    fn run_capture_plan<S: Scheduler + ?Sized>(
+    /// [`MachineSnapshot`] at each *branch point*: a consult at decision
+    /// index `capture_from` or deeper where at least two threads are
+    /// eligible, the only depths a divergent sibling schedule can resume
+    /// from. `capture_limit` bounds the number of captures, so sparse
+    /// branch points deep in a run stay covered. Captures come back in
+    /// ascending depth order, each with its consult's eligible set and the
+    /// single-choice run of decisions leading to it. Capture keys on the
+    /// decision log, so [`MachineConfig::record_decisions`] must be set.
+    pub fn run_captured_at_branches<S: Scheduler + ?Sized>(
         mut self,
         scheduler: &mut S,
         capture_from: usize,
@@ -713,7 +672,6 @@ impl<'p> Machine<'p> {
             self.capture = Some(CaptureState {
                 from: capture_from,
                 limit: capture_limit,
-                branches_only: self.capture_branches_only,
                 last_fork: None,
                 out: Vec::new(),
             });
@@ -1052,10 +1010,10 @@ impl<'p> Machine<'p> {
         v[i] += 1;
     }
 
-    /// Captures a snapshot when the capture plan covers the current
-    /// decision index. The stored step is decremented by one so that
-    /// re-entering the step loop after a restore re-increments it to the
-    /// current value — the resumed run then repeats this very consult
+    /// Captures a snapshot when the current consult is a branch point the
+    /// capture plan still covers. The stored step is decremented by one so
+    /// that re-entering the step loop after a restore re-increments it to
+    /// the current value — the resumed run then repeats this very consult
     /// (timeout scan and eligibility recomputation included, both of which
     /// are idempotent at a decision point) and proceeds bit-identically.
     fn maybe_capture(&mut self) {
@@ -1064,15 +1022,11 @@ impl<'p> Machine<'p> {
         };
         let depth = self.decision_log.len();
         let fork = self.eligible.len() >= 2;
-        let due = if c.branches_only {
-            // A single-eligible consult spawns no alternative child, so
-            // an image there can never be a resume target: every run
-            // reaching this prefix has the same state (determinism),
-            // hence the same eligible set, hence no divergence here.
-            depth >= c.from && c.out.len() < c.limit && fork
-        } else {
-            depth >= c.from && depth < c.from + c.limit
-        };
+        // A single-eligible consult spawns no alternative child, so an
+        // image there can never be a resume target: every run reaching
+        // this prefix has the same state (determinism), hence the same
+        // eligible set, hence no divergence here.
+        let due = fork && depth >= c.from && c.out.len() < c.limit;
         let singles_from = c.last_fork.map_or(depth, |f| f + 1);
         if fork || c.last_fork.is_none() {
             c.last_fork = Some(depth);

@@ -128,7 +128,7 @@ pub struct RunStats {
     /// Wall-clock duration of the run.
     pub wall: Duration,
     /// Portion of `wall` spent capturing machine snapshots (zero outside
-    /// [`crate::Machine::run_captured`]) — lets the explorer's
+    /// [`crate::Machine::run_captured_at_branches`]) — lets the explorer's
     /// self-profiler attribute capture cost separately from
     /// interpretation.
     pub snapshot_wall: Duration,

@@ -143,8 +143,6 @@ pub struct ExploreConfig {
     /// cache entirely). Pure perf: reports are bit-identical at any
     /// value.
     pub snapshot_budget: usize,
-    /// Pin every wave to this width instead of the 16 → 256 ramp.
-    pub wave: Option<usize>,
 }
 
 impl ExploreConfig {
@@ -161,7 +159,6 @@ impl ExploreConfig {
             mask: PointMask::SYNC,
             stop_at_first: true,
             snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
-            wave: None,
         }
     }
 }
@@ -359,13 +356,11 @@ fn count_resume(report: &mut ExploreReport, resume: Option<&Resume>) {
     }
 }
 
-/// Width of wave `i`: the 16 → 256 ramp, or the `--wave` override. A
-/// function of the wave index only — never of `jobs` or the stop mode —
-/// so the explored schedule set is invariant across both.
-fn wave_width(ec: &ExploreConfig, wave: usize) -> usize {
-    ec.wave
-        .unwrap_or_else(|| (WAVE_BASE << wave.min(4)).min(WAVE_MAX))
-        .max(1)
+/// Width of wave `i`: the 16 → 256 ramp. A function of the wave index
+/// only — never of `jobs` or the stop mode — so the explored schedule set
+/// is invariant across both.
+fn wave_width(wave: usize) -> usize {
+    (WAVE_BASE << wave.min(4)).min(WAVE_MAX)
 }
 
 /// Observability hooks for [`explore_observed`]: an optional [`TraceSink`]
@@ -880,7 +875,7 @@ pub fn explore_observed(
     };
     frontier.expand(ec.strategy, &Candidate::root(), &mut probe, &mut report);
 
-    let pool = TrialPool::auto(ec.jobs);
+    let pool = TrialPool::new(ec.jobs);
     let done = |report: &ExploreReport| {
         report.schedules >= ec.budget || (ec.stop_at_first && report.first_failure.is_some())
     };
@@ -899,7 +894,7 @@ pub fn explore_observed(
         // from overshooting the first failure, and for the systematic
         // searches, whose next wave depends on this one's children.
         let room = if systematic || ec.stop_at_first {
-            wave_width(ec, wave).min(ec.budget - base)
+            wave_width(wave).min(ec.budget - base)
         } else {
             ec.budget - base
         };
@@ -1179,16 +1174,6 @@ mod tests {
         let report = explore(&program, &MachineConfig::default(), &ec);
         assert_eq!(report.frontier, 0, "tree exhausted");
         assert_eq!(report.dedup_skips, 0, "enumeration is duplicate-free");
-    }
-
-    #[test]
-    fn pinned_wave_width_still_finds_the_bug() {
-        let program = order_violation();
-        let mut ec = ExploreConfig::new(ExploreStrategy::Bounded { preemptions: 1 });
-        ec.wave = Some(4);
-        ec.budget = 64;
-        let report = explore(&program, &MachineConfig::default(), &ec);
-        assert!(report.first_failure.is_some());
     }
 
     #[test]

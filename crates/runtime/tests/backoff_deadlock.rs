@@ -6,7 +6,7 @@
 
 use conair_ir::{FuncBuilder, Inst, ModuleBuilder, PointId, SiteId};
 use conair_runtime::{
-    find_wait_cycle, run_scripted, run_with, Gate, MachineConfig, Program, RoundRobin, RunOutcome,
+    find_wait_cycle, run_scripted, Gate, Machine, MachineConfig, Program, RoundRobin, RunOutcome,
     RunResult, ScheduleScript,
 };
 
@@ -69,8 +69,9 @@ fn config(backoff_max: u64, backoff_seed: u64) -> MachineConfig {
 /// Round-robin keeps the two threads in perfect lockstep, the worst case
 /// for recovery livelock.
 fn run_round_robin(program: &Program, script: &ScheduleScript, cfg: &MachineConfig) -> RunResult {
-    let mut rr = RoundRobin::new();
-    run_with(program, cfg, script, &mut rr)
+    Machine::new(program, *cfg)
+        .with_script(script)
+        .run(&mut RoundRobin::new())
 }
 
 #[test]

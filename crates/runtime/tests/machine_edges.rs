@@ -3,8 +3,8 @@
 
 use conair_ir::{CmpKind, FuncBuilder, Inst, ModuleBuilder, Operand, PointId, SiteId};
 use conair_runtime::{
-    measure_overhead, run_once, run_trials, MachineConfig, Program, RoundRobin, RunOutcome,
-    ScheduleScript, Scheduler, SeededRandom,
+    measure_overhead, run_once, run_trials, Machine, MachineConfig, Program, RoundRobin,
+    RunOutcome, ScheduleScript, Scheduler, SeededRandom,
 };
 
 fn infinite_loop_program() -> Program {
@@ -63,8 +63,7 @@ fn deadlock_recovery_avoids_livelock() {
         step_limit: 400_000,
         ..MachineConfig::default()
     };
-    let mut sched = RoundRobin::new();
-    let r = conair_runtime::run_with(&program, &cfg, &ScheduleScript::none(), &mut sched);
+    let r = Machine::new(&program, cfg).run(&mut RoundRobin::new());
     assert!(
         r.outcome.is_completed(),
         "random backoff must break recovery livelock: {:?}",
@@ -88,6 +87,7 @@ fn trial_summary_classifies_outcomes() {
         &ScheduleScript::none(),
         0,
         7,
+        1,
     );
     assert_eq!(summary.trials, 7);
     assert_eq!(summary.failed, 7);
@@ -127,11 +127,18 @@ fn overhead_report_accounts_checkpoints() {
     };
     let original = build(false);
     let hardened = build(true);
-    let report = measure_overhead(&original, &hardened, &MachineConfig::default(), 0, 3);
+    let report = measure_overhead(
+        &original,
+        &hardened,
+        &MachineConfig::default(),
+        &ScheduleScript::none(),
+        0,
+        3,
+    );
     assert!(report.dynamic_points >= 100.0);
-    assert!(report.inst_overhead > 0.0, "checkpoints cost instructions");
-    assert!(report.inst_overhead < 0.5, "but not half the program");
-    assert!(report.hardened_insts > report.base_insts);
+    assert!(report.overhead > 0.0, "checkpoints cost instructions");
+    assert!(report.overhead < 0.5, "but not half the program");
+    assert!(report.hardened_work > report.base_work);
 }
 
 #[test]

@@ -90,7 +90,7 @@ fn order_violation_forced() -> (Program, ScheduleScript) {
 #[test]
 fn order_violation_recovers_under_all_seeds() {
     let (program, script) = order_violation_forced();
-    let summary = run_trials(&program, &config(), &script, 0, 200);
+    let summary = run_trials(&program, &config(), &script, 0, 200, 1);
     assert!(
         summary.all_completed(),
         "every trial must recover: {summary:?}"
@@ -265,7 +265,7 @@ fn deadlock_recovers_via_timed_lock_and_compensation() {
         Gate::new(0, "t1_gate", "t2_has_b"),
         Gate::new(1, "t2_gate", "t1_has_a"),
     ]);
-    let summary = run_trials(&program, &config(), &script, 100, 100);
+    let summary = run_trials(&program, &config(), &script, 100, 100, 1);
     assert!(
         summary.all_completed(),
         "deadlock must be recovered in every trial: {summary:?}"
@@ -491,6 +491,6 @@ fn hang_reports_wait_cycle() {
 #[test]
 fn unforced_order_violation_always_recovers() {
     let program = order_violation_program();
-    let summary = run_trials(&program, &config(), &ScheduleScript::none(), 0, 100);
+    let summary = run_trials(&program, &config(), &ScheduleScript::none(), 0, 100, 1);
     assert!(summary.all_completed(), "{summary:?}");
 }

@@ -5,8 +5,8 @@
 
 use conair_ir::{CmpKind, FuncBuilder, GuardKind, Inst, ModuleBuilder, Operand, PointId, SiteId};
 use conair_runtime::{
-    run_traced, run_trials, summarize_events, EventBuffer, MachineConfig, Program, RunOutcome,
-    RunStats, ScheduleScript, TraceEvent,
+    run_trials, summarize_events, EventBuffer, Machine, MachineConfig, Program, RunOutcome,
+    RunStats, ScheduleScript, SeededRandom, TraceEvent,
 };
 
 mod common;
@@ -77,7 +77,7 @@ fn clean_program() -> Program {
 #[test]
 fn zero_trials_yield_empty_summary() {
     let p = clean_program();
-    let s = run_trials(&p, &config(), &ScheduleScript::none(), 0, 0);
+    let s = run_trials(&p, &config(), &ScheduleScript::none(), 0, 0, 1);
     assert_eq!(s.trials, 0);
     assert_eq!(s.completed, 0);
     assert_eq!(s.failed + s.hung + s.step_limited, 0);
@@ -98,7 +98,7 @@ fn all_hang_trials_are_tallied_as_hung() {
         step_limit: 10_000,
         ..MachineConfig::default()
     };
-    let s = run_trials(&p, &cfg, &ScheduleScript::none(), 0, 5);
+    let s = run_trials(&p, &cfg, &ScheduleScript::none(), 0, 5, 1);
     assert_eq!(s.trials, 5);
     assert_eq!(s.hung, 5, "self-deadlock must hang under every seed");
     assert_eq!(s.completed, 0);
@@ -112,7 +112,7 @@ fn all_hang_trials_are_tallied_as_hung() {
 #[test]
 fn completed_trials_without_recoveries_report_none() {
     let p = clean_program();
-    let s = run_trials(&p, &config(), &ScheduleScript::none(), 0, 3);
+    let s = run_trials(&p, &config(), &ScheduleScript::none(), 0, 3, 1);
     assert_eq!(s.completed, 3);
     assert!(s.all_completed());
     assert_eq!(s.max_recovery_steps, None);
@@ -126,7 +126,7 @@ fn completed_trials_without_recoveries_report_none() {
 fn trials_with_recoveries_fill_both_histograms() {
     let p = order_violation_program();
     // Force the reader to run first so at least some trials roll back.
-    let s = run_trials(&p, &config(), &ScheduleScript::none(), 0, 20);
+    let s = run_trials(&p, &config(), &ScheduleScript::none(), 0, 20, 1);
     assert_eq!(s.completed, 20, "hardened order violation always recovers");
     assert_eq!(s.retries_hist.count(), 20);
     assert!(s.retries_percentile(1.0).is_some());
@@ -141,13 +141,9 @@ fn trials_with_recoveries_fill_both_histograms() {
 fn trace_event_counts_match_run_stats() {
     let p = order_violation_program();
     let buffer = EventBuffer::new();
-    let r = run_traced(
-        &p,
-        &config(),
-        &ScheduleScript::none(),
-        3,
-        Box::new(buffer.clone()),
-    );
+    let r = Machine::new(&p, config())
+        .with_sink(Box::new(buffer.clone()))
+        .run(&mut SeededRandom::new(3));
     assert!(matches!(r.outcome, RunOutcome::Completed));
     let events = buffer.take();
     let count = |kind: &str| events.iter().filter(|e| e.kind_name() == kind).count() as u64;
@@ -205,7 +201,10 @@ fn assert_trace_rebuilds_stats(
         ..config()
     };
     let buffer = EventBuffer::new();
-    let r = run_traced(program, &config, script, seed, Box::new(buffer.clone()));
+    let r = Machine::new(program, config)
+        .with_script(script)
+        .with_sink(Box::new(buffer.clone()))
+        .run(&mut SeededRandom::new(seed));
     let events = buffer.take();
     let rebuilt = summarize_events(&events);
     assert_eq!(rebuilt, event_determined(&r.stats), "{what}: rebuilt stats");

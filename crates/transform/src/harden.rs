@@ -239,7 +239,7 @@ mod tests {
         mb.function(fb.finish());
         let module = mb.finish();
 
-        let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&module, &AnalysisConfig::default());
         let hardened = harden(module, &plan);
         validate_hardened(&hardened.module).expect("hardened module validates");
 
@@ -270,7 +270,7 @@ mod tests {
         fb.ret();
         mb.function(fb.finish());
         let module = mb.finish();
-        let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&module, &AnalysisConfig::default());
         let hardened = harden(module, &plan);
         validate_hardened(&hardened.module).expect("validates");
         assert_eq!(
@@ -299,7 +299,7 @@ mod tests {
         fb.ret();
         mb.function(fb.finish());
         let module = mb.finish();
-        let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&module, &AnalysisConfig::default());
         let hardened = harden(module, &plan);
         validate_hardened(&hardened.module).expect("validates");
         assert_eq!(
@@ -329,7 +329,7 @@ mod tests {
         fb.ret();
         mb.function(fb.finish());
         let module = mb.finish();
-        let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&module, &AnalysisConfig::default());
         let hardened = harden(module, &plan);
         assert_eq!(
             count_insts(&hardened.module, |i| matches!(i, Inst::Checkpoint { .. })),
@@ -354,7 +354,7 @@ mod tests {
         fb.ret();
         mb.function(fb.finish());
         let module = mb.finish();
-        let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&module, &AnalysisConfig::default());
         let hardened = harden(module, &plan);
         validate_hardened(&hardened.module).expect("validates");
 
@@ -424,7 +424,7 @@ mod tests {
         mb.function(fb.finish());
         let module = mb.finish();
         let before = module.clone();
-        let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&module, &AnalysisConfig::default());
         let hardened = harden(module, &plan);
         assert_eq!(hardened.module, before);
         assert_eq!(hardened.stats.checkpoints, 0);

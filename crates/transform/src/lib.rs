@@ -22,7 +22,7 @@
 //! mb.function(fb.finish());
 //! let module = mb.finish();
 //!
-//! let plan = analyze(&module, &AnalysisConfig::survival_defaults());
+//! let plan = analyze(&module, &AnalysisConfig::default());
 //! let hardened = harden(module, &plan);
 //! assert!(validate_hardened(&hardened.module).is_ok());
 //! assert_eq!(hardened.num_points, 1);

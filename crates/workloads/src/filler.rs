@@ -318,7 +318,7 @@ mod tests {
     fn optimization_removes_exactly_the_planted_unrecoverables() {
         use conair_analysis::{analyze, AnalysisConfig};
         let program = build(small_sites(), WorkProfile::default());
-        let plan = analyze(&program.module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&program.module, &AnalysisConfig::default());
         let p = small_sites();
         assert_eq!(plan.stats.removed_non_deadlock_sites, p.const_asserts);
         // Lone locks and the outer lock of each pair are unrecoverable.
@@ -339,15 +339,21 @@ mod tests {
                 ..WorkProfile::default()
             },
         );
-        let plan = analyze(&program.module, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&program.module, &AnalysisConfig::default());
         let hardened = harden(program.module.clone(), &plan);
         let hp = program.with_module(hardened.module);
-        let report =
-            conair_runtime::measure_overhead(&program, &hp, &MachineConfig::default(), 0, 3);
+        let report = conair_runtime::measure_overhead(
+            &program,
+            &hp,
+            &MachineConfig::default(),
+            &conair_runtime::ScheduleScript::none(),
+            0,
+            3,
+        );
         assert!(
-            report.inst_overhead < 0.02,
+            report.overhead < 0.02,
             "filler overhead should be small, got {:.3}%",
-            report.inst_overhead * 100.0
+            report.overhead * 100.0
         );
         assert!(report.dynamic_points > 0.0);
     }

@@ -6,7 +6,7 @@
 //! cargo run --release --example design_space
 //! ```
 
-use conair::{Conair, ConairConfig, RegionPolicy};
+use conair::{AnalysisConfig, Conair, RegionPolicy};
 use conair_runtime::{run_scripted, MachineConfig};
 use conair_workloads::{build_micro, AtomicityPattern};
 
@@ -17,9 +17,9 @@ fn main() {
         let mut cells = Vec::new();
         for policy in RegionPolicy::ALL {
             let m = build_micro(pattern);
-            let pipeline = Conair::with_config(ConairConfig {
+            let pipeline = Conair::with_config(AnalysisConfig {
                 policy,
-                ..ConairConfig::default()
+                ..AnalysisConfig::default()
             });
             let hardened = pipeline.harden(&m.program);
             let machine = MachineConfig {

@@ -13,6 +13,32 @@ fn tiny() -> BenchConfig {
     }
 }
 
+/// Table 3's `(app, fix_overhead, survival_overhead)` at [`tiny`], as
+/// `f64::to_bits`, recorded at commit 9ce18ef. Table 3 and Figure 4 both
+/// print `conair_runtime::measure_overhead`, so any change to its seeds,
+/// script or arithmetic shows up here as a drifted bit.
+const TABLE3_OVERHEAD_BITS: [(&str, u64, u64); 10] = [
+    ("FFT", 0x3f11_1879_8a00_1118, 0x3f71_e59f_3c78_11e6),
+    ("HawkNL", 0x3f11_ace7_a4ff_cf65, 0x3f67_03cd_9ed7_c0b6),
+    ("HTTrack", 0x3ede_9156_2ba0_3417, 0x3f67_227e_f784_7f6d),
+    ("MozillaXP", 0x3eca_dd16_1354_270c, 0x3f64_5ee6_5d68_301c),
+    ("MozillaJS", 0x3f0f_9ed5_40b1_34cb, 0x3f52_c64e_9e69_3759),
+    ("MySQL1", 0x3ea9_2b7a_211c_3c69, 0x3f68_2331_9ec0_93ef),
+    ("MySQL2", 0x3eab_62c4_3698_d129, 0x3f63_021d_90a5_31ad),
+    ("Transmission", 0x3ed6_0d10_2d1d_39d8, 0x3f64_ac3f_2a4b_663b),
+    ("SQLite", 0x3f04_429f_c100_d744, 0x3f5f_de20_9ce9_5298),
+    ("ZSNES", 0x3ef2_c86e_46bf_715e, 0x3f67_09d7_42c6_d10d),
+];
+
+/// Figure 4's `(design point, mean_overhead)` at [`tiny`], as
+/// `f64::to_bits`, recorded with [`TABLE3_OVERHEAD_BITS`].
+const FIGURE4_OVERHEAD_BITS: [(&str, u64); 4] = [
+    ("strict-idempotent", 0x3f65_335a_9135_f0ce),
+    ("idempotent+compensation", 0x3f65_7301_7715_6232),
+    ("buffered-shared-writes", 0x3fc6_af2c_2895_5fe6),
+    ("whole-program restart", 0),
+];
+
 #[test]
 fn table2_covers_all_apps() {
     let rows = experiments::table2();
@@ -49,6 +75,18 @@ fn table3_all_recover_under_one_percent() {
         .map(|r| r.app)
         .collect();
     assert_eq!(conditional, vec!["FFT", "MySQL1"]);
+
+    let got: Vec<(&str, u64, u64)> = rows
+        .iter()
+        .map(|r| {
+            (
+                r.app,
+                r.fix_overhead.to_bits(),
+                r.survival_overhead.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(got, TABLE3_OVERHEAD_BITS, "Table 3 overheads drifted");
 }
 
 #[test]
@@ -160,7 +198,11 @@ fn figure2_matches_section_2_2() {
 #[test]
 fn figure4_coverage_monotone_along_spectrum() {
     let points = experiments::figure4(&tiny());
-    assert_eq!(points.len(), 4);
+    let got: Vec<(&str, u64)> = points
+        .iter()
+        .map(|p| (p.label, p.mean_overhead.to_bits()))
+        .collect();
+    assert_eq!(got, FIGURE4_OVERHEAD_BITS, "Figure 4 overheads drifted");
     // Coverage never decreases moving right along the spectrum.
     for pair in points.windows(2) {
         assert!(

@@ -2,7 +2,7 @@
 //! threaded idempotent reexecution can recover, and why the others need
 //! shared-write reexecution.
 
-use conair::{Conair, ConairConfig, RegionPolicy};
+use conair::{AnalysisConfig, Conair, RegionPolicy};
 use conair_runtime::{run_scripted, MachineConfig, RunOutcome};
 use conair_workloads::{build_micro, AtomicityPattern, MicroWorkload};
 
@@ -16,9 +16,9 @@ fn machine(policy: RegionPolicy) -> MachineConfig {
 }
 
 fn run_hardened(m: &MicroWorkload, policy: RegionPolicy, seed: u64) -> (RunOutcome, Vec<i64>) {
-    let pipeline = Conair::with_config(ConairConfig {
+    let pipeline = Conair::with_config(AnalysisConfig {
         policy,
-        ..ConairConfig::default()
+        ..AnalysisConfig::default()
     });
     let hardened = pipeline.harden(&m.program);
     let r = run_scripted(&hardened.program, &machine(policy), &m.bug_script, seed);

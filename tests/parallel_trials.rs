@@ -1,17 +1,16 @@
-//! The parallel trial engine must be observationally identical to the
-//! sequential one: `run_trials_parallel` merges per-seed results in seed
-//! order, so every summary field except wall time matches
-//! `run_trials` bit for bit, for any job count.
+//! A fanned-out trial run must be observationally identical to an inline
+//! one: `run_trials` folds per-seed results in seed order, so every
+//! summary field except wall time matches bit for bit at `jobs` 1 and 4.
 
 use conair::Conair;
-use conair_runtime::{run_trials, run_trials_parallel, MachineConfig, TrialSummary};
+use conair_runtime::{run_trials, MachineConfig, TrialSummary};
 use conair_workloads::all_workloads;
 
 const TRIALS: usize = 8;
 const SEED0: u64 = 1;
 
 /// Everything in a [`TrialSummary`] except `wall`, which is the only
-/// field allowed to differ between sequential and parallel execution.
+/// field allowed to differ between inline and fanned-out execution.
 fn deterministic_fields(
     s: &TrialSummary,
 ) -> (
@@ -49,7 +48,7 @@ fn parallel_trials_match_sequential_over_catalog() {
     let mut any_undo_samples = false;
     for w in all_workloads() {
         let hardened = Conair::survival().harden(&w.program);
-        let seq = run_trials(&hardened.program, &machine, &w.bug_script, SEED0, TRIALS);
+        let seq = run_trials(&hardened.program, &machine, &w.bug_script, SEED0, TRIALS, 1);
         assert_eq!(
             seq.checkpoints_hist.count(),
             TRIALS as u64,
@@ -57,22 +56,13 @@ fn parallel_trials_match_sequential_over_catalog() {
             w.meta.name
         );
         any_undo_samples |= !seq.undo_depth_hist.is_empty();
-        for jobs in [1usize, 4] {
-            let par = run_trials_parallel(
-                &hardened.program,
-                &machine,
-                &w.bug_script,
-                SEED0,
-                TRIALS,
-                jobs,
-            );
-            assert_eq!(
-                deterministic_fields(&seq),
-                deterministic_fields(&par),
-                "{}: jobs={jobs} diverged from sequential",
-                w.meta.name
-            );
-        }
+        let par = run_trials(&hardened.program, &machine, &w.bug_script, SEED0, TRIALS, 4);
+        assert_eq!(
+            deterministic_fields(&seq),
+            deterministic_fields(&par),
+            "{}: jobs=4 diverged from jobs=1",
+            w.meta.name
+        );
     }
     assert!(
         any_undo_samples,
@@ -87,8 +77,15 @@ fn parallel_trials_match_on_benign_schedules() {
     let machine = MachineConfig::default();
     for w in all_workloads() {
         let hardened = Conair::survival().harden(&w.program);
-        let seq = run_trials(&hardened.program, &machine, &w.benign_script, SEED0, TRIALS);
-        let par = run_trials_parallel(
+        let seq = run_trials(
+            &hardened.program,
+            &machine,
+            &w.benign_script,
+            SEED0,
+            TRIALS,
+            1,
+        );
+        let par = run_trials(
             &hardened.program,
             &machine,
             &w.benign_script,

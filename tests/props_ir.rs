@@ -136,8 +136,8 @@ proptest! {
     fn analysis_deterministic_and_consistent(ops in prop::collection::vec(gen_op(), 0..120)) {
         use conair_analysis::{analyze, AnalysisConfig};
         let m = build_module(&ops);
-        let a = analyze(&m, &AnalysisConfig::survival_defaults());
-        let b = analyze(&m, &AnalysisConfig::survival_defaults());
+        let a = analyze(&m, &AnalysisConfig::default());
+        let b = analyze(&m, &AnalysisConfig::default());
         prop_assert_eq!(&a.checkpoints, &b.checkpoints);
         prop_assert_eq!(a.sites.len(), b.sites.len());
 
@@ -160,7 +160,7 @@ proptest! {
         use conair_ir::{validate_hardened, Inst};
         use conair_transform::harden;
         let m = build_module(&ops);
-        let plan = analyze(&m, &AnalysisConfig::survival_defaults());
+        let plan = analyze(&m, &AnalysisConfig::default());
         let hardened = harden(m, &plan);
         prop_assert!(validate_hardened(&hardened.module).is_ok());
         let checkpoints = hardened
@@ -176,9 +176,11 @@ proptest! {
     fn optimization_is_monotone(ops in prop::collection::vec(gen_op(), 0..120)) {
         use conair_analysis::{analyze, AnalysisConfig};
         let m = build_module(&ops);
-        let with = analyze(&m, &AnalysisConfig::survival_defaults());
-        let mut cfg = AnalysisConfig::survival_defaults();
-        cfg.optimize = false;
+        let with = analyze(&m, &AnalysisConfig::default());
+        let cfg = AnalysisConfig {
+            optimize: false,
+            ..AnalysisConfig::default()
+        };
         let without = analyze(&m, &cfg);
         prop_assert!(with.stats.static_points <= without.stats.static_points);
         prop_assert!(with.stats.recoverable_sites <= without.stats.recoverable_sites);

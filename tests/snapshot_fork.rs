@@ -5,6 +5,9 @@
 //! and metric histograms (the inputs of `TrialSummary`), same
 //! `DecisionTrace`. This is the property that lets `explore` resume
 //! candidates from retained ancestors without changing any report field.
+//! The snapshots come from [`Machine::run_captured_at_branches`], the
+//! capture `explore` itself uses, so the property is checked at exactly
+//! the depths the explorer resumes from.
 
 use conair_runtime::{
     FrontierScheduler, Machine, MachineConfig, MachineSnapshot, PointMask, RunResult,
@@ -61,7 +64,9 @@ fn resume_forced(
     mask: PointMask,
 ) -> RunResult {
     let mut sched = FrontierScheduler::resume(prefix, depth, mask);
-    Machine::resume(program, config, snap).run(&mut sched)
+    let mut machine = Machine::new(program, config);
+    machine.restore_from(snap);
+    machine.run(&mut sched)
 }
 
 /// The property, for one workload under one decision mask.
@@ -70,23 +75,33 @@ fn fork_matches_scratch(name: &str, mask: PointMask) {
     let config = machine();
 
     // One capturing run of the default (non-preemptive) schedule supplies
-    // the snapshots; an uncaptured run of the same schedule is the
-    // reference — capturing itself must not perturb execution.
+    // the snapshots, one per branch point; an uncaptured run of the same
+    // schedule is the reference — capturing itself must not perturb
+    // execution.
     let mut cap_sched = FrontierScheduler::new(Vec::new(), mask);
-    let (captured, snaps) = Machine::new(&w.program, config).run_captured(&mut cap_sched, 1, 64);
+    let (captured, snaps) =
+        Machine::new(&w.program, config).run_captured_at_branches(&mut cap_sched, 1, 64);
     let (reference, consults) = run_forced(&w.program, config, Vec::new(), mask);
     assert_identical(&reference, &captured, &format!("{name}: capture run"));
     let trace = reference.decisions.clone().expect("recorded");
     assert!(!snaps.is_empty(), "{name}: default run captured snapshots");
+    for c in &snaps {
+        assert!(
+            c.eligible.len() >= 2 && c.eligible == consults[c.depth].eligible,
+            "{name}: capture at depth {} is not the branch point it names",
+            c.depth
+        );
+    }
 
     // Resuming any snapshot and replaying the remaining recorded decisions
     // reproduces the reference run byte-for-byte.
-    for (depth, snap) in &snaps {
+    for c in &snaps {
+        let depth = c.depth;
         let forked = resume_forced(
             &w.program,
             config,
-            snap,
-            *depth,
+            &c.snap,
+            depth,
             trace.decisions.clone(),
             mask,
         );
@@ -97,9 +112,10 @@ fn fork_matches_scratch(name: &str, mask: PointMask) {
         );
     }
 
-    // Perturbed children: flip a decision at a branch point past the
-    // snapshot, exactly how `explore` forks candidate schedules. The run
-    // from the restored ancestor must match the run from step zero.
+    // Perturbed children: flip the decision at a branch point, exactly how
+    // `explore` forks candidate schedules, and resume from the image taken
+    // at that very branch point. The run from the restored image must
+    // match the run from step zero.
     let mut tested = 0usize;
     for (i, c) in consults.iter().enumerate() {
         if c.eligible.len() < 2 || i == 0 {
@@ -113,17 +129,12 @@ fn fork_matches_scratch(name: &str, mask: PointMask) {
         let mut prefix = trace.decisions[..i].to_vec();
         prefix.push(alt.index() as u32);
         let (scratch, _) = run_forced(&w.program, config, prefix.clone(), mask);
-        let (depth, snap) = snaps
+        let c = snaps
             .iter()
-            .rev()
-            .find(|(d, _)| *d <= i)
-            .expect("ancestor snapshot at or below the branch");
-        let forked = resume_forced(&w.program, config, snap, *depth, prefix, mask);
-        assert_identical(
-            &scratch,
-            &forked,
-            &format!("{name}: fork at decision {i} from depth {depth}"),
-        );
+            .find(|c| c.depth == i)
+            .expect("an image at every early branch point");
+        let forked = resume_forced(&w.program, config, &c.snap, i, prefix, mask);
+        assert_identical(&scratch, &forked, &format!("{name}: fork at decision {i}"));
         tested += 1;
         if tested >= 6 {
             break;
