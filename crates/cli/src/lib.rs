@@ -62,7 +62,7 @@ use conair_runtime::{
     to_chrome_trace, to_jsonl, DecisionTrace, EventBuffer, ExploreConfig, ExploreObserver,
     ExploreReport, ExploreStrategy, Machine, MachineConfig, PctConfig, PctScheduler, PointMask,
     Program, RoundRobin, RunOutcome, RunResult, ScheduleScript, Scheduler, SeededRandom,
-    TraceEvent, TraceSink,
+    TraceEvent, TraceSink, TrialPool,
 };
 
 /// A CLI failure: message plus suggested exit code.
@@ -676,7 +676,7 @@ pub const USAGE: &str =
           upgraded automatically)
   verify  <file.cir> [--harden [--fix M]...] [--preemptions K]
           [--budget N] [--max-retries N] [--jobs N] [-o trace.json]
-          [--report-out r.json]
+          [--report-out r.json] [--snapshot-budget N]
           exhaustively verifies the program under K preemptions (default
           2) with DPOR and prints a verdict: VERIFIED (search space
           exhausted, no failing interleaving), COUNTEREXAMPLE (a failing
@@ -956,7 +956,7 @@ pub fn cmd_run(
             s.trials,
             opts.seed,
             opts.seed + opts.trials as u64,
-            opts.jobs.max(1)
+            TrialPool::new(opts.jobs).jobs()
         );
         let _ = writeln!(
             out,
@@ -1256,7 +1256,7 @@ fn explore_inner(
         report.strategy,
         PointMask::from_bits(report.mask).name(),
         report.budget,
-        opts.jobs
+        TrialPool::new(opts.jobs).jobs()
     );
     let _ = writeln!(
         out,
@@ -1331,13 +1331,6 @@ fn explore_inner(
             out,
             "snapshot tree: {} taken, {} schedules resumed, {} steps saved",
             report.snapshots_taken, report.snapshot_hits, report.steps_saved
-        );
-    }
-    if report.dedup_skips > 0 || report.independence_skips > 0 {
-        let _ = writeln!(
-            out,
-            "pruned: {} duplicate traces, {} independent alternatives",
-            report.dedup_skips, report.independence_skips
         );
     }
     if report.phases.total_us() > 0 {
@@ -1461,13 +1454,6 @@ fn render_explore_report(report: &ExploreReport) -> String {
             out,
             "  snapshot tree: {} taken, {} hits, {} steps saved",
             report.snapshots_taken, report.snapshot_hits, report.steps_saved
-        );
-    }
-    if report.dedup_skips > 0 || report.independence_skips > 0 {
-        let _ = writeln!(
-            out,
-            "  pruned: {} duplicate traces, {} independent alternatives",
-            report.dedup_skips, report.independence_skips
         );
     }
     let d = &report.dpor;
@@ -2180,11 +2166,15 @@ bb0:
 
         let par = RunOptions { jobs: 4, ..base };
         let (out, _) = cmd_run(&hardened, &par, None).unwrap();
-        // Seed-order merging makes the report identical apart from the
-        // job count it echoes back.
+        // The summary echoes the workers that ran: the request clamped to
+        // the host's cores.
+        let workers = TrialPool::new(4).jobs();
+        assert!(out.contains(&format!("{workers} jobs)")), "{out}");
+        // Seed-order merging makes the report identical apart from that
+        // count.
         assert_eq!(
             seq.replace("1 jobs", ""),
-            out.replace("4 jobs", ""),
+            out.replace(&format!("{workers} jobs"), ""),
             "summary must not depend on the job count"
         );
     }

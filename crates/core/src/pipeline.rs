@@ -63,11 +63,6 @@ impl Conair {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
     /// Runs only the static analysis.
     pub fn analyze(&self, module: &Module) -> HardeningPlan {
         analyze(module, &self.config)

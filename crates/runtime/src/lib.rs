@@ -66,7 +66,7 @@ pub use harness::{
     RestartReport, TrialPool, TrialSummary,
 };
 pub use locks::{AcquireResult, LockTable, ThreadId, UnlockError};
-pub use machine::{BranchCapture, Machine, MachineConfig, MachineSnapshot};
+pub use machine::{BranchCapture, CapturePlacement, Machine, MachineConfig, MachineSnapshot};
 pub use memory::{MemFault, Memory, DEFAULT_LOWER_BOUND, GLOBAL_BASE, HEAP_BASE, MAX_HEAP_WORDS};
 pub use metrics::Histogram;
 pub use outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};
@@ -76,7 +76,7 @@ pub use sched::{
     DporCounters, ExploreConfig, ExploreObserver, ExplorePhases, ExploreReport, ExploreStrategy,
     Footprint, FoundSchedule, FrontierScheduler, Gate, MinimizeReport, PctConfig, PctScheduler,
     PointKind, PointMask, ReplayScheduler, RoundRobin, SchedContext, ScheduleScript, Scheduler,
-    SeededRandom, VectorClock,
+    SeededRandom,
 };
 pub use thread::{
     Checkpoint, CompensationRecord, Frame, ThreadState, ThreadStats, ThreadStatus, UndoRecord,

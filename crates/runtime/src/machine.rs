@@ -322,16 +322,61 @@ pub struct BranchCapture {
     pub singles_from: usize,
 }
 
-/// In-flight snapshot capture: one image per branch point at decision
-/// index `from` or deeper, at most `limit` of them, in ascending depth
-/// order (see [`Machine::run_captured_at_branches`]).
+/// Which branch points [`Machine::run_captured_at_branches`] images.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CapturePlacement {
+    /// The first `limit` branch points: a contiguous run of nodes from the
+    /// start, which a scheduler simulation can walk down.
+    First,
+    /// At most `limit` branch points spread evenly over the whole run:
+    /// every `stride`-th one, where the stride starts at 1 and doubles,
+    /// dropping every other held image, whenever `limit` are held.
+    Spread,
+}
+
+/// In-flight snapshot capture: images of branch points at decision index
+/// `from` or deeper, at most `limit` of them, placed per `placement`, in
+/// ascending depth order (see [`Machine::run_captured_at_branches`]).
 struct CaptureState {
     from: usize,
     limit: usize,
+    placement: CapturePlacement,
+    /// Branch points at or past `from` seen so far.
+    forks: usize,
+    /// Image every `stride`-th of those forks (always 1 for
+    /// [`CapturePlacement::First`]).
+    stride: usize,
     /// The latest decision index that had two or more eligible threads,
     /// or was this run's first consult.
     last_fork: Option<usize>,
     out: Vec<BranchCapture>,
+}
+
+impl CaptureState {
+    /// Counts one more branch point at or past `from` and says whether it
+    /// gets an image. Under [`CapturePlacement::Spread`] a full plan first
+    /// keeps every other image and doubles its stride, so the held images
+    /// stay evenly strided from the first fork.
+    fn next_fork_due(&mut self) -> bool {
+        let fork = self.forks;
+        self.forks += 1;
+        if !fork.is_multiple_of(self.stride) {
+            return false;
+        }
+        if self.out.len() < self.limit {
+            return true;
+        }
+        if self.placement == CapturePlacement::First {
+            return false;
+        }
+        let mut keep = false;
+        self.out.retain(|_| {
+            keep = !keep;
+            keep
+        });
+        self.stride *= 2;
+        fork.is_multiple_of(self.stride) && self.out.len() < self.limit
+    }
 }
 
 /// The interpreter for one program run.
@@ -650,19 +695,20 @@ impl<'p> Machine<'p> {
     }
 
     /// Runs like [`Machine::run`], additionally capturing a
-    /// [`MachineSnapshot`] at each *branch point*: a consult at decision
-    /// index `capture_from` or deeper where at least two threads are
-    /// eligible, the only depths a divergent sibling schedule can resume
-    /// from. `capture_limit` bounds the number of captures, so sparse
-    /// branch points deep in a run stay covered. Captures come back in
-    /// ascending depth order, each with its consult's eligible set and the
-    /// single-choice run of decisions leading to it. Capture keys on the
-    /// decision log, so [`MachineConfig::record_decisions`] must be set.
+    /// [`MachineSnapshot`] at *branch points*: consults at decision index
+    /// `capture_from` or deeper where at least two threads are eligible,
+    /// the only depths a divergent sibling schedule can resume from.
+    /// `capture_limit` bounds the images held, and `placement` picks which
+    /// branch points they cover. Captures come back in ascending depth
+    /// order, each with its consult's eligible set and the single-choice
+    /// run of decisions leading to it. Capture keys on the decision log,
+    /// so [`MachineConfig::record_decisions`] must be set.
     pub fn run_captured_at_branches<S: Scheduler + ?Sized>(
         mut self,
         scheduler: &mut S,
         capture_from: usize,
         capture_limit: usize,
+        placement: CapturePlacement,
     ) -> (RunResult, Vec<BranchCapture>) {
         assert!(
             self.config.record_decisions,
@@ -672,6 +718,9 @@ impl<'p> Machine<'p> {
             self.capture = Some(CaptureState {
                 from: capture_from,
                 limit: capture_limit,
+                placement,
+                forks: 0,
+                stride: 1,
                 last_fork: None,
                 out: Vec::new(),
             });
@@ -1026,7 +1075,7 @@ impl<'p> Machine<'p> {
         // image there can never be a resume target: every run reaching
         // this prefix has the same state (determinism), hence the same
         // eligible set, hence no divergence here.
-        let due = fork && depth >= c.from && c.out.len() < c.limit;
+        let due = fork && depth >= c.from && c.next_fork_due();
         let singles_from = c.last_fork.map_or(depth, |f| f + 1);
         if fork || c.last_fork.is_none() {
             c.last_fork = Some(depth);

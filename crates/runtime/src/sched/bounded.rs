@@ -28,6 +28,10 @@ pub struct Consult {
     pub chosen: ThreadId,
     /// The previously running thread (`None` on the first consult).
     pub last: Option<ThreadId>,
+    /// DPOR's id for the branch node this consult is, stamped when the
+    /// exploring thread first analyzes the run that recorded it (`None`
+    /// until then, and for consults DPOR never analyzes).
+    pub(crate) node: Option<u32>,
 }
 
 impl Consult {
@@ -50,12 +54,13 @@ impl Consult {
             footprints,
             chosen,
             last,
+            node: None,
         }
     }
 
     /// A copy of this consult recording a different choice — the branch
     /// override a DPOR backtrack candidate carries for the decision it
-    /// reverses.
+    /// reverses. The copy keeps the node id: it is the same branch node.
     pub fn with_chosen(&self, chosen: ThreadId) -> Self {
         debug_assert!(self.eligible.contains(&chosen));
         Self {

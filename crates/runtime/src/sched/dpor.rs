@@ -4,7 +4,7 @@
 //! Where the bounded search enqueues *every* unchosen eligible thread at
 //! every consult, DPOR enqueues only the alternatives that reverse a
 //! detected **race**: after each executed schedule, the engine assigns a
-//! [`VectorClock`] to every decision (program order plus an edge from each
+//! vector clock to every decision (program order plus an edge from each
 //! *dependent* — non-commuting by [`Footprint::independent`] — earlier
 //! step) and, for each pair of dependent steps neither of which
 //! happens-before the other, inserts a backtrack candidate at the earlier
@@ -20,16 +20,20 @@
 //!   spawning a sleeping alternative (or executing one) is provably
 //!   redundant and skipped.
 //! * **Node table** — every branch node the search has seen records the
-//!   choices already explored there (keyed by decision-prefix hash), so a
-//!   race detected again along a sibling path cannot re-spawn the same
-//!   candidate.
+//!   choices already explored there, so a race detected again along a
+//!   sibling path cannot re-spawn the same candidate. A node is identified
+//!   by a dense id stamped on its branch consult ([`Consult`]) the first
+//!   time a run reaches it, never by a hash of its decision prefix.
 //!
 //! The analysis runs on the exploring thread, in schedule-index order,
 //! over each run's *composed* consult history — the candidate's inherited
 //! prefix ([`Hist`], shared `Arc` slices of ancestor runs' consults) plus
 //! the consults the run recorded live past its snapshot resume point — so
 //! results are deterministic and bit-identical across `--jobs` and
-//! snapshot-cache settings, exactly like the bounded search.
+//! snapshot-cache settings, exactly like the bounded search. The history
+//! is flattened once per run, and the clocks live in one flat arena with
+//! a row per decision, so the analysis is linear in run length and
+//! allocates nothing per decision.
 //!
 //! Soundness rests on the commutation axiom (two adjacent independent
 //! steps reach the same state in either order), which holds only when a
@@ -40,13 +44,13 @@
 //! axiom itself is pinned by a property test over the workload catalog
 //! (`tests/independence.rs`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use super::bounded::Consult;
-use super::footprint::{Footprint, VectorClock};
+use super::footprint::{clock_join, clock_leq, Footprint};
+use super::WordMap;
 use crate::locks::ThreadId;
 
 /// DPOR search counters, reported in
@@ -94,6 +98,7 @@ impl Hist {
         self.total
     }
 
+    #[cfg(test)]
     fn get(&self, mut i: usize) -> &Consult {
         for s in &self.slices {
             if i < s.len {
@@ -172,8 +177,8 @@ impl Candidate {
     }
 }
 
-/// Search state at one branch node, keyed by decision-prefix hash in the
-/// [`NodeTable`].
+/// Search state at one branch node, at its id's slot in [`Dpor`]'s node
+/// table.
 struct NodeState {
     /// Sleep set inherited when the node was first reached.
     sleep: Vec<(ThreadId, Footprint)>,
@@ -181,12 +186,26 @@ struct NodeState {
     explored: Vec<ThreadId>,
 }
 
-/// Every branch node (consult with ≥ 2 eligible threads) the search has
-/// executed through, accumulated across the whole exploration on the
-/// exploring thread.
+/// DPOR's state on the exploring thread: the node table — every branch
+/// node (consult with ≥ 2 eligible threads) the search has executed
+/// through, indexed by the id stamped on the node's consult — and the
+/// buffers [`Dpor::analyze`] reuses from run to run.
 #[derive(Default)]
-pub(crate) struct NodeTable {
-    nodes: HashMap<u64, NodeState>,
+pub(crate) struct Dpor {
+    nodes: Vec<NodeState>,
+    /// One vector clock per decision of the analyzed run, `threads` words
+    /// each: row `i` is the clock of step `i` after its own event.
+    clocks: Vec<u32>,
+    /// Preemptions spent by decisions `[0, i)` — candidate costs.
+    pre: Vec<usize>,
+    /// Dependent predecessors of the step being analyzed.
+    deps: Vec<usize>,
+    /// Last operation per lock.
+    lock_last: WordMap<u32, usize>,
+    /// Last write per address.
+    write_last: WordMap<i64, usize>,
+    /// Reads per address since its last write.
+    reads_since: WordMap<i64, Vec<usize>>,
 }
 
 /// What analyzing one executed run produced.
@@ -204,23 +223,27 @@ pub(crate) struct Analysis {
 
 /// An executed run's full consult view: inherited history below the
 /// candidate's prefix, live consults (recorded from the snapshot resume
-/// depth `consult_base`) above it.
+/// depth `consult_base`) above it, flattened once into `steps`.
 struct RunView<'a> {
     hist: &'a Hist,
     own: &'a Arc<Vec<Consult>>,
     consult_base: usize,
+    /// The consult of every decision, in order.
+    steps: Vec<&'a Consult>,
 }
 
-impl RunView<'_> {
-    fn len(&self) -> usize {
-        self.consult_base + self.own.len()
-    }
-
-    fn get(&self, i: usize) -> &Consult {
-        if i < self.hist.len() {
-            self.hist.get(i)
-        } else {
-            &self.own[i - self.consult_base]
+impl<'a> RunView<'a> {
+    fn new(hist: &'a Hist, own: &'a Arc<Vec<Consult>>, consult_base: usize) -> Self {
+        let mut steps = Vec::with_capacity(consult_base + own.len());
+        for s in &hist.slices {
+            steps.extend(&s.src[s.off..s.off + s.len]);
+        }
+        steps.extend(&own[hist.len() - consult_base..]);
+        Self {
+            hist,
+            own,
+            consult_base,
+            steps,
         }
     }
 
@@ -246,268 +269,288 @@ fn asleep(sleep: &[(ThreadId, Footprint)], t: ThreadId) -> bool {
     sleep.iter().any(|&(s, _)| s == t)
 }
 
-/// Analyzes one executed run: assigns vector clocks, detects reversible
-/// races, and spawns the backtrack candidates that reverse them.
-///
-/// `cand` is the candidate that ran ([`Candidate::root`] for the
-/// probe), `own`/`consult_base` the consults the run recorded live,
-/// `decisions` its full decision trace (always recorded from zero — the
-/// resume snapshot restores the decision log), `bound` the preemption
-/// budget, and `hash_prefix` the explorer's prefix-hash function (node
-/// keys share the dedup set's hashing).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn analyze(
-    cand: &Candidate,
-    own: &Arc<Vec<Consult>>,
-    consult_base: usize,
-    decisions: &[u32],
-    threads: usize,
-    bound: usize,
-    nodes: &mut NodeTable,
-    hash_prefix: impl Fn(&[u32]) -> u64,
-) -> Analysis {
-    let view = RunView {
-        hist: &cand.hist,
-        own,
-        consult_base,
-    };
-    let n = view.len().min(decisions.len());
-    debug_assert_eq!(view.len(), decisions.len(), "one consult per decision");
-    let prefix_len = cand.prefix.len();
-    // Only races whose later step is new to this run (at or past the
-    // branch decision) spawn candidates: earlier pairs lie in the shared
-    // prefix and were analyzed when an ancestor executed it.
-    let spawn_floor = prefix_len.saturating_sub(1);
+impl Dpor {
+    /// Analyzes one executed run: assigns vector clocks, detects reversible
+    /// races, and spawns the backtrack candidates that reverse them.
+    ///
+    /// `cand` is the candidate that ran ([`Candidate::root`] for the
+    /// probe), `own`/`consult_base` the consults the run recorded live,
+    /// `decisions` its full decision trace (always recorded from zero —
+    /// the resume snapshot restores the decision log) and `bound` the
+    /// preemption budget.
+    ///
+    /// Every branch consult the run reached past its forced prefix is a
+    /// node no earlier run passed: the run's last forced decision deviates
+    /// from the default continuation, and every other run continues by
+    /// default past its own prefix. So each such consult is stamped with a
+    /// fresh node id before `own` is shared, and children inherit the
+    /// stamped consults through their [`Hist`]. Node identity never rests
+    /// on a hash of the decision prefix.
+    pub(crate) fn analyze(
+        &mut self,
+        cand: &Candidate,
+        mut own: Vec<Consult>,
+        consult_base: usize,
+        decisions: &[u32],
+        threads: usize,
+        bound: usize,
+    ) -> Analysis {
+        let prefix_len = cand.prefix.len();
+        debug_assert_eq!(cand.hist.len(), prefix_len, "history covers the prefix");
+        debug_assert!(consult_base <= prefix_len, "resume point is an ancestor");
+        debug_assert_eq!(
+            consult_base + own.len(),
+            decisions.len(),
+            "one consult per decision"
+        );
+        // Only races whose later step is new to this run (at or past the
+        // branch decision) spawn candidates: earlier pairs lie in the
+        // shared prefix and were analyzed when an ancestor executed it.
+        let spawn_floor = prefix_len.saturating_sub(1);
 
-    let mut out = Analysis::default();
-    // Happens-before state. `thread_clock[t]` is the clock of t's last
-    // step (its accumulated knowledge); the per-object maps hold the last
-    // dependent accesses: per lock the last operation, per address the
-    // last write and the reads since it, plus the last step of every
-    // thread (for Opaque steps, which conservatively depend on
-    // everything) and the last Opaque step (which everything depends on).
-    let mut thread_clock: Vec<VectorClock> = vec![VectorClock::new(threads); threads];
-    let mut last_step: Vec<Option<(usize, ThreadId, VectorClock)>> = vec![None; threads];
-    let mut lock_last: HashMap<u32, (usize, ThreadId, VectorClock)> = HashMap::new();
-    let mut write_last: HashMap<i64, (usize, ThreadId, VectorClock)> = HashMap::new();
-    let mut reads_since: HashMap<i64, Vec<(usize, ThreadId, VectorClock)>> = HashMap::new();
-    let mut opaque_last: Option<(usize, ThreadId, VectorClock)> = None;
-    // Preemptions spent by decisions `[0, i)` — candidate costs.
-    let mut pre: Vec<usize> = Vec::with_capacity(n);
-    let mut used = 0usize;
-    // Sleep set propagated along the run from the branch onward.
-    let mut cur_sleep = cand.sleep.clone();
-    let mut redundant = false;
-    // Each thread's pending next operation: recorded whenever the thread
-    // is eligible but passed over, consumed when it executes. Threads
-    // whose entry survives the walk never ran their pending op — the run
-    // aborted (failure, deadlock) with it still in flight — and get a
-    // virtual race check below, the executed-trace analog of
-    // Flanagan–Godefroid's `next(s, p)`.
-    let mut pending: Vec<Option<Footprint>> = vec![None; threads];
-
-    for i in 0..n {
-        let c = view.get(i);
-        let p = c.chosen;
-        let fp = c.footprint_for(p);
-        for &q in &c.eligible {
-            pending[q.index()] = Some(c.footprint_for(q));
-        }
-        pending[p.index()] = None;
-        pre.push(used);
-        used += usize::from(c.is_preemption());
-
-        if i >= prefix_len && !redundant {
-            // First run through a branch node records its inherited sleep
-            // set and its own choice; later spawns at the node consult and
-            // extend the entry.
+        // Propagate the sleep set along the run from the branch onward,
+        // recording each new branch node with its inherited sleep set and
+        // its own choice; later spawns at the node consult and extend the
+        // entry. A step that executes a sleeping thread makes the whole
+        // suffix equivalent to schedules explored from the sibling that put
+        // it to sleep: spawning stops from `live_until` on (the run itself
+        // already executed and is counted).
+        let mut cur_sleep = cand.sleep.clone();
+        let mut live_until = decisions.len();
+        for (i, c) in own
+            .iter_mut()
+            .enumerate()
+            .skip(prefix_len - consult_base)
+            .map(|(k, c)| (consult_base + k, c))
+        {
+            let p = c.chosen;
             if c.eligible.len() >= 2 {
-                nodes
-                    .nodes
-                    .entry(hash_prefix(&decisions[..i]))
-                    .or_insert_with(|| NodeState {
-                        sleep: cur_sleep.clone(),
-                        explored: vec![p],
-                    });
+                c.node = Some(self.nodes.len() as u32);
+                self.nodes.push(NodeState {
+                    sleep: cur_sleep.clone(),
+                    explored: vec![p],
+                });
             }
             if asleep(&cur_sleep, p) {
-                // The default continuation executed a sleeping thread: the
-                // whole suffix is equivalent to schedules explored from the
-                // sibling that put it to sleep. Stop spawning (the run
-                // itself already executed and is counted).
-                redundant = true;
-            } else {
-                cur_sleep.retain(|&(_, sfp)| sfp.independent(fp));
+                live_until = i;
+                break;
             }
+            let fp = c.footprint_for(p);
+            cur_sleep.retain(|&(_, sfp)| sfp.independent(fp));
         }
 
-        // Dependent predecessors of step i, each a candidate race.
-        let deps = collect_deps(
-            fp,
-            &lock_last,
-            &write_last,
-            &reads_since,
-            &last_step,
-            &opaque_last,
-        );
+        let own = Arc::new(own);
+        let view = RunView::new(&cand.hist, &own, consult_base);
+        let n = view.steps.len().min(decisions.len());
+        let mut out = Analysis::default();
+        let Dpor {
+            nodes,
+            clocks,
+            pre,
+            deps,
+            lock_last,
+            write_last,
+            reads_since,
+        } = self;
+        // Happens-before state. Row `i` of `clocks` is step `i`'s clock;
+        // a thread's accumulated knowledge is the row of its last step.
+        // The per-object maps hold the last dependent accesses: per lock
+        // the last operation, per address the last write and the reads
+        // since it, plus the last step of every thread (for Opaque steps,
+        // which conservatively depend on everything) and the last Opaque
+        // step (which everything depends on).
+        clocks.clear();
+        clocks.resize(n * threads, 0);
+        pre.clear();
+        lock_last.clear();
+        write_last.clear();
+        reads_since.values_mut().for_each(Vec::clear);
+        let mut last_step: Vec<Option<usize>> = vec![None; threads];
+        let mut opaque_last: Option<usize> = None;
+        let mut used = 0usize;
 
-        // Joining in ascending step order lets a dependence chain
-        // `j → k → i` mark `j` as happened-before by the time it is
-        // checked — only genuinely concurrent pairs count as races.
-        //
-        // Backtracking follows Flanagan–Godefroid: only the *latest*
-        // concurrent dependent transition spawns a reversal here. Earlier
-        // races along the same step re-surface in the reversed child's own
-        // analysis (the spawn gate is on the later step's index, so a
-        // child may backtrack below its own branch) — spawning all of them
-        // at once would square the frontier on long dependence chains
-        // without covering anything extra.
-        let mut clock = thread_clock[p.index()].clone();
-        let mut racing: Option<usize> = None;
-        for &(j, q, cj) in &deps {
-            if q == p {
-                clock.join(cj);
-                continue; // program order, never a race
-            }
-            if !cj.leq(&clock) {
-                out.races += 1;
-                racing = Some(j);
-            }
-            clock.join(cj);
-        }
-        if let Some(j) = racing {
-            if i >= spawn_floor && !redundant {
-                spawn(
-                    &mut out,
-                    &view,
-                    decisions,
-                    &pre,
-                    j,
-                    p,
-                    bound,
-                    nodes,
-                    &hash_prefix,
-                );
-            }
-        }
-        clock.bump(p);
+        for i in 0..n {
+            let c = view.steps[i];
+            let p = c.chosen;
+            let fp = c.footprint_for(p);
+            pre.push(used);
+            used += usize::from(c.is_preemption());
 
-        match fp {
-            Footprint::Lock(l) => {
-                lock_last.insert(l, (i, p, clock.clone()));
-            }
-            Footprint::Read(a) => {
-                reads_since
-                    .entry(a)
-                    .or_default()
-                    .push((i, p, clock.clone()));
-            }
-            Footprint::Write(a) => {
-                write_last.insert(a, (i, p, clock.clone()));
-                reads_since.remove(&a);
-            }
-            Footprint::Opaque => {
-                opaque_last = Some((i, p, clock.clone()));
-            }
-        }
-        last_step[p.index()] = Some((i, p, clock.clone()));
-        thread_clock[p.index()] = clock;
-    }
-
-    // Virtual race check for pending-but-never-executed operations. A run
-    // that aborts (assertion failure, deadlock) leaves threads whose next
-    // step was recorded in consult footprints but never appeared as an
-    // executed transition — analyzing executed pairs only would miss every
-    // race against those steps, and a probe that fails immediately would
-    // wrongly exhaust the search with its sibling schedules unexplored.
-    if !redundant && n >= spawn_floor {
-        for (q, slot) in pending.iter().enumerate().take(threads) {
-            let Some(fq) = *slot else { continue };
-            let q = ThreadId(q);
-            let deps = collect_deps(
-                fq,
-                &lock_last,
-                &write_last,
-                &reads_since,
+            // Dependent predecessors of step i, each a candidate race.
+            collect_deps(
+                fp,
+                lock_last,
+                write_last,
+                reads_since,
                 &last_step,
-                &opaque_last,
+                opaque_last,
+                deps,
             );
-            // Latest racing dependency only, as in the main loop.
-            let mut clock = thread_clock[q.index()].clone();
-            let mut racing: Option<usize> = None;
-            for &(j, r, cj) in &deps {
-                if r == q {
-                    clock.join(cj);
-                    continue;
-                }
-                if !cj.leq(&clock) {
-                    out.races += 1;
-                    racing = Some(j);
-                }
-                clock.join(cj);
+            let (done, rest) = clocks.split_at_mut(i * threads);
+            let clock = &mut rest[..threads];
+            if let Some(k) = last_step[p.index()] {
+                clock.copy_from_slice(&done[k * threads..(k + 1) * threads]);
             }
+            // Joining in ascending step order lets a dependence chain
+            // `j → k → i` mark `j` as happened-before by the time it is
+            // checked — only genuinely concurrent pairs count as races.
+            //
+            // Backtracking follows Flanagan–Godefroid: only the *latest*
+            // concurrent dependent transition spawns a reversal here.
+            // Earlier races along the same step re-surface in the reversed
+            // child's own analysis (the spawn gate is on the later step's
+            // index, so a child may backtrack below its own branch) —
+            // spawning all of them at once would square the frontier on
+            // long dependence chains without covering anything extra.
+            let racing = join_deps(clock, done, threads, deps, &view.steps, p, &mut out.races);
             if let Some(j) = racing {
-                spawn(
-                    &mut out,
-                    &view,
-                    decisions,
-                    &pre,
-                    j,
-                    q,
-                    bound,
-                    nodes,
-                    &hash_prefix,
+                if i >= spawn_floor && i < live_until {
+                    spawn(&mut out, &view, decisions, pre, j, p, bound, nodes);
+                }
+            }
+            clock[p.index()] += 1;
+
+            match fp {
+                Footprint::Lock(l) => {
+                    lock_last.insert(l, i);
+                }
+                Footprint::Read(a) => reads_since.entry(a).or_default().push(i),
+                Footprint::Write(a) => {
+                    write_last.insert(a, i);
+                    if let Some(reads) = reads_since.get_mut(&a) {
+                        reads.clear();
+                    }
+                }
+                Footprint::Opaque => opaque_last = Some(i),
+            }
+            last_step[p.index()] = Some(i);
+        }
+
+        // Virtual race check for pending-but-never-executed operations. A
+        // run that aborts (assertion failure, deadlock) leaves threads
+        // whose next step was recorded in consult footprints but never
+        // appeared as an executed transition — analyzing executed pairs
+        // only would miss every race against those steps, and a probe that
+        // fails immediately would wrongly exhaust the search with its
+        // sibling schedules unexplored.
+        if live_until == decisions.len() && n >= spawn_floor {
+            let mut clock = vec![0u32; threads];
+            for (q, slot) in pending_ops(&view.steps[..n], threads).iter().enumerate() {
+                let Some(fq) = *slot else { continue };
+                let q = ThreadId(q);
+                collect_deps(
+                    fq,
+                    lock_last,
+                    write_last,
+                    reads_since,
+                    &last_step,
+                    opaque_last,
+                    deps,
                 );
+                match last_step[q.index()] {
+                    Some(k) => clock.copy_from_slice(&clocks[k * threads..(k + 1) * threads]),
+                    None => clock.fill(0),
+                }
+                // Latest racing dependency only, as in the main loop.
+                let racing = join_deps(
+                    &mut clock,
+                    clocks,
+                    threads,
+                    deps,
+                    &view.steps,
+                    q,
+                    &mut out.races,
+                );
+                if let Some(j) = racing {
+                    spawn(&mut out, &view, decisions, pre, j, q, bound, nodes);
+                }
             }
         }
+        out
     }
-    out
 }
 
-/// Dependent predecessors of a step with footprint `fp`, in ascending
-/// decision order: the last same-lock operation, the last same-address
-/// write (plus, for writes, the reads since it), every thread's last step
-/// for Opaque footprints (conservatively dependent with everything), and
-/// the last Opaque step for everything else.
-fn collect_deps<'m>(
+/// Each thread's pending next operation at the end of a run: its footprint
+/// at the last consult where it was eligible, unless it ran there. A
+/// thread with a pending operation never ran it — the run aborted
+/// (failure, deadlock) with it still in flight — and gets a virtual race
+/// check, the executed-trace analog of Flanagan–Godefroid's `next(s, p)`.
+fn pending_ops(steps: &[&Consult], threads: usize) -> Vec<Option<Footprint>> {
+    let mut pending = vec![None; threads];
+    let mut seen = vec![false; threads];
+    let mut unseen = threads;
+    for c in steps.iter().rev() {
+        if unseen == 0 {
+            break;
+        }
+        for (k, &q) in c.eligible.iter().enumerate() {
+            if !std::mem::replace(&mut seen[q.index()], true) {
+                unseen -= 1;
+                if q != c.chosen {
+                    pending[q.index()] = Some(c.footprints.get(k).copied().unwrap_or_default());
+                }
+            }
+        }
+    }
+    pending
+}
+
+/// Fills `deps` with the dependent predecessors of a step with footprint
+/// `fp`, in ascending decision order: the last same-lock operation, the
+/// last same-address write (plus, for writes, the reads since it), every
+/// thread's last step for Opaque footprints (conservatively dependent with
+/// everything), and the last Opaque step for everything else.
+fn collect_deps(
     fp: Footprint,
-    lock_last: &'m HashMap<u32, (usize, ThreadId, VectorClock)>,
-    write_last: &'m HashMap<i64, (usize, ThreadId, VectorClock)>,
-    reads_since: &'m HashMap<i64, Vec<(usize, ThreadId, VectorClock)>>,
-    last_step: &'m [Option<(usize, ThreadId, VectorClock)>],
-    opaque_last: &'m Option<(usize, ThreadId, VectorClock)>,
-) -> Vec<(usize, ThreadId, &'m VectorClock)> {
-    let mut deps: Vec<(usize, ThreadId, &VectorClock)> = Vec::new();
+    lock_last: &WordMap<u32, usize>,
+    write_last: &WordMap<i64, usize>,
+    reads_since: &WordMap<i64, Vec<usize>>,
+    last_step: &[Option<usize>],
+    opaque_last: Option<usize>,
+    deps: &mut Vec<usize>,
+) {
+    deps.clear();
     match fp {
-        Footprint::Lock(l) => {
-            if let Some(d) = lock_last.get(&l) {
-                deps.push((d.0, d.1, &d.2));
-            }
-        }
-        Footprint::Read(a) => {
-            if let Some(d) = write_last.get(&a) {
-                deps.push((d.0, d.1, &d.2));
-            }
-        }
+        Footprint::Lock(l) => deps.extend(lock_last.get(&l)),
+        Footprint::Read(a) => deps.extend(write_last.get(&a)),
         Footprint::Write(a) => {
-            if let Some(d) = write_last.get(&a) {
-                deps.push((d.0, d.1, &d.2));
-            }
-            if let Some(rs) = reads_since.get(&a) {
-                deps.extend(rs.iter().map(|d| (d.0, d.1, &d.2)));
+            deps.extend(write_last.get(&a));
+            if let Some(reads) = reads_since.get(&a) {
+                deps.extend(reads);
             }
         }
-        Footprint::Opaque => {
-            deps.extend(last_step.iter().flatten().map(|d| (d.0, d.1, &d.2)));
-        }
+        Footprint::Opaque => deps.extend(last_step.iter().flatten()),
     }
     if !matches!(fp, Footprint::Opaque) {
-        if let Some(d) = opaque_last {
-            deps.push((d.0, d.1, &d.2));
-        }
+        deps.extend(opaque_last);
     }
-    deps.sort_by_key(|&(j, _, _)| j);
-    deps
+    deps.sort_unstable();
+}
+
+/// Joins the clocks of `deps` (rows of `clocks`, all earlier than the step
+/// whose clock is `clock`) into `clock` for a step of thread `p`, counting
+/// each concurrent dependency by another thread as a race. Returns the
+/// latest racing dependency.
+fn join_deps(
+    clock: &mut [u32],
+    clocks: &[u32],
+    threads: usize,
+    deps: &[usize],
+    steps: &[&Consult],
+    p: ThreadId,
+    races: &mut u64,
+) -> Option<usize> {
+    let mut racing = None;
+    for &j in deps {
+        let cj = &clocks[j * threads..(j + 1) * threads];
+        // Program order is never a race.
+        if steps[j].chosen != p && !clock_leq(cj, clock) {
+            *races += 1;
+            racing = Some(j);
+        }
+        clock_join(clock, cj);
+    }
+    racing
 }
 
 /// Spawns the backtrack alternatives reversing a race whose earlier step
@@ -524,16 +567,16 @@ fn spawn(
     j: usize,
     p: ThreadId,
     bound: usize,
-    nodes: &mut NodeTable,
-    hash_prefix: &impl Fn(&[u32]) -> u64,
+    nodes: &mut [NodeState],
 ) {
-    let cj = view.get(j);
-    // A node entry exists for every executed branch node (consults with
+    let cj = view.steps[j];
+    // Every executed branch consult carries its node's id (consults with
     // one eligible thread have no alternatives to spawn).
-    let Some(node) = nodes.nodes.get_mut(&hash_prefix(&decisions[..j])) else {
+    let Some(id) = cj.node else {
         debug_assert!(cj.eligible.len() < 2, "branch node not recorded");
         return;
     };
+    let node = &mut nodes[id as usize];
     let alts: Vec<ThreadId> = if cj.eligible.contains(&p) {
         vec![p]
     } else {
@@ -591,11 +634,16 @@ mod tests {
         c
     }
 
-    fn hash(decisions: &[u32]) -> u64 {
-        // Any injective-enough hash works for tests.
-        decisions.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &d| {
-            (h ^ u64::from(d)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    /// Analyzes a from-scratch run of `cand` on `dpor`: `consults` were
+    /// recorded from decision 0, over two threads.
+    fn run(
+        dpor: &mut Dpor,
+        cand: &Candidate,
+        consults: Vec<Consult>,
+        decisions: &[u32],
+        bound: usize,
+    ) -> Analysis {
+        dpor.analyze(cand, consults, 0, decisions, 2, bound)
     }
 
     /// Two threads racing on one address — with an unrelated write in
@@ -611,17 +659,13 @@ mod tests {
             with_fps(consult(&[1], 1, Some(0)), &[w8]),
         ];
         let decisions = vec![0, 0, 1];
-        let own = Arc::new(consults);
-        let mut nodes = NodeTable::default();
-        let a = analyze(
+        let mut nodes = Dpor::default();
+        let a = run(
+            &mut nodes,
             &Candidate::root(),
-            &own,
-            0,
+            consults.clone(),
             &decisions,
             2,
-            2,
-            &mut nodes,
-            hash,
         );
         assert_eq!(a.races, 1, "one write-write race, on address 8 only");
         assert_eq!(a.candidates.len(), 1);
@@ -643,17 +687,13 @@ mod tests {
             with_fps(consult(&[1], 1, Some(0)), &[Footprint::Write(16)]),
         ];
         let decisions = vec![0, 1];
-        let own = Arc::new(consults);
-        let mut nodes = NodeTable::default();
-        let a = analyze(
+        let mut nodes = Dpor::default();
+        let a = run(
+            &mut nodes,
             &Candidate::root(),
-            &own,
-            0,
+            consults.clone(),
             &decisions,
             2,
-            2,
-            &mut nodes,
-            hash,
         );
         assert_eq!(a.races, 0);
         assert!(a.candidates.is_empty());
@@ -671,45 +711,36 @@ mod tests {
             with_fps(consult(&[1], 1, Some(0)), &[w8]),
         ];
         let decisions = vec![0, 1];
-        let own = Arc::new(consults);
-        let mut nodes = NodeTable::default();
-        let first = analyze(
+        let mut dpor = Dpor::default();
+        let first = run(
+            &mut dpor,
             &Candidate::root(),
-            &own,
-            0,
+            consults.clone(),
             &decisions,
-            2,
             1,
-            &mut nodes,
-            hash,
         );
         assert_eq!(first.candidates.len(), 1);
-        // Re-analyzing the same run (as if a sibling path re-detected the
-        // race) spawns nothing new.
-        let again = analyze(
-            &Candidate::root(),
-            &own,
-            0,
-            &decisions,
-            2,
-            1,
-            &mut nodes,
-            hash,
+        let child = &first.candidates[0];
+        assert_eq!(child.prefix, vec![1]);
+        assert_eq!(
+            child.hist.get(0).node,
+            Some(0),
+            "the branch consult keeps the root node's id"
         );
+        // The child runs t1 then t0 and re-detects the same race, now with
+        // t0's write second: its reversal (t0 first at the root) is the
+        // probe itself, so nothing new spawns.
+        let child_run = vec![
+            with_fps(consult(&[0, 1], 1, Some(0)), &[w8, w8]),
+            with_fps(consult(&[0], 0, Some(1)), &[w8]),
+        ];
+        let again = run(&mut dpor, child, child_run, &[1, 0], 1);
+        assert_eq!(again.races, 1, "the race is detected again");
         assert!(again.candidates.is_empty(), "node table dedups");
         // Bound 0 admits no preemptive reversal at all.
-        let mut fresh = NodeTable::default();
-        let bounded = analyze(
-            &Candidate::root(),
-            &own,
-            0,
-            &decisions,
-            2,
-            0,
-            &mut fresh,
-            hash,
-        );
-        assert_eq!(bounded.races, again.races, "detection is bound-independent");
+        let mut fresh = Dpor::default();
+        let bounded = run(&mut fresh, &Candidate::root(), consults, &decisions, 0);
+        assert_eq!(bounded.races, first.races, "detection is bound-independent");
         assert!(bounded.candidates.is_empty(), "reversal costs a preemption");
     }
 
@@ -726,17 +757,13 @@ mod tests {
             &[Footprint::Read(8), Footprint::Write(8)],
         )];
         let decisions = vec![0];
-        let own = Arc::new(consults);
-        let mut nodes = NodeTable::default();
-        let a = analyze(
+        let mut nodes = Dpor::default();
+        let a = run(
+            &mut nodes,
             &Candidate::root(),
-            &own,
-            0,
+            consults.clone(),
             &decisions,
             2,
-            2,
-            &mut nodes,
-            hash,
         );
         assert_eq!(a.races, 1, "pending write vs executed read");
         assert_eq!(a.candidates.len(), 1);
@@ -751,11 +778,8 @@ mod tests {
             consult(&[0, 1], 0, Some(0)),
             consult(&[0, 1], 1, Some(0)),
         ]);
-        let view = RunView {
-            hist: &Hist::default(),
-            own: &base,
-            consult_base: 0,
-        };
+        let hist = Hist::default();
+        let view = RunView::new(&hist, &base, 0);
         let h = view.prefix_hist(2).pushed(base[2].with_chosen(ThreadId(0)));
         assert_eq!(h.len(), 3);
         assert_eq!(h.get(0).chosen, ThreadId(0));

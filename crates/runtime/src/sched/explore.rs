@@ -23,44 +23,41 @@
 //!
 //! * **Assembly** — where a wave's schedules come from. PCT walks each
 //!   seed down the snapshot tree; bounded and DPOR pop one shared
-//!   candidate queue, skip already-executed prefixes and look up each
-//!   candidate's resume point.
+//!   candidate queue and look up each candidate's resume point.
 //! * **Expansion** ([`Frontier::expand`]) — what an executed run adds to
 //!   the queue: bounded enqueues every within-bound child, DPOR only the
 //!   race-reversing ones, PCT nothing.
 //!
-//! Three layers make the search cheap without changing what it reports
-//! (all deterministic, all enforced bit-identical by tests):
+//! The candidate queue needs no duplicate check. A candidate's last forced
+//! decision always deviates from the non-preemptive default, and past its
+//! prefix every run continues by default, so no two candidates force the
+//! same prefix and no schedule runs twice (pinned exactly, trace by
+//! trace, in `tests/exploration.rs`).
 //!
-//! * **Prefix-sharing snapshot tree** (`runner.rs`) — executed runs
-//!   deposit [`MachineSnapshot`]s keyed by decision prefix (LRU-bounded
-//!   by `--snapshot-budget`), and each run resumes from its deepest
-//!   retained ancestor instead of interpreting from step zero.
-//!   Bounded/DPOR candidates share long forced prefixes by construction. PCT runs share the probe's path up
-//!   to their first divergent pick, which under sync masks often lies deep
-//!   in the run: MozillaXP consults the scheduler at steps 1, 554505 and
-//!   554512. Each PCT run's scheduler is advanced down the retained nodes
-//!   before it starts.
-//! * **Decision-trace dedup** — past its forced prefix a candidate
-//!   continues deterministically, so every forced-or-longer prefix of an
-//!   executed trace identifies a schedule whose whole run is already
-//!   known. Candidates hashing into that set are skipped, not re-run.
-//! * **Independence pruning** (masks that include shared accesses only,
-//!   where a consult's transition is exactly one instruction wide) — an
-//!   alternative whose next instruction provably commutes with the chosen
-//!   thread's is not enqueued as a preemption point.
+//! One layer makes the search cheap without changing what it reports
+//! (deterministic, enforced bit-identical by tests): the
+//! **prefix-sharing snapshot tree** (`runner.rs`). Executed runs deposit
+//! [`MachineSnapshot`]s keyed by decision prefix (LRU-bounded by
+//! `--snapshot-budget`), and each run resumes from its deepest retained
+//! ancestor instead of interpreting from step zero. Bounded/DPOR
+//! candidates share long forced prefixes by construction, and frontier
+//! runs spread their captures over their whole length, so a child
+//! branching anywhere resumes near its branch. PCT runs share the probe's
+//! path up to their first divergent pick, which under sync masks often
+//! lies deep in the run: MozillaXP consults the scheduler at steps 1,
+//! 554505 and 554512. Each PCT run's scheduler is advanced down the
+//! retained nodes before it starts.
 //!
 //! [`MachineSnapshot`]: crate::MachineSnapshot
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use super::decision::DecisionTrace;
-use super::dpor::{self, Candidate, NodeTable};
+use super::dpor::{Candidate, Dpor};
 use super::pct::PctConfig;
 use super::point::{PointKind, PointMask};
 use super::runner::{
@@ -193,8 +190,8 @@ pub struct ExplorePhases {
     pub restore_us: u64,
     /// µs spent interpreting schedules (run wall minus capture).
     pub interpret_us: u64,
-    /// µs the exploring thread spent assembling waves (dedup + ancestor
-    /// lookup) and merging their results.
+    /// µs the exploring thread spent assembling waves (ancestor lookup,
+    /// PCT walks) and merging their results, the probe's included.
     pub merge_us: u64,
     /// µs spent minimizing the first failure (CLI-owned; 0 in reports
     /// written by [`explore`] itself).
@@ -249,12 +246,11 @@ pub struct ExploreReport {
     /// Interpreter steps those resumes skipped (sum of resumed snapshots'
     /// step counters).
     pub steps_saved: u64,
-    /// Candidate schedules skipped because their decision trace was
-    /// provably already executed (cache-independent, so *not* zeroed by
-    /// [`ExploreReport::normalized`]).
+    /// Always 0: no frontier candidate can repeat an executed schedule.
+    /// Kept because the benchmark harness reads it.
     pub dedup_skips: u64,
-    /// Branch alternatives never enqueued because their footprint provably
-    /// commuted with the chosen thread's (cache-independent).
+    /// Always 0: every within-bound alternative is enqueued. Kept because
+    /// the benchmark harness reads it.
     pub independence_skips: u64,
     /// Schedules executed by each fan-out wave, in wave order (the probe
     /// is schedule 0, outside any wave). Deterministic — widths are a
@@ -296,11 +292,10 @@ impl ExploreReport {
     /// and the cache-dependent perf counters zeroed — equal across
     /// `--jobs` values *and* across snapshot budgets by construction
     /// (asserted in tests and CI). `dedup_skips`/`independence_skips` are
-    /// kept: they are functions of the search alone, not of the cache.
-    /// The `dpor` counters are zeroed too (they are deterministic — raw
-    /// equality is pinned separately — but zeroing keeps normalized
-    /// pre-DPOR and post-DPOR reports comparable); `exhausted` is a
-    /// verdict, not a counter, and is kept.
+    /// kept (both always 0). The `dpor` counters are zeroed too (they are
+    /// deterministic — raw equality is pinned separately — but zeroing
+    /// keeps normalized pre-DPOR and post-DPOR reports comparable);
+    /// `exhausted` is a verdict, not a counter, and is kept.
     pub fn normalized(&self) -> Self {
         Self {
             wall_ms: 0,
@@ -310,39 +305,6 @@ impl ExploreReport {
             dpor: DporCounters::default(),
             phases: ExplorePhases::default(),
             ..self.clone()
-        }
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_push(mut h: u64, word: u32) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn prefix_hash(decisions: &[u32]) -> u64 {
-    decisions.iter().fold(FNV_OFFSET, |h, &d| fnv_push(h, d))
-}
-
-/// Marks every forced-or-longer prefix of an executed run's trace as
-/// seen. Past its forced prefix a frontier run continues deterministically
-/// (non-preemptive default), so a future candidate whose whole forced
-/// prefix equals one of these trace prefixes would reproduce this very
-/// run decision-for-decision — skipping it loses nothing.
-fn note_executed(seen: &mut HashSet<u64>, forced: usize, decisions: &[u32]) {
-    let mut h = FNV_OFFSET;
-    if forced == 0 {
-        seen.insert(h);
-    }
-    for (i, &d) in decisions.iter().enumerate() {
-        h = fnv_push(h, d);
-        if i + 1 >= forced {
-            seen.insert(h);
         }
     }
 }
@@ -397,6 +359,9 @@ pub struct ExploreObserver {
     /// (schedules sharing a resumed prefix each count the prefix's
     /// rollbacks).
     undo_depth: Histogram,
+    /// Every executed schedule's decisions, in schedule order, once
+    /// [`ExploreObserver::with_traces`] asked for them.
+    traces: Option<Vec<Vec<u32>>>,
 }
 
 /// Observers constructed so far: the zero-cost pin's probe — an
@@ -435,6 +400,7 @@ impl ExploreObserver {
             decisions_dpor: 0,
             pct_demotions: 0,
             undo_depth: Histogram::new(),
+            traces: None,
         }
     }
 
@@ -451,6 +417,20 @@ impl ExploreObserver {
         self
     }
 
+    /// Also keeps every executed schedule's decision trace, the probe's
+    /// first, readable through [`ExploreObserver::traces`]. Memory grows
+    /// with the search: meant for checking small searches.
+    pub fn with_traces(mut self) -> Self {
+        self.traces = Some(Vec::new());
+        self
+    }
+
+    /// The executed schedules' decision traces, in schedule order (empty
+    /// unless [`ExploreObserver::with_traces`] was set).
+    pub fn traces(&self) -> &[Vec<u32>] {
+        self.traces.as_deref().unwrap_or_default()
+    }
+
     /// Folds one executed run's per-run telemetry in.
     fn observe_run(&mut self, strategy: ExploreStrategy, ex: &Executed) {
         match strategy {
@@ -462,6 +442,9 @@ impl ExploreObserver {
             }
         }
         self.undo_depth.merge(&ex.undo_depth);
+        if let Some(traces) = self.traces.as_mut() {
+            traces.push(ex.trace.decisions.clone());
+        }
     }
 
     /// Publishes a completed wave: an `ExploreWave` event and — when the
@@ -542,11 +525,6 @@ impl ExploreObserver {
         );
         counter("conair_explore_snapshot_hits_total", report.snapshot_hits);
         counter("conair_explore_steps_saved_total", report.steps_saved);
-        counter("conair_explore_dedup_skips_total", report.dedup_skips);
-        counter(
-            "conair_explore_independence_skips_total",
-            report.independence_skips,
-        );
         counter("conair_explore_pct_demotions_total", self.pct_demotions);
         let _ = writeln!(
             out,
@@ -699,18 +677,11 @@ enum Job {
     Frontier(RunPlan, Candidate),
 }
 
-/// The systematic searches' frontier: one FIFO of candidates, the hashes
-/// of every executed trace's forced-or-longer prefixes, and DPOR's branch
-/// nodes. PCT leaves it empty.
+/// The systematic searches' frontier: one FIFO of candidates and DPOR's
+/// branch nodes. PCT leaves it empty.
 struct Frontier {
     queue: VecDeque<Candidate>,
-    seen: HashSet<u64>,
-    nodes: NodeTable,
-    /// Independence pruning is only sound when a consult's transition is
-    /// a single instruction wide: under sync-only masks the silent
-    /// continuation between consults performs shared accesses the
-    /// footprints don't see.
-    prune: bool,
+    dpor: Dpor,
     threads: usize,
 }
 
@@ -727,25 +698,19 @@ impl Frontier {
         report: &mut ExploreReport,
     ) {
         debug_assert!(!ex.infeasible, "prefixes come from recorded runs");
-        let forced = cand.prefix.len();
         match strategy {
             ExploreStrategy::Pct { .. } => {}
             ExploreStrategy::Bounded { preemptions } => {
-                note_executed(&mut self.seen, forced, &ex.trace.decisions);
-                push_children(&mut self.queue, ex, forced, preemptions, self.prune, report);
+                push_children(&mut self.queue, ex, cand.prefix.len(), preemptions);
             }
             ExploreStrategy::Dpor { preemptions } => {
-                note_executed(&mut self.seen, forced, &ex.trace.decisions);
-                let own = Arc::new(std::mem::take(&mut ex.consults));
-                let analysis = dpor::analyze(
+                let analysis = self.dpor.analyze(
                     cand,
-                    &own,
+                    std::mem::take(&mut ex.consults),
                     ex.consult_base,
                     &ex.trace.decisions,
                     self.threads,
                     preemptions,
-                    &mut self.nodes,
-                    prefix_hash,
                 );
                 report.dpor.races_detected += analysis.races;
                 report.dpor.sleep_skips += analysis.sleep_skips;
@@ -868,12 +833,12 @@ pub fn explore_observed(
         .unwrap_or_default();
     let mut frontier = Frontier {
         queue: VecDeque::new(),
-        seen: HashSet::new(),
-        nodes: NodeTable::default(),
-        prune: ec.mask.contains(PointKind::SharedAccess),
+        dpor: Dpor::default(),
         threads: runner.threads(),
     };
+    let expand_start = Instant::now();
     frontier.expand(ec.strategy, &Candidate::root(), &mut probe, &mut report);
+    clock.merge += expand_start.elapsed();
 
     let pool = TrialPool::new(ec.jobs);
     let done = |report: &ExploreReport| {
@@ -916,9 +881,9 @@ pub fn explore_observed(
         } else {
             0
         };
-        // Assemble the wave on this thread, in schedule order — dedup,
-        // ancestor lookup, PCT walks — so the cache behaves identically
-        // whatever executes the batch.
+        // Assemble the wave on this thread, in schedule order — ancestor
+        // lookup, PCT walks — so the cache behaves identically whatever
+        // executes the batch.
         let assemble_start = Instant::now();
         let jobs: Vec<Job> = match ec.strategy {
             ExploreStrategy::Pct { depth } => {
@@ -948,10 +913,6 @@ pub fn explore_observed(
                         break;
                     };
                     debug_assert!(cand.cost <= preemptions, "over-budget candidate enqueued");
-                    if frontier.seen.contains(&prefix_hash(&cand.prefix)) {
-                        report.dedup_skips += 1;
-                        continue;
-                    }
                     let resume = tree.lookup(&cand.prefix);
                     count_resume(&mut report, resume.as_ref());
                     // A bounded candidate already at the bound can never
@@ -1025,8 +986,7 @@ pub fn explore_observed(
 
 /// Enqueues every within-budget child of an executed schedule: for each
 /// consult at or past the forced frontier, each unchosen eligible thread
-/// becomes a new prefix — unless pruned as independent of the chosen
-/// thread's step. Children are enqueued in (parent schedule index,
+/// becomes a new prefix. Children are enqueued in (parent schedule index,
 /// decision index, thread id) order, so the breadth-first visit order is
 /// deterministic.
 fn push_children(
@@ -1034,8 +994,6 @@ fn push_children(
     ex: &Executed,
     frontier: usize,
     preemptions: usize,
-    prune: bool,
-    report: &mut ExploreReport,
 ) {
     debug_assert!(frontier >= ex.consult_base, "resume point is an ancestor");
     let mut used = ex.base_preemptions;
@@ -1048,13 +1006,6 @@ fn push_children(
                 }
                 let cost = used + usize::from(c.is_preemption_for(alt));
                 if cost > preemptions {
-                    continue;
-                }
-                if prune
-                    && c.is_preemption_for(alt)
-                    && c.footprint_for(c.chosen).independent(c.footprint_for(alt))
-                {
-                    report.independence_skips += 1;
                     continue;
                 }
                 let mut prefix = ex.trace.decisions[..i].to_vec();
@@ -1156,24 +1107,6 @@ mod tests {
         assert_eq!(uncached.steps_saved, 0);
         assert_eq!(cached.normalized(), uncached.normalized());
         assert!(cached.snapshot_hits > 0, "the tree explores deep prefixes");
-    }
-
-    #[test]
-    fn dedup_guard_confirms_schedule_uniqueness() {
-        // The frontier discipline (children only at-or-past the forced
-        // prefix, deterministic default continuation) generates each
-        // distinct schedule at most once — the seen-set is the *runtime
-        // enforcement* of that invariant, and this test pins it: on an
-        // exhausted tree the guard found nothing to skip, i.e. every
-        // executed schedule really was unique.
-        let program = order_violation();
-        let mut ec = ExploreConfig::new(ExploreStrategy::Bounded { preemptions: 2 });
-        ec.mask = PointMask::SYNC_SHARED;
-        ec.budget = 10_000;
-        ec.stop_at_first = false;
-        let report = explore(&program, &MachineConfig::default(), &ec);
-        assert_eq!(report.frontier, 0, "tree exhausted");
-        assert_eq!(report.dedup_skips, 0, "enumeration is duplicate-free");
     }
 
     #[test]

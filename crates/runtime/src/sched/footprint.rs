@@ -1,18 +1,15 @@
 //! The shared independence layer of schedule exploration: instruction
-//! [`Footprint`]s, the commutation predicate, and [`VectorClock`]s.
+//! [`Footprint`]s, the commutation predicate, and vector clocks.
 //!
 //! Every systematic strategy reasons about the same question — *do two
 //! scheduler transitions commute?* — so the evidence lives in one place:
 //! the machine records a `Footprint` per eligible thread at each consult
 //! (bounded, PCT and DPOR runs all receive them through
-//! [`SchedContext::footprints`](super::SchedContext)), the bounded
-//! explorer's independence pruning and the DPOR engine's happens-before
-//! analysis both call [`Footprint::independent`], and DPOR derives
-//! per-step [`VectorClock`]s from the recorded footprints to find
+//! [`SchedContext::footprints`](super::SchedContext)), the DPOR engine's
+//! happens-before analysis calls [`Footprint::independent`], and DPOR
+//! derives per-step vector clocks from the recorded footprints to find
 //! *reversible races* — adjacent-in-causality dependent steps whose order
 //! the search has not yet tried both ways.
-
-use crate::locks::ThreadId;
 
 /// The first shared effect a thread's next instruction would have — the
 /// evidence the explorer's independence check works from. Two adjacent
@@ -49,44 +46,25 @@ impl Footprint {
     }
 }
 
-/// A vector clock over scheduler decisions: component `t` counts the
-/// decisions of thread `t` that happen-before the event carrying the
-/// clock. DPOR's race analysis assigns one clock per executed decision —
-/// program order plus an edge from every *dependent* (non-commuting)
-/// earlier step — and two dependent steps race exactly when neither clock
-/// is below the other's thread-local knowledge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VectorClock(Vec<u32>);
+/// Whether clock `a` happens-before-or-equals clock `b` (component-wise
+/// ≤).
+///
+/// A vector clock over scheduler decisions is a `threads`-word slice:
+/// component `t` counts the decisions of thread `t` that happen-before the
+/// event carrying the clock. DPOR's race analysis assigns one clock per
+/// executed decision — program order plus an edge from every *dependent*
+/// (non-commuting) earlier step — and two dependent steps race exactly
+/// when the earlier one's clock is not below the later one's.
+pub(crate) fn clock_leq(a: &[u32], b: &[u32]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).all(|(x, y)| x <= y)
+}
 
-impl VectorClock {
-    /// The zero clock over `threads` components.
-    pub fn new(threads: usize) -> Self {
-        VectorClock(vec![0; threads])
-    }
-
-    /// Component for `thread`.
-    #[inline]
-    pub fn get(&self, thread: ThreadId) -> u32 {
-        self.0[thread.index()]
-    }
-
-    /// Whether `self` happens-before-or-equals `other` (component-wise ≤).
-    pub fn leq(&self, other: &VectorClock) -> bool {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
-    }
-
-    /// Component-wise maximum, in place.
-    pub fn join(&mut self, other: &VectorClock) {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a = (*a).max(*b);
-        }
-    }
-
-    /// Increments `thread`'s component — the event itself.
-    pub fn bump(&mut self, thread: ThreadId) {
-        self.0[thread.index()] += 1;
+/// Component-wise maximum of two clocks, into `into`.
+pub(crate) fn clock_join(into: &mut [u32], other: &[u32]) {
+    debug_assert_eq!(into.len(), other.len());
+    for (a, b) in into.iter_mut().zip(other) {
+        *a = (*a).max(*b);
     }
 }
 
@@ -110,20 +88,15 @@ mod tests {
 
     #[test]
     fn clocks_order_and_join() {
-        let t0 = ThreadId(0);
-        let t1 = ThreadId(1);
-        let mut a = VectorClock::new(2);
-        a.bump(t0); // a = [1, 0]
-        let mut b = VectorClock::new(2);
-        b.bump(t1); // b = [0, 1]
-        assert!(!a.leq(&b));
-        assert!(!b.leq(&a), "concurrent: neither below the other");
-        let mut j = a.clone();
-        j.join(&b); // [1, 1]
-        assert!(a.leq(&j));
-        assert!(b.leq(&j));
-        assert_eq!(j.get(t0), 1);
-        assert_eq!(j.get(t1), 1);
-        assert!(VectorClock::new(2).leq(&a), "zero below everything");
+        let a = [1, 0];
+        let b = [0, 1];
+        assert!(!clock_leq(&a, &b));
+        assert!(!clock_leq(&b, &a), "concurrent: neither below the other");
+        let mut j = a;
+        clock_join(&mut j, &b);
+        assert_eq!(j, [1, 1]);
+        assert!(clock_leq(&a, &j));
+        assert!(clock_leq(&b, &j));
+        assert!(clock_leq(&[0, 0], &a), "zero below everything");
     }
 }

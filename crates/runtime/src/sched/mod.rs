@@ -50,7 +50,7 @@ pub use explore::{
     explore, explore_observed, ExploreConfig, ExploreObserver, ExplorePhases, ExploreReport,
     ExploreStrategy, FoundSchedule,
 };
-pub use footprint::{Footprint, VectorClock};
+pub use footprint::Footprint;
 pub use minimize::{minimize, MinimizeReport};
 pub use pct::{PctConfig, PctScheduler};
 pub use point::{PointKind, PointMask};
@@ -120,5 +120,46 @@ pub trait Scheduler {
     /// or exits, which is what keeps [`DecisionTrace`]s compact.
     fn decision_mask(&self) -> PointMask {
         PointMask::ALL
+    }
+}
+
+/// A hash map for the searches' word-sized keys (lock ids, addresses,
+/// prefix hashes) with a multiply-rotate hash instead of SipHash: the
+/// explorer looks these up once per analyzed decision.
+pub(crate) type WordMap<K, V> = std::collections::HashMap<K, V, WordHasher>;
+
+/// The [`WordMap`] hasher: one multiply per word written.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl std::hash::BuildHasher for WordHasher {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(0)
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(u64::from(w));
+    }
+
+    fn write_i64(&mut self, w: i64) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0xf135_7aea_2e62_a9c5);
     }
 }

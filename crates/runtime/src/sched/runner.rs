@@ -4,7 +4,9 @@
 //!
 //! * **Bounded and DPOR** candidates carry a forced decision prefix; they
 //!   resume from the deepest retained ancestor of that prefix
-//!   ([`SnapshotTree::lookup`]).
+//!   ([`SnapshotTree::lookup`]: one hashing pass over the prefix, index
+//!   probes at the depths that hold nodes, and an exact key compare
+//!   before any resume).
 //! * **PCT** runs have no forced prefix, but a PCT pick reads only the
 //!   eligible set and the thread count. Each node stores the eligible set
 //!   of the consult it precedes, and links record runs of single-choice
@@ -14,7 +16,7 @@
 //!   own path.
 //!
 //! Lookups, walks and inserts all happen on the exploring thread in
-//! schedule-index order, so hits, evictions and the LRU clock are
+//! schedule-index order, so hits, evictions and the LRU order are
 //! deterministic and identical across `--jobs`. Workers only ever read
 //! images through the `Arc`.
 //!
@@ -22,7 +24,6 @@
 //! run from step zero ([`Runner::replay`]) on the runner's one
 //! lowering of the program.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,17 +31,21 @@ use super::bounded::{Consult, FrontierScheduler};
 use super::decision::DecisionTrace;
 use super::pct::{PctConfig, PctScheduler};
 use super::point::PointMask;
-use super::{SchedContext, Scheduler};
+use super::{SchedContext, Scheduler, WordMap};
 use crate::dense::DenseProgram;
 use crate::locks::ThreadId;
-use crate::machine::{BranchCapture, Machine, MachineConfig, MachineSnapshot, SnapshotFootprint};
+use crate::machine::{
+    BranchCapture, CapturePlacement, Machine, MachineConfig, MachineSnapshot, SnapshotFootprint,
+};
 use crate::metrics::Histogram;
 use crate::outcome::{RunOutcome, RunResult};
 use crate::program::Program;
 
-/// Snapshots one run may deposit into the tree: captures cover the first
-/// `CAPTURE_PER_RUN` branch points at or past the run's own frontier,
-/// exactly where its children branch.
+/// Snapshots one run may deposit into the tree. A frontier run spreads
+/// them evenly over its branch points at or past its own frontier, where
+/// its children branch ([`CapturePlacement::Spread`]); a PCT run takes its
+/// first ones past its resume point, the contiguous chain
+/// [`SnapshotTree::walk_pct`] can follow ([`CapturePlacement::First`]).
 pub(super) const CAPTURE_PER_RUN: usize = 64;
 
 /// Default node budget of the tree, sized for CoW images — mostly
@@ -95,22 +100,6 @@ pub(super) struct Executed {
     pub undo_depth: Histogram,
 }
 
-impl Executed {
-    /// Preemptions spent by the first `depth` decisions. PCT runs record
-    /// no consults, so their deposits count 0 — only frontier searches
-    /// read the figure, and they never see PCT nodes.
-    fn preemptions_before(&self, depth: usize) -> usize {
-        debug_assert!(depth >= self.consult_base, "capture precedes resume point");
-        self.base_preemptions
-            + self
-                .consults
-                .iter()
-                .take(depth - self.consult_base)
-                .filter(|c| c.is_preemption())
-                .count()
-    }
-}
-
 /// How to execute one frontier candidate.
 pub(super) struct RunPlan {
     /// Forced decisions (lenient: an ineligible one falls back to the
@@ -160,13 +149,15 @@ impl<'p> Runner<'p> {
     }
 
     /// Runs `sched` from `resume` (or from step zero), capturing up to
-    /// `capture` branch points from decision `capture_from` on.
+    /// `capture` branch points from decision `capture_from` on, placed per
+    /// `placement`.
     fn run<S: Scheduler>(
         &self,
         sched: &mut S,
         resume: Option<&Resume>,
         capture_from: usize,
         capture: usize,
+        placement: CapturePlacement,
     ) -> (RunResult, Vec<BranchCapture>, Duration) {
         let mut machine = Machine::with_shared_dense(self.program, self.dense.clone(), self.config);
         let restore_wall = match resume {
@@ -177,11 +168,14 @@ impl<'p> Runner<'p> {
             }
             None => Duration::ZERO,
         };
-        let (result, snaps) = machine.run_captured_at_branches(sched, capture_from, capture);
+        let (result, snaps) =
+            machine.run_captured_at_branches(sched, capture_from, capture, placement);
         (result, snaps, restore_wall)
     }
 
-    /// Executes a frontier candidate, recording its consults.
+    /// Executes a frontier candidate, recording its consults. Its
+    /// captures spread over the whole run: its children branch anywhere
+    /// past its prefix.
     pub fn frontier(&self, plan: &RunPlan, mask: PointMask) -> Executed {
         let (consult_base, base_preemptions) = plan
             .resume
@@ -193,6 +187,7 @@ impl<'p> Runner<'p> {
             plan.resume.as_ref(),
             plan.capture_from,
             plan.capture,
+            CapturePlacement::Spread,
         );
         let (picks, infeasible) = (sched.picks(), sched.infeasible());
         Executed {
@@ -226,14 +221,21 @@ impl<'p> Runner<'p> {
         self.frontier(&plan, mask)
     }
 
-    /// Executes a PCT run. Its own captures start just past its resume
-    /// point: everything shallower is already in the tree.
+    /// Executes a PCT run. Its own captures are the first branch points
+    /// just past its resume point: everything shallower is already in the
+    /// tree, and [`SnapshotTree::walk_pct`] can only follow a contiguous
+    /// chain of nodes from the root.
     pub fn pct(&self, plan: &PctPlan) -> Executed {
         let mut sched = plan.sched.clone();
         let skipped = sched.decisions();
         let depth = plan.resume.as_ref().map_or(0, |r| r.depth);
-        let (result, snaps, restore_wall) =
-            self.run(&mut sched, plan.resume.as_ref(), depth + 1, plan.capture);
+        let (result, snaps, restore_wall) = self.run(
+            &mut sched,
+            plan.resume.as_ref(),
+            depth + 1,
+            plan.capture,
+            CapturePlacement::First,
+        );
         let mut trace = result
             .decisions
             .unwrap_or_else(|| DecisionTrace::new("pct", plan.seed, sched.decision_mask()));
@@ -269,16 +271,59 @@ fn pct_context(eligible: &[ThreadId], threads: usize) -> SchedContext<'_> {
     }
 }
 
-/// Retained snapshots keyed by decision prefix — a trie over the
-/// [`DecisionTrace`] u32 log, stored flat (the keys *are* the paths).
+/// Start of the rolling decision-prefix hash.
+const HASH_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends a decision-prefix hash by one decision. The hash only selects
+/// index entries: every hit is confirmed by an exact key compare.
+#[inline]
+fn hash_push(h: u64, d: u32) -> u64 {
+    (h ^ u64::from(d))
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .rotate_left(29)
+}
+
+/// Hashes every prefix of `decisions` into `out`: `out[d]` is the hash of
+/// `decisions[..d]`.
+fn prefix_hashes(decisions: &[u32], out: &mut Vec<u64>) {
+    out.clear();
+    out.push(HASH_START);
+    let mut h = HASH_START;
+    for &d in decisions {
+        h = hash_push(h, d);
+        out.push(h);
+    }
+}
+
+/// Prefix hash → node slot.
+type PrefixIndex = WordMap<u64, u32>;
+
+/// No slot: the end of the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// Retained snapshots keyed by decision prefix. Nodes live in slots,
+/// found through a prefix-hash index whose hits are confirmed by an exact
+/// key compare, and chained in least-recently-used order.
 pub(super) struct SnapshotTree {
     budget: usize,
-    nodes: HashMap<Vec<u32>, TreeNode>,
-    /// `prefix → key` of the next retained branch node when every decision
-    /// from `prefix.len()` up to that node had a single eligible thread —
+    /// Node slots; `None` marks a free slot (listed in `free`).
+    slots: Vec<Option<TreeNode>>,
+    free: Vec<u32>,
+    live: usize,
+    /// Hash of each node's key → its slot. A key whose hash is taken by
+    /// another key is simply not retained.
+    index: PrefixIndex,
+    /// Hash of `key[..singles_from]` → slot of a node whose decisions from
+    /// `singles_from` up to its depth all had a single eligible thread —
     /// the edges [`SnapshotTree::walk_pct`] follows between branch nodes.
-    links: HashMap<Vec<u32>, Vec<u32>>,
-    clock: u64,
+    links: PrefixIndex,
+    /// Live nodes per key depth: lookups probe only depths that hold one.
+    at_depth: Vec<u32>,
+    /// Least and most recently used nodes.
+    lru_head: u32,
+    lru_tail: u32,
+    /// Prefix hashes of the key being looked up or absorbed.
+    hashes: Vec<u64>,
     /// LRU evictions performed so far (observer telemetry).
     pub evictions: u64,
     /// Running totals of the retained nodes' insert-time footprints.
@@ -295,6 +340,11 @@ pub(super) struct SnapshotTree {
 }
 
 struct TreeNode {
+    /// The key is `path[..depth]`; the captures of one run share `path`.
+    path: Arc<[u32]>,
+    depth: usize,
+    /// Index key of `path[..depth]`.
+    hash: u64,
     snap: Arc<MachineSnapshot>,
     /// Preemptions spent by the first `depth` decisions of any schedule
     /// through this node (a function of the prefix alone).
@@ -304,20 +354,36 @@ struct TreeNode {
     /// Start of the single-choice run leading here (the node's link key
     /// length when below its depth).
     singles_from: usize,
-    last_used: u64,
+    /// Index key of the node's entry in `links`, when it holds one.
+    link: Option<u64>,
+    /// Neighbors in LRU order.
+    prev: u32,
+    next: u32,
     /// Insert-time sharing accounting, subtracted from the tree totals at
     /// evict — never recomputed, so totals stay deterministic even though
     /// live sharing drifts as neighbors are inserted and dropped.
     footprint: SnapshotFootprint,
 }
 
+impl TreeNode {
+    fn key(&self) -> &[u32] {
+        &self.path[..self.depth]
+    }
+}
+
 impl SnapshotTree {
     pub fn new(budget: usize) -> Self {
         Self {
             budget,
-            nodes: HashMap::new(),
-            links: HashMap::new(),
-            clock: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            index: PrefixIndex::default(),
+            links: PrefixIndex::default(),
+            at_depth: Vec::new(),
+            lru_head: NIL,
+            lru_tail: NIL,
+            hashes: Vec::new(),
             evictions: 0,
             resident_bytes: 0,
             owned_pages: 0,
@@ -327,18 +393,70 @@ impl SnapshotTree {
 
     /// Live nodes (tree occupancy).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.live
     }
 
-    /// Marks `key`'s node most recently used and returns it as a resume
+    fn node(&self, slot: u32) -> &TreeNode {
+        self.slots[slot as usize].as_ref().expect("slot is live")
+    }
+
+    fn node_mut(&mut self, slot: u32) -> &mut TreeNode {
+        self.slots[slot as usize].as_mut().expect("slot is live")
+    }
+
+    /// The node keyed exactly by `key`, whose hash is `h`.
+    fn find(&self, h: u64, key: &[u32]) -> Option<u32> {
+        let &slot = self.index.get(&h)?;
+        (self.node(slot).key() == key).then_some(slot)
+    }
+
+    /// The node whose link starts exactly at `prefix` (hash `h`).
+    fn find_link(&self, h: u64, prefix: &[u32]) -> Option<u32> {
+        let &slot = self.links.get(&h)?;
+        let node = self.node(slot);
+        (node.singles_from == prefix.len() && &node.key()[..prefix.len()] == prefix).then_some(slot)
+    }
+
+    /// Removes `slot` from the LRU list.
+    fn unlink(&mut self, slot: u32) {
+        let (prev, next) = {
+            let n = self.node(slot);
+            (n.prev, n.next)
+        };
+        match prev {
+            NIL => self.lru_head = next,
+            p => self.node_mut(p).next = next,
+        }
+        match next {
+            NIL => self.lru_tail = prev,
+            n => self.node_mut(n).prev = prev,
+        }
+    }
+
+    /// Appends `slot` to the LRU list as the most recently used node.
+    fn push_back(&mut self, slot: u32) {
+        let tail = self.lru_tail;
+        {
+            let n = self.node_mut(slot);
+            n.prev = tail;
+            n.next = NIL;
+        }
+        match tail {
+            NIL => self.lru_head = slot,
+            t => self.node_mut(t).next = slot,
+        }
+        self.lru_tail = slot;
+    }
+
+    /// Marks `slot`'s node most recently used and returns it as a resume
     /// point.
-    fn touch(&mut self, key: &[u32]) -> Resume {
-        self.clock += 1;
-        let node = self.nodes.get_mut(key).expect("touched node is live");
-        node.last_used = self.clock;
+    fn touch(&mut self, slot: u32) -> Resume {
+        self.unlink(slot);
+        self.push_back(slot);
+        let node = self.node(slot);
         Resume {
             snap: node.snap.clone(),
-            depth: key.len(),
+            depth: node.depth,
             preemptions: node.preemptions,
         }
     }
@@ -346,15 +464,22 @@ impl SnapshotTree {
     /// The deepest retained ancestor of `prefix` (depth `1..=len`),
     /// LRU-touched. Depth `len` is the prefix itself — a full hit. Depth 0
     /// is never held: the first consult fires on the run's first step, so
-    /// a pre-decision image is the (worthless) initial state.
+    /// a pre-decision image is the (worthless) initial state. Hashes the
+    /// prefix once, probes only depths that hold a node, and resumes only
+    /// from an exact key match.
     pub fn lookup(&mut self, prefix: &[u32]) -> Option<Resume> {
-        if self.budget == 0 {
+        if self.live == 0 {
             return None;
         }
-        let depth = (1..=prefix.len())
+        let top = prefix.len().min(self.at_depth.len().saturating_sub(1));
+        let mut hashes = std::mem::take(&mut self.hashes);
+        prefix_hashes(&prefix[..top], &mut hashes);
+        let found = (1..=top)
             .rev()
-            .find(|&d| self.nodes.contains_key(&prefix[..d]))?;
-        Some(self.touch(&prefix[..depth]))
+            .filter(|&d| self.at_depth[d] > 0)
+            .find_map(|d| self.find(hashes[d], &prefix[..d]));
+        self.hashes = hashes;
+        found.map(|slot| self.touch(slot))
     }
 
     /// PCT's resume point for run `seed`: simulates its scheduler from the
@@ -370,102 +495,156 @@ impl SnapshotTree {
         root: &[ThreadId],
         threads: usize,
     ) -> (PctScheduler, Option<Resume>) {
-        if self.budget == 0 || root.is_empty() {
+        if self.live == 0 || root.is_empty() {
             return (PctScheduler::new(seed, cfg), None);
         }
         let mut live = PctScheduler::new(seed, cfg);
-        let mut best: Option<(Vec<u32>, PctScheduler)> = None;
+        let mut best: Option<(u32, PctScheduler)> = None;
         let mut path: Vec<u32> = Vec::new();
+        let mut h = HASH_START;
         let mut eligible: &[ThreadId] = root;
         loop {
-            path.push(live.pick(&pct_context(eligible, threads)).index() as u32);
-            let key = if self.nodes.contains_key(&path) {
-                path
-            } else if let Some(key) = self.links.get(&path) {
-                for &d in &key[path.len()..] {
+            let d = live.pick(&pct_context(eligible, threads)).index() as u32;
+            path.push(d);
+            h = hash_push(h, d);
+            let slot = if let Some(slot) = self.find(h, &path) {
+                slot
+            } else if let Some(slot) = self.find_link(h, &path) {
+                let node = self.node(slot);
+                for &d in &node.key()[path.len()..] {
                     live.pick(&pct_context(&[ThreadId(d as usize)], threads));
                 }
-                key.clone()
+                path.extend_from_slice(&node.key()[path.len()..]);
+                h = node.hash;
+                slot
             } else {
                 break;
             };
-            eligible = &self.nodes[&key].eligible;
-            best = Some((key.clone(), live.clone()));
-            path = key;
+            eligible = &self.node(slot).eligible;
+            best = Some((slot, live.clone()));
         }
         match best {
-            Some((key, sched)) => (sched, Some(self.touch(&key))),
+            Some((slot, sched)) => (sched, Some(self.touch(slot))),
             None => (PctScheduler::new(seed, cfg), None),
         }
     }
 
-    /// Retains `capture` under `key` unless present; over either capacity —
+    /// Drops the least-recently-used node.
+    fn evict_lru(&mut self) {
+        let slot = self.lru_head;
+        self.unlink(slot);
+        let node = self.slots[slot as usize].take().expect("LRU head is live");
+        self.free.push(slot);
+        self.live -= 1;
+        self.index.remove(&node.hash);
+        if let Some(link) = node.link {
+            self.links.remove(&link);
+        }
+        self.at_depth[node.depth] -= 1;
+        self.resident_bytes -= node.footprint.owned_bytes;
+        self.owned_pages -= node.footprint.owned_pages;
+        self.shared_pages -= node.footprint.shared_pages;
+        self.evictions += 1;
+    }
+
+    /// Retains `capture` under the key `path[..capture.depth]` unless
+    /// present; `hashes` are `path`'s prefix hashes. Over either capacity —
     /// node count, or [`SNAPSHOT_BYTE_BUDGET`] resident owned bytes — the
     /// least-recently-used nodes are evicted first. Subtrees the search
     /// has exhausted stop being looked up, so their nodes age out
     /// naturally. Returns whether a new node was added.
-    fn insert(&mut self, key: &[u32], capture: BranchCapture, preemptions: usize) -> bool {
-        if self.budget == 0 || self.nodes.contains_key(key) {
+    fn insert(
+        &mut self,
+        path: &Arc<[u32]>,
+        hashes: &[u64],
+        capture: BranchCapture,
+        preemptions: usize,
+    ) -> bool {
+        let depth = capture.depth;
+        let hash = hashes[depth];
+        if self.budget == 0 || self.index.contains_key(&hash) {
             return false;
         }
         let footprint = capture.snap.footprint();
-        while !self.nodes.is_empty()
-            && (self.nodes.len() >= self.budget
+        while self.live > 0
+            && (self.live >= self.budget
                 || self.resident_bytes + footprint.owned_bytes > SNAPSHOT_BYTE_BUDGET)
         {
-            // The clock is strictly increasing, so the minimum is unique
-            // and eviction is deterministic despite the map's iteration
-            // order.
-            let victim = self
-                .nodes
-                .iter()
-                .min_by_key(|(_, n)| n.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("tree at capacity is non-empty");
-            let node = self.nodes.remove(&victim).expect("victim is live");
-            if node.singles_from < victim.len() {
-                self.links.remove(&victim[..node.singles_from]);
-            }
-            self.resident_bytes -= node.footprint.owned_bytes;
-            self.owned_pages -= node.footprint.owned_pages;
-            self.shared_pages -= node.footprint.shared_pages;
-            self.evictions += 1;
+            self.evict_lru();
         }
-        self.clock += 1;
         self.resident_bytes += footprint.owned_bytes;
         self.owned_pages += footprint.owned_pages;
         self.shared_pages += footprint.shared_pages;
-        // Determinism makes the link unique: every run through the link
-        // key makes the same single choices up to the same branch point.
-        if capture.singles_from < key.len() {
-            self.links
-                .insert(key[..capture.singles_from].to_vec(), key.to_vec());
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(None);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        // Determinism makes a link unique: every run through the link key
+        // makes the same single choices up to the same branch point.
+        let link = (capture.singles_from < depth)
+            .then(|| hashes[capture.singles_from])
+            .filter(|h| !self.links.contains_key(h));
+        if let Some(h) = link {
+            self.links.insert(h, slot);
         }
-        self.nodes.insert(
-            key.to_vec(),
-            TreeNode {
-                snap: Arc::new(capture.snap),
-                preemptions,
-                eligible: capture.eligible,
-                singles_from: capture.singles_from,
-                last_used: self.clock,
-                footprint,
-            },
-        );
+        self.index.insert(hash, slot);
+        if self.at_depth.len() <= depth {
+            self.at_depth.resize(depth + 1, 0);
+        }
+        self.at_depth[depth] += 1;
+        self.slots[slot as usize] = Some(TreeNode {
+            path: path.clone(),
+            depth,
+            hash,
+            snap: Arc::new(capture.snap),
+            preemptions,
+            eligible: capture.eligible,
+            singles_from: capture.singles_from,
+            link,
+            prev: NIL,
+            next: NIL,
+            footprint,
+        });
+        self.live += 1;
+        self.push_back(slot);
         true
     }
 
-    /// Deposits an executed run's captures, in ascending depth order.
-    /// Returns how many became new nodes.
+    /// Deposits an executed run's captures, in ascending depth order, in
+    /// one pass over its decisions and consults. Returns how many became
+    /// new nodes.
     pub fn absorb(&mut self, ex: &mut Executed) -> u64 {
+        let snaps = std::mem::take(&mut ex.snaps);
+        let Some(top) = snaps.last().map(|c| c.depth) else {
+            return 0;
+        };
+        if self.budget == 0 {
+            return 0;
+        }
+        let path: Arc<[u32]> = ex.trace.decisions[..top].into();
+        let mut hashes = std::mem::take(&mut self.hashes);
+        prefix_hashes(&path, &mut hashes);
+        // Preemptions spent before each capture. PCT runs record no
+        // consults, so their deposits count 0 — only frontier searches
+        // read the figure, and they never see PCT nodes.
+        let mut consults = ex.consults.iter();
+        let (mut at, mut used) = (ex.consult_base, ex.base_preemptions);
         let mut added = 0;
-        for capture in std::mem::take(&mut ex.snaps) {
-            let depth = capture.depth;
-            let pre = ex.preemptions_before(depth);
-            if self.insert(&ex.trace.decisions[..depth], capture, pre) {
+        for capture in snaps {
+            debug_assert!(capture.depth >= at, "captures ascend past the resume point");
+            while at < capture.depth {
+                let Some(c) = consults.next() else { break };
+                used += usize::from(c.is_preemption());
+                at += 1;
+            }
+            if self.insert(&path, &hashes, capture, used) {
                 added += 1;
             }
         }
+        self.hashes = hashes;
         added
     }
 }
@@ -524,6 +703,37 @@ mod tests {
         Program::from_entry_names(mb.finish(), &["a", "b"])
     }
 
+    /// `hashes[d]` is the prefix hash of `key[..d]`.
+    fn hashes_of(key: &[u32]) -> Vec<u64> {
+        let mut hashes = Vec::new();
+        prefix_hashes(key, &mut hashes);
+        hashes
+    }
+
+    /// Inserts `capture` (taken at depth `key.len()`) under `key`.
+    fn put(tree: &mut SnapshotTree, key: &[u32], capture: BranchCapture, pre: usize) -> bool {
+        assert_eq!(capture.depth, key.len());
+        tree.insert(&key.into(), &hashes_of(key), capture, pre)
+    }
+
+    /// The live node keyed exactly by `key`.
+    fn node_at<'t>(tree: &'t SnapshotTree, key: &[u32]) -> Option<&'t TreeNode> {
+        let slot = tree.find(hashes_of(key)[key.len()], key)?;
+        Some(tree.node(slot))
+    }
+
+    /// Every live key, sorted.
+    fn keys(tree: &SnapshotTree) -> Vec<Vec<u32>> {
+        let mut keys: Vec<Vec<u32>> = tree
+            .slots
+            .iter()
+            .flatten()
+            .map(|n| n.key().to_vec())
+            .collect();
+        keys.sort();
+        keys
+    }
+
     /// A capture of `machine`'s current state posing as a branch point.
     fn capture(machine: &mut Machine<'_>, singles_from: usize, depth: usize) -> BranchCapture {
         BranchCapture {
@@ -543,7 +753,12 @@ mod tests {
             ..MachineConfig::default()
         };
         let mut sched = RoundRobin::default();
-        let (_, snaps) = Machine::new(&program, cfg).run_captured_at_branches(&mut sched, 1, 1);
+        let (_, snaps) = Machine::new(&program, cfg).run_captured_at_branches(
+            &mut sched,
+            1,
+            1,
+            CapturePlacement::First,
+        );
         let snap = snaps.into_iter().next().expect("one capture");
         let at = |depth: usize| BranchCapture {
             depth,
@@ -552,19 +767,19 @@ mod tests {
         };
 
         let mut tree = SnapshotTree::new(2);
-        assert!(tree.insert(&[0], at(1), 0));
-        assert!(tree.insert(&[0, 1], at(2), 1));
-        assert!(!tree.insert(&[0, 1], at(2), 1), "no duplicate keys");
+        assert!(put(&mut tree, &[0], at(1), 0));
+        assert!(put(&mut tree, &[0, 1], at(2), 1));
+        assert!(!put(&mut tree, &[0, 1], at(2), 1), "no duplicate keys");
         // Touch [0] so [0, 1] is the LRU victim.
         assert!(tree.lookup(&[0, 7]).is_some());
-        assert!(tree.insert(&[1], at(1), 0));
+        assert!(put(&mut tree, &[1], at(1), 0));
         assert_eq!(
             tree.lookup(&[0, 1]).map(|r| r.depth),
             Some(1),
             "evicted to ancestor"
         );
         // Deepest ancestor wins and carries its preemption count.
-        assert!(tree.insert(&[1, 2], at(2), 1));
+        assert!(put(&mut tree, &[1, 2], at(2), 1));
         let r = tree.lookup(&[1, 2, 3]).expect("ancestor");
         assert_eq!((r.depth, r.preemptions), (2, 1));
         // Budget 0 disables everything.
@@ -580,10 +795,9 @@ mod tests {
         let mut machine = Machine::new(&program, MachineConfig::default());
         let mut tree = SnapshotTree::new(budget);
         for i in 0..n {
-            assert!(tree.insert(&[i], capture(&mut machine, 1, 1), 0));
+            assert!(put(&mut tree, &[i], capture(&mut machine, 1, 1), 0));
         }
-        let mut keys: Vec<Vec<u32>> = tree.nodes.keys().cloned().collect();
-        keys.sort();
+        let keys = keys(&tree);
         let evictions = tree.evictions;
         (tree, keys, evictions)
     }
@@ -592,8 +806,7 @@ mod tests {
     fn snapshot_tree_lru_eviction_is_deterministic_past_4096_nodes() {
         // Overfill a 4096-node tree and check eviction is exact,
         // oldest-first, and bit-identical across repetitions (the LRU
-        // clock is strictly increasing, so the HashMap's iteration order
-        // never leaks into which node dies).
+        // list, not the index's iteration order, picks which node dies).
         let (tree, keys, evictions) = fill_tree(4096, 5000);
         assert_eq!(tree.len(), 4096);
         assert_eq!(evictions, 5000 - 4096);
@@ -609,18 +822,35 @@ mod tests {
         let mut machine = Machine::new(&program, MachineConfig::default());
         let mut tree = SnapshotTree::new(8);
         for i in 0..8u32 {
-            assert!(tree.insert(&[i], capture(&mut machine, 1, 1), 0));
+            assert!(put(&mut tree, &[i], capture(&mut machine, 1, 1), 0));
         }
         // Touch the oldest node, then overflow: the refreshed node must
         // outlive its untouched (now-oldest) neighbor.
         assert!(tree.lookup(&[0]).is_some());
         for i in 8..10u32 {
-            assert!(tree.insert(&[i], capture(&mut machine, 1, 1), 0));
+            assert!(put(&mut tree, &[i], capture(&mut machine, 1, 1), 0));
         }
-        assert!(tree.nodes.contains_key([0u32].as_slice()));
-        assert!(!tree.nodes.contains_key([1u32].as_slice()));
-        assert!(!tree.nodes.contains_key([2u32].as_slice()));
+        assert!(node_at(&tree, &[0]).is_some());
+        assert!(node_at(&tree, &[1]).is_none());
+        assert!(node_at(&tree, &[2]).is_none());
         assert_eq!(tree.evictions, 2);
+    }
+
+    #[test]
+    fn snapshot_tree_resumes_only_on_an_exact_key_match() {
+        // Point the index entry of prefix [6] at the node keyed [5], as a
+        // 64-bit hash collision would: the lookup must not resume from it.
+        let program = order_violation();
+        let mut machine = Machine::new(&program, MachineConfig::default());
+        let mut tree = SnapshotTree::new(8);
+        assert!(put(&mut tree, &[5], capture(&mut machine, 1, 1), 0));
+        let slot = tree.index[&hashes_of(&[5])[1]];
+        tree.index.insert(hashes_of(&[6])[1], slot);
+        assert!(tree.lookup(&[6, 0]).is_none(), "collision is not a hit");
+        assert_eq!(tree.lookup(&[5, 0]).map(|r| r.depth), Some(1));
+        // A key whose hash is taken is not retained, and breaks nothing.
+        assert!(!put(&mut tree, &[6], capture(&mut machine, 1, 1), 0));
+        assert_eq!(tree.len(), 1);
     }
 
     #[test]
@@ -629,9 +859,24 @@ mod tests {
         // the retained nodes' insert-time footprints at every point, or
         // the byte-budget eviction signal drifts over a long search.
         let (tree, _, _) = fill_tree(512, 2000);
-        let bytes: u64 = tree.nodes.values().map(|n| n.footprint.owned_bytes).sum();
-        let owned: u64 = tree.nodes.values().map(|n| n.footprint.owned_pages).sum();
-        let shared: u64 = tree.nodes.values().map(|n| n.footprint.shared_pages).sum();
+        let bytes: u64 = tree
+            .slots
+            .iter()
+            .flatten()
+            .map(|n| n.footprint.owned_bytes)
+            .sum();
+        let owned: u64 = tree
+            .slots
+            .iter()
+            .flatten()
+            .map(|n| n.footprint.owned_pages)
+            .sum();
+        let shared: u64 = tree
+            .slots
+            .iter()
+            .flatten()
+            .map(|n| n.footprint.shared_pages)
+            .sum();
         assert_eq!(tree.resident_bytes, bytes);
         assert_eq!(tree.owned_pages, owned);
         assert_eq!(tree.shared_pages, shared);
@@ -643,9 +888,13 @@ mod tests {
         let mut machine = Machine::new(&program, MachineConfig::default());
         let mut tree = SnapshotTree::new(1);
         // Decisions 1 and 2 of [0, 1, 1] were single-choice.
-        assert!(tree.insert(&[0, 1, 1], capture(&mut machine, 1, 3), 0));
-        assert_eq!(tree.links.get([0u32].as_slice()), Some(&vec![0, 1, 1]));
-        assert!(tree.insert(&[1], capture(&mut machine, 1, 1), 0));
+        assert!(put(&mut tree, &[0, 1, 1], capture(&mut machine, 1, 3), 0));
+        let linked = tree
+            .links
+            .get(&hashes_of(&[0])[1])
+            .map(|&slot| tree.node(slot).key());
+        assert_eq!(linked, Some([0, 1, 1].as_slice()));
+        assert!(put(&mut tree, &[1], capture(&mut machine, 1, 1), 0));
         assert!(tree.links.is_empty(), "evicting the node drops its link");
     }
 
@@ -712,7 +961,8 @@ mod tests {
             };
             let (a, b) = (runner.pct(&plan), runner.pct(&fresh));
             if skipped > 0 {
-                let node = &tree.nodes[&a.trace.decisions[..skipped as usize]];
+                let node =
+                    node_at(&tree, &a.trace.decisions[..skipped as usize]).expect("resumed node");
                 bridged += usize::from(node.singles_from < skipped as usize);
             }
             assert_eq!(a.outcome, b.outcome, "seed {seed}");

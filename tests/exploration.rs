@@ -3,13 +3,19 @@
 //! script* — within the budget documented in
 //! `conair_workloads::explore_hint`, the found decision trace replays
 //! bit-identically, and delta-debugging it yields a shorter-or-equal
-//! trace that still fails.
+//! trace that still fails. The systematic searches also never run a
+//! schedule twice, and bounded search finds a failure that needs one
+//! preemption after a step that commutes with the preempted thread's.
 
+use std::collections::HashSet;
+
+use conair::Conair;
+use conair_ir::{CmpKind, FuncBuilder, ModuleBuilder};
 use conair_runtime::{
-    explore, minimize, run_replay, ExploreConfig, ExploreReport, ExploreStrategy, MachineConfig,
-    RunOutcome,
+    explore, explore_observed, minimize, run_replay, ExploreConfig, ExploreObserver, ExploreReport,
+    ExploreStrategy, MachineConfig, PointMask, Program, RunOutcome,
 };
-use conair_workloads::{explore_hint, workload_by_name, WORKLOAD_NAMES};
+use conair_workloads::{explore_hint, verify_hint, workload_by_name, WORKLOAD_NAMES};
 
 /// Exploration bounds: hang-prone schedules must terminate promptly
 /// (deadlocks surface as timed-out `Hang`s, runaways as `StepLimit`).
@@ -266,4 +272,133 @@ fn snapshot_cache_never_changes_the_report() {
     // Several waves: later waves also resume from earlier waves' captures.
     let ramped = assert_cache_is_invisible("HawkNL", pct_config(true, 64));
     assert!(ramped.wave_widths.len() > 1, "HawkNL's sweep spans waves");
+}
+
+/// Five shared accesses. Thread `a` runs `stg y,1; stg flag,1;
+/// stg flag,0`; thread `b` runs `ldg z; ldg flag` and asserts the flag it
+/// read is 0. The assertion fails only if `b` preempts `a` between the two
+/// `flag` stores — one preemption — and `b`'s first step (`ldg z`)
+/// commutes with `a`'s pending step there, while its second does not.
+fn five_accesses() -> Program {
+    let mut mb = ModuleBuilder::new("five");
+    let y = mb.global("y", 0);
+    let z = mb.global("z", 0);
+    let flag = mb.global("flag", 0);
+    let mut fb = FuncBuilder::new("a", 0);
+    fb.store_global(y, 1);
+    fb.store_global(flag, 1);
+    fb.store_global(flag, 0);
+    fb.ret();
+    mb.function(fb.finish());
+    let mut fb = FuncBuilder::new("b", 0);
+    fb.load_global(z);
+    let v = fb.load_global(flag);
+    let ok = fb.cmp(CmpKind::Eq, v, 0);
+    fb.assert(ok, "flag is clear");
+    fb.ret();
+    mb.function(fb.finish());
+    Program::from_entry_names(mb.finish(), &["a", "b"])
+}
+
+#[test]
+fn one_preemption_failure_behind_a_commuting_step_is_found() {
+    let program = five_accesses();
+    for (strategy, mask) in [
+        (
+            ExploreStrategy::Bounded { preemptions: 1 },
+            PointMask::SYNC_SHARED,
+        ),
+        (ExploreStrategy::Bounded { preemptions: 1 }, PointMask::ALL),
+        (
+            ExploreStrategy::Dpor { preemptions: 1 },
+            PointMask::SYNC_SHARED,
+        ),
+    ] {
+        let mut ec = ExploreConfig::new(strategy);
+        ec.mask = mask;
+        ec.budget = 64;
+        let report = explore(&program, &machine(), &ec);
+        let label = format!("{} at {}", strategy.label(), mask.name());
+        let found = report
+            .first_failure
+            .unwrap_or_else(|| panic!("{label}: no failure in {} schedules", report.schedules));
+        assert!(
+            matches!(found.outcome, RunOutcome::Failed(_)),
+            "{label}: {:?}",
+            found.outcome
+        );
+        assert_eq!(report.independence_skips, 0, "{label}: nothing is pruned");
+    }
+}
+
+/// Reader asserts a flag the writer sets: fails only when the reader's
+/// load runs before the writer's store.
+fn order_violation() -> Program {
+    let mut mb = ModuleBuilder::new("ov");
+    let flag = mb.global("flag", 0);
+    let mut fb = FuncBuilder::new("reader", 0);
+    let v = fb.load_global(flag);
+    let ok = fb.cmp(CmpKind::Ne, v, 0);
+    fb.assert(ok, "writer must have published");
+    fb.ret();
+    mb.function(fb.finish());
+    let mut fb = FuncBuilder::new("writer", 0);
+    fb.store_global(flag, 1);
+    fb.ret();
+    mb.function(fb.finish());
+    Program::from_entry_names(mb.finish(), &["reader", "writer"])
+}
+
+/// Runs a keep-going search recording every executed decision trace, and
+/// asserts that no two are equal.
+fn assert_duplicate_free(
+    what: &str,
+    program: &Program,
+    config: &MachineConfig,
+    strategy: ExploreStrategy,
+    budget: usize,
+) -> ExploreReport {
+    let mut ec = ExploreConfig::new(strategy);
+    ec.mask = PointMask::SYNC_SHARED;
+    ec.budget = budget;
+    ec.stop_at_first = false;
+    let mut obs = ExploreObserver::new().with_traces();
+    let report = explore_observed(program, config, &ec, Some(&mut obs));
+    let label = format!("{what} {}", strategy.label());
+    assert_eq!(
+        obs.traces().len(),
+        report.schedules,
+        "{label}: every run seen"
+    );
+    let distinct: HashSet<&Vec<u32>> = obs.traces().iter().collect();
+    assert_eq!(
+        distinct.len(),
+        report.schedules,
+        "{label}: a schedule ran twice"
+    );
+    report
+}
+
+#[test]
+fn systematic_searches_never_repeat_a_schedule() {
+    let ov = order_violation();
+    let fft = workload_by_name("FFT").expect("registered workload");
+    let hint = verify_hint("FFT").expect("catalog workload has a verify hint");
+    let hardened = Conair::survival().harden(&fft.program).program;
+    let verify = MachineConfig {
+        max_retries: hint.max_retries,
+        retry_backoff: true,
+        ..machine()
+    };
+    for k in [1, 2] {
+        for strategy in [
+            ExploreStrategy::Bounded { preemptions: k },
+            ExploreStrategy::Dpor { preemptions: k },
+        ] {
+            let r = assert_duplicate_free("order_violation", &ov, &machine(), strategy, 10_000);
+            assert!(r.exhausted, "order_violation {}", strategy.label());
+            let r = assert_duplicate_free("hardened FFT", &hardened, &verify, strategy, 400);
+            assert!(r.exhausted || k == 2, "hardened FFT {}", strategy.label());
+        }
+    }
 }

@@ -19,12 +19,15 @@
 //! The search rows pin the benchmark's searches themselves: per app, the
 //! `explore_hint` search, a stop-at-first DPOR search at one preemption
 //! and a keep-going PCT sweep; and the `verify_hint` DPOR search on three
-//! hardened apps. Each row hashes the report with only its wall-clock
-//! fields zeroed, so the snapshot-cache counters (`snapshots_taken`,
-//! `snapshot_hits`, `steps_saved`) and the DPOR counters are pinned too:
-//! the hashes fix every capture and resume decision the search makes,
-//! not just what it finds. They were recorded while each strategy still
-//! ran its own wave loop; the shared loop must reproduce them exactly.
+//! hardened apps. Each row carries two hashes. The shape hash zeroes the
+//! wall-clock fields and the three snapshot-cache counters
+//! (`snapshots_taken`, `snapshot_hits`, `steps_saved`) but keeps the DPOR
+//! counters: it pins what the search explored and found. It was recorded
+//! before frontier runs spread their captures over the whole run and DPOR
+//! stopped hashing decision prefixes, and both changes had to leave it
+//! fixed. The raw hash zeroes only the wall-clock fields, so it also fixes
+//! every capture and resume decision the search makes; the DPOR rows'
+//! raw hashes were re-recorded when the captures moved.
 
 use conair::Conair;
 use conair_runtime::{
@@ -132,6 +135,10 @@ struct SearchGolden {
     schedules: usize,
     /// FNV-1a of the report's JSON with `wall_ms` and `phases` zeroed.
     report_hash: u64,
+    /// FNV-1a of the report's JSON with the three snapshot-cache counters
+    /// zeroed as well: what the search explored and found, DPOR counters
+    /// included, independent of where it captured and resumed.
+    shape_hash: u64,
 }
 
 const SEARCH_GOLDEN: &[SearchGolden] = &[
@@ -140,162 +147,189 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         search: Search::Hint,
         schedules: 1,
         report_hash: 0xcf4f_f7cc_d3b3_fd8b,
+        shape_hash: 0x713f_7079_91f5_d8a0,
     },
     SearchGolden {
         app: "FFT",
         search: Search::Dpor,
         schedules: 1,
-        report_hash: 0xc3e0_d957_ab38_d587,
+        report_hash: 0x3291_7dbd_74bc_b653,
+        shape_hash: 0xa5bb_e413_2666_d795,
     },
     SearchGolden {
         app: "FFT",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0xdafe_04db_1e2b_68d5,
+        shape_hash: 0xda02_f4ee_6ac5_1c73,
     },
     SearchGolden {
         app: "HawkNL",
         search: Search::Hint,
         schedules: 17,
         report_hash: 0xf848_547f_9d55_df9a,
+        shape_hash: 0xbc84_13b3_20c1_e693,
     },
     SearchGolden {
         app: "HawkNL",
         search: Search::Dpor,
         schedules: 9,
-        report_hash: 0x5403_d636_cc30_74bd,
+        report_hash: 0x49d3_606d_b226_a727,
+        shape_hash: 0x02a0_ce84_6242_69e0,
     },
     SearchGolden {
         app: "HawkNL",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0x2562_96fe_2d5f_40c4,
+        shape_hash: 0x206a_af50_8c72_b062,
     },
     SearchGolden {
         app: "HTTrack",
         search: Search::Hint,
         schedules: 1,
         report_hash: 0x5eb7_2c68_5fa2_0fc9,
+        shape_hash: 0x38bc_15d8_d1e3_8b87,
     },
     SearchGolden {
         app: "HTTrack",
         search: Search::Dpor,
         schedules: 1,
-        report_hash: 0xd383_9322_2f03_0438,
+        report_hash: 0x12cb_11dc_fd14_7990,
+        shape_hash: 0x93cd_cbf4_9a09_c3a0,
     },
     SearchGolden {
         app: "HTTrack",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0xf6c7_96a5_c8a1_0312,
+        shape_hash: 0xc232_c100_7b46_4df7,
     },
     SearchGolden {
         app: "MozillaXP",
         search: Search::Hint,
         schedules: 1,
         report_hash: 0x97a2_105d_24f0_a33f,
+        shape_hash: 0x5622_71b9_e429_8a21,
     },
     SearchGolden {
         app: "MozillaXP",
         search: Search::Dpor,
         schedules: 1,
-        report_hash: 0xb2b2_1dcc_b9e2_20ab,
+        report_hash: 0x7e28_5d2b_b9bb_3258,
+        shape_hash: 0x42b6_37fc_78b3_7911,
     },
     SearchGolden {
         app: "MozillaXP",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0xc7f1_ac78_c604_dbb0,
+        shape_hash: 0x44ba_2d74_4bd3_b911,
     },
     SearchGolden {
         app: "MozillaJS",
         search: Search::Hint,
         schedules: 40,
         report_hash: 0xf5e4_9cb0_a899_35d7,
+        shape_hash: 0x6446_b19d_b88a_75db,
     },
     SearchGolden {
         app: "MozillaJS",
         search: Search::Dpor,
         schedules: 9,
-        report_hash: 0xd90f_1fb8_13ec_1858,
+        report_hash: 0xa951_70a0_5d98_54f4,
+        shape_hash: 0x1936_d28e_5cca_f7e0,
     },
     SearchGolden {
         app: "MozillaJS",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0x7ea2_5a3c_8f1c_1654,
+        shape_hash: 0xcb1e_2eec_6510_ef19,
     },
     SearchGolden {
         app: "Transmission",
         search: Search::Hint,
         schedules: 1,
         report_hash: 0x6f93_fb40_e404_ba32,
+        shape_hash: 0xa69f_a904_0711_1f0c,
     },
     SearchGolden {
         app: "Transmission",
         search: Search::Dpor,
         schedules: 1,
-        report_hash: 0x1f1c_d368_88de_46bd,
+        report_hash: 0x91d7_cbbc_97f0_5f5b,
+        shape_hash: 0x3830_3552_0b55_62fb,
     },
     SearchGolden {
         app: "Transmission",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0x08e6_114a_8a8c_7df3,
+        shape_hash: 0x386b_211a_3225_c436,
     },
     SearchGolden {
         app: "SQLite",
         search: Search::Hint,
         schedules: 14,
         report_hash: 0xf0a7_9a68_08ed_6954,
+        shape_hash: 0x910f_2ef4_1029_4ea9,
     },
     SearchGolden {
         app: "SQLite",
         search: Search::Dpor,
         schedules: 8,
-        report_hash: 0x9dd0_fc83_a906_8f4a,
+        report_hash: 0x8490_7bfa_97a6_c076,
+        shape_hash: 0x854a_e982_3509_58c0,
     },
     SearchGolden {
         app: "SQLite",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0x3c8a_5f7c_86ce_2cdc,
+        shape_hash: 0x3bd4_5937_8edb_09d7,
     },
     SearchGolden {
         app: "ZSNES",
         search: Search::Hint,
         schedules: 1,
         report_hash: 0xa455_818b_8b0c_7d88,
+        shape_hash: 0x1991_6353_43f2_4673,
     },
     SearchGolden {
         app: "ZSNES",
         search: Search::Dpor,
         schedules: 1,
-        report_hash: 0xef1b_4836_9da9_f57c,
+        report_hash: 0x8a8e_5a7a_3983_3a30,
+        shape_hash: 0x1398_029f_81fd_9ccc,
     },
     SearchGolden {
         app: "ZSNES",
         search: Search::Pct,
         schedules: 16,
         report_hash: 0xefa2_aa09_ae59_821f,
+        shape_hash: 0xedf9_143a_94e4_4108,
     },
     SearchGolden {
         app: "FFT",
         search: Search::Verify,
         schedules: 248,
-        report_hash: 0x5bfe_c5c8_85ab_f41d,
+        report_hash: 0xc383_340e_ea39_440a,
+        shape_hash: 0x46f0_a61e_e6a5_8ec0,
     },
     SearchGolden {
         app: "HawkNL",
         search: Search::Verify,
         schedules: 211,
-        report_hash: 0xae82_d9fc_0a6a_4810,
+        report_hash: 0x4a36_0ed4_c83f_6f15,
+        shape_hash: 0x6e43_92b5_dbd2_3ba7,
     },
     SearchGolden {
         app: "SQLite",
         search: Search::Verify,
         schedules: 324,
-        report_hash: 0x1bf9_dd9f_592c_5aac,
+        report_hash: 0x8178_ad9f_484c_d7a4,
+        shape_hash: 0xc149_d457_78f4_3f91,
     },
 ];
 
@@ -438,30 +472,55 @@ fn run_search(app: &str, search: Search) -> ExploreReport {
     }
 }
 
-/// The report's JSON hash with only the wall-clock fields zeroed.
-fn search_hash(report: &ExploreReport) -> u64 {
-    let pinned = ExploreReport {
-        wall_ms: 0,
-        phases: ExplorePhases::default(),
-        ..report.clone()
-    };
+/// FNV-1a of a report's JSON.
+fn report_json_hash(report: &ExploreReport) -> u64 {
     fnv1a(
-        serde_json::to_string(&pinned)
+        serde_json::to_string(report)
             .expect("report serializes")
             .as_bytes(),
     )
 }
 
+/// The report's JSON hash with only the wall-clock fields zeroed.
+fn search_hash(report: &ExploreReport) -> u64 {
+    report_json_hash(&ExploreReport {
+        wall_ms: 0,
+        phases: ExplorePhases::default(),
+        ..report.clone()
+    })
+}
+
+/// The report's JSON hash with the wall-clock fields and the three
+/// snapshot-cache counters zeroed. Unlike [`ExploreReport::normalized`],
+/// the DPOR counters are kept.
+fn shape_hash(report: &ExploreReport) -> u64 {
+    report_json_hash(&ExploreReport {
+        wall_ms: 0,
+        phases: ExplorePhases::default(),
+        snapshots_taken: 0,
+        snapshot_hits: 0,
+        steps_saved: 0,
+        ..report.clone()
+    })
+}
+
 #[test]
 fn searches_match_golden_fixtures() {
+    let mut drifted = Vec::new();
     for golden in SEARCH_GOLDEN {
         let r = run_search(golden.app, golden.search);
-        assert_eq!(
-            (r.schedules, search_hash(&r)),
-            (golden.schedules, golden.report_hash),
-            "{} {:?}: search drifted from its golden fixture",
-            golden.app,
-            golden.search
-        );
+        let got = (r.schedules, shape_hash(&r), search_hash(&r));
+        let want = (golden.schedules, golden.shape_hash, golden.report_hash);
+        if got != want {
+            drifted.push(format!(
+                "{} {:?}: (schedules, shape, raw) = ({}, {:#018x}, {:#018x}), golden ({}, {:#018x}, {:#018x})",
+                golden.app, golden.search, got.0, got.1, got.2, want.0, want.1, want.2
+            ));
+        }
     }
+    assert!(
+        drifted.is_empty(),
+        "searches drifted from their golden fixtures:\n{}",
+        drifted.join("\n")
+    );
 }

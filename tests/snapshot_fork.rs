@@ -7,10 +7,12 @@
 //! candidates from retained ancestors without changing any report field.
 //! The snapshots come from [`Machine::run_captured_at_branches`], the
 //! capture `explore` itself uses, so the property is checked at exactly
-//! the depths the explorer resumes from.
+//! the depths the explorer resumes from: the first branch points (PCT
+//! runs) and branch points spread over the whole run (frontier runs).
 
 use conair_runtime::{
-    FrontierScheduler, Machine, MachineConfig, MachineSnapshot, PointMask, RunResult,
+    CapturePlacement, FrontierScheduler, Machine, MachineConfig, MachineSnapshot, PointMask,
+    RunResult,
 };
 use conair_workloads::workload_by_name;
 
@@ -79,8 +81,12 @@ fn fork_matches_scratch(name: &str, mask: PointMask) {
     // schedule is the reference — capturing itself must not perturb
     // execution.
     let mut cap_sched = FrontierScheduler::new(Vec::new(), mask);
-    let (captured, snaps) =
-        Machine::new(&w.program, config).run_captured_at_branches(&mut cap_sched, 1, 64);
+    let (captured, snaps) = Machine::new(&w.program, config).run_captured_at_branches(
+        &mut cap_sched,
+        1,
+        64,
+        CapturePlacement::First,
+    );
     let (reference, consults) = run_forced(&w.program, config, Vec::new(), mask);
     assert_identical(&reference, &captured, &format!("{name}: capture run"));
     let trace = reference.decisions.clone().expect("recorded");
@@ -158,3 +164,74 @@ fork_test!(sqlite_forks_identically, "SQLite");
 fork_test!(hawknl_forks_identically, "HawkNL");
 fork_test!(mozilla_js_forks_identically, "MozillaJS");
 fork_test!(transmission_forks_identically, "Transmission");
+
+/// Spread placement, for one workload under one decision mask: a run that
+/// captures with a small `limit` holds at most `limit` images, in
+/// ascending depth, at every `stride`-th branch point from the first one,
+/// where `stride` is the smallest power of two that fits the run's branch
+/// points into `limit`. Resuming each image equals the run from scratch.
+fn spread_matches_scratch(name: &str, mask: PointMask, limit: usize) {
+    let w = workload_by_name(name).expect("registered workload");
+    let config = machine();
+    let from = 3;
+    let mut cap_sched = FrontierScheduler::new(Vec::new(), mask);
+    let (captured, snaps) = Machine::new(&w.program, config).run_captured_at_branches(
+        &mut cap_sched,
+        from,
+        limit,
+        CapturePlacement::Spread,
+    );
+    let (reference, consults) = run_forced(&w.program, config, Vec::new(), mask);
+    assert_identical(&reference, &captured, &format!("{name}: capture run"));
+    let forks: Vec<usize> = (from..consults.len())
+        .filter(|&i| consults[i].eligible.len() >= 2)
+        .collect();
+    assert!(
+        forks.len() > 2 * limit,
+        "{name}: {} branch points do not exercise the stride",
+        forks.len()
+    );
+    let mut stride = 1;
+    while forks.len().div_ceil(stride) > limit {
+        stride *= 2;
+    }
+    let want: Vec<usize> = forks.iter().copied().step_by(stride).collect();
+    let got: Vec<usize> = snaps.iter().map(|c| c.depth).collect();
+    assert!(got.len() <= limit, "{name}: {} images held", got.len());
+    assert_eq!(
+        got, want,
+        "{name}: images at every {stride}-th branch point"
+    );
+    assert!(
+        got.last() > forks.get(forks.len() / 2),
+        "{name}: the images reach the second half of the run"
+    );
+    let trace = reference.decisions.clone().expect("recorded");
+    for c in &snaps {
+        assert_eq!(
+            c.eligible, consults[c.depth].eligible,
+            "{name}: eligible set"
+        );
+        let forked = resume_forced(
+            &w.program,
+            config,
+            &c.snap,
+            c.depth,
+            trace.decisions.clone(),
+            mask,
+        );
+        assert_identical(
+            &reference,
+            &forked,
+            &format!("{name}: resume at depth {}", c.depth),
+        );
+    }
+}
+
+#[test]
+fn spread_captures_are_strided_and_resume_identically() {
+    for name in ["FFT", "HawkNL", "SQLite"] {
+        spread_matches_scratch(name, PointMask::SYNC_SHARED, 8);
+        spread_matches_scratch(name, PointMask::SYNC_SHARED, 5);
+    }
+}
