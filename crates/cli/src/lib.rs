@@ -1,26 +1,9 @@
 //! # conair-cli
 //!
-//! A command-line driver for the ConAir pipeline over textual IR files:
-//!
-//! ```text
-//! conair-cli print   <file.cir>
-//! conair-cli analyze <file.cir> [--fix <marker>]... [--no-optimize] [--no-interproc]
-//! conair-cli harden  <file.cir> [--fix <marker>]... [-o <out.cir>]
-//! conair-cli run     <file.cir> [--harden] [--threads <f1,f2,...>] [--seed <n>]
-//!                    [--steps <n>] [--trace <out.jsonl>] [--trace-depth <n>]
-//!                    [--trials <n>] [--jobs <n>] [--scheduler <name>]
-//!                    [--replay <trace.json>] [--record <trace.json>]
-//! conair-cli explore <file.cir> [--scheduler pct|bounded|dpor] [--budget <n>]
-//!                    [--preemptions <k>] [--depth <d>] [--points <mask>]
-//!                    [--jobs <n>] [--minimize] [-o <trace.json>]
-//!                    [--progress[=<ms>]] [--progress-out <p.jsonl>]
-//!                    [--metrics-out <m.prom>]
-//! conair-cli verify  <file.cir> [--preemptions <k>] [--budget <n>]
-//!                    [--jobs <n>] [-o <trace.json>]
-//! conair-cli report  <trace.jsonl | trace.json | report.json> [--limit <n>]
-//!                    [--chrome <out.json>]
-//! conair-cli stats   <progress.jsonl>
-//! ```
+//! A command-line driver for the ConAir pipeline over textual IR files.
+//! [`USAGE`] lists the eight commands and the flags each one reads; the
+//! flag table behind [`parse_args`] is the grammar, and a unit test keeps
+//! the two in step.
 //!
 //! `run --trace` records the structured [`conair_runtime::TraceEvent`]
 //! stream of the run as JSON Lines; `report` renders such a trace as a
@@ -32,7 +15,8 @@
 //! writes it as a decision trace, optionally delta-debugged by
 //! `--minimize`; `run --replay` re-executes a recorded trace
 //! bit-identically, and `run --record` captures any run's schedule.
-//! `report` also renders decision traces and `--report-out` JSON.
+//! `report` also renders decision traces and `--report-out` JSON, in the
+//! same words `explore` prints them.
 //! `verify` runs the DPOR search to exhaustion and reports a verdict:
 //! VERIFIED under K preemptions, a minimized COUNTEREXAMPLE, or
 //! INCONCLUSIVE when the budget runs out first.
@@ -55,7 +39,7 @@
 
 use std::fmt::Write as _;
 
-use conair::{AnalysisConfig, Conair, SiteSelection};
+use conair::{AnalysisConfig, Conair, PhaseSpans, SiteSelection};
 use conair_ir::{parse_module, validate, validate_hardened, FailureKind, Module};
 use conair_runtime::{
     explore_observed, from_jsonl, minimize, run_replay, run_trials, summarize_events,
@@ -64,6 +48,9 @@ use conair_runtime::{
     Program, RoundRobin, RunOutcome, RunResult, ScheduleScript, Scheduler, SeededRandom,
     TraceEvent, TraceSink, TrialPool,
 };
+
+/// Files a command writes, as `(path, contents)` pairs.
+type Files = Vec<(String, String)>;
 
 /// A CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -286,7 +273,9 @@ pub enum Command {
     Verify {
         /// Input path.
         input: String,
-        /// Exploration options (`scheduler` is forced to `dpor`).
+        /// Exploration options. The parser starts from `verify`'s own
+        /// defaults and fixed settings: DPOR, stop at the first failure,
+        /// minimize it, shared-access points, retry cap 8, fair backoff.
         opts: ExploreOptions,
     },
     /// Render a JSONL trace, an exploration report or a decision trace.
@@ -306,391 +295,334 @@ pub enum Command {
     },
 }
 
-/// Parses `argv[1..]`.
+impl ExploreOptions {
+    /// `verify`'s options, the one place its defaults and fixed settings
+    /// live. Exhaustion, not sampling, is the point, so the schedule
+    /// budget is much larger than `explore`'s, over the shared-access
+    /// points DPOR needs. A single counterexample settles the verdict, so
+    /// the search stops at the first and minimizes it. A finite retry cap
+    /// keeps hardened retry loops finite-state, and the fair retry model
+    /// lets a rolled-back thread yield to the peer it waits on; without
+    /// it every hardened program has a vacuous "scheduler starves the
+    /// retry loop" counterexample. `verify` reads no flag that would
+    /// change the fixed settings.
+    fn verify() -> Self {
+        Self {
+            scheduler: "dpor".into(),
+            budget: 65_536,
+            points: "shared".into(),
+            minimize: true,
+            max_retries: Some(8),
+            retry_backoff: true,
+            ..Self::default()
+        }
+    }
+}
+
+/// Builds a command around its input path, with every option at its
+/// default.
+type MakeCommand = fn(String) -> Command;
+
+/// Every command, by name.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, MakeCommand)] = &[
+    ("print", |input| Command::Print { input }),
+    ("analyze", |input| Command::Analyze {
+        input, fix_markers: Vec::new(), no_optimize: false, no_interproc: false }),
+    ("harden", |input| Command::Harden { input, fix_markers: Vec::new(), output: None }),
+    ("run", |input| Command::Run { input, opts: RunOptions::default() }),
+    ("explore", |input| Command::Explore { input, opts: ExploreOptions::default() }),
+    ("verify", |input| Command::Verify { input, opts: ExploreOptions::verify() }),
+    ("report", |input| Command::Report { input, limit: DEFAULT_REPORT_LIMIT, chrome: None }),
+    ("stats", |input| Command::Stats { input }),
+];
+
+/// How a flag takes its value.
+#[derive(Debug, Clone, Copy)]
+enum Takes {
+    /// None: the flag is a switch.
+    Nothing,
+    /// The next argument, named by the placeholder (`--seed N`).
+    Next(&'static str),
+    /// An optional `=value` suffix (`--progress` or `--progress=250`).
+    Suffix(&'static str),
+}
+
+use Takes::{Next, Nothing, Suffix};
+
+/// One row of the flag table: the flag's spelling, how it takes a value,
+/// the commands that read it, the setter that parses the value into the
+/// command's option field, and the flag's help line. The setter gets `""`
+/// for a switch and the raw suffix (`""` or `=value`) for a
+/// [`Takes::Suffix`] flag; on a value that does not parse it returns what
+/// the flag needs.
+struct Flag(
+    &'static str,
+    Takes,
+    &'static [&'static str],
+    fn(&mut Command, &str) -> Result<(), &'static str>,
+    &'static str,
+);
+
+impl Flag {
+    fn matches(&self, arg: &str) -> bool {
+        match self.1 {
+            Suffix(_) => arg
+                .strip_prefix(self.0)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('=')),
+            _ => arg == self.0,
+        }
+    }
+}
+
+fn put<T>(field: &mut T, value: Result<T, &'static str>) -> Result<(), &'static str> {
+    *field = value?;
+    Ok(())
+}
+
+fn number<T: std::str::FromStr>(v: &str) -> Result<T, &'static str> {
+    v.parse().map_err(|_| "a number")
+}
+
+fn positive(v: &str) -> Result<usize, &'static str> {
+    number(v).ok().filter(|&n| n >= 1).ok_or("a number >= 1")
+}
+
+fn path(v: &str) -> Result<Option<String>, &'static str> {
+    Ok(Some(v.to_owned()))
+}
+
+fn run(cmd: &mut Command) -> &mut RunOptions {
+    match cmd {
+        Command::Run { opts, .. } => opts,
+        _ => unreachable!("the flag table routes only run here"),
+    }
+}
+
+fn search(cmd: &mut Command) -> &mut ExploreOptions {
+    match cmd {
+        Command::Explore { opts, .. } | Command::Verify { opts, .. } => opts,
+        _ => unreachable!("the flag table routes only explore and verify here"),
+    }
+}
+
+/// A field `run`, `explore` and `verify` all carry.
+macro_rules! shared {
+    ($cmd:expr, $field:ident) => {
+        match $cmd {
+            Command::Run { opts, .. } => &mut opts.$field,
+            cmd => &mut search(cmd).$field,
+        }
+    };
+}
+
+const RUN_SEARCH: &[&str] = &["run", "explore", "verify"];
+const SEARCH: &[&str] = &["explore", "verify"];
+
+/// The command-line grammar: every flag, once (see [`Flag`] for the
+/// columns).
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag("--fix", Next("M"), &["analyze", "harden", "run", "explore", "verify"], |c, v| {
+            match c {
+                Command::Analyze { fix_markers: m, .. }
+                | Command::Harden { fix_markers: m, .. } => m,
+                c => shared!(c, fix_markers),
+            }.push(v.to_owned());
+            Ok(())
+        },
+        "select the sites of marker M (fix mode, repeatable; default: survival mode)"),
+    Flag("--no-optimize", Nothing, &["analyze"], |c, _| match c {
+            Command::Analyze { no_optimize, .. } => put(no_optimize, Ok(true)),
+            _ => unreachable!("the flag table routes only analyze here"),
+        },
+        "skip the Section-4.2 recoverability pruning"),
+    Flag("--no-interproc", Nothing, &["analyze"], |c, _| match c {
+            Command::Analyze { no_interproc, .. } => put(no_interproc, Ok(true)),
+            _ => unreachable!("the flag table routes only analyze here"),
+        },
+        "skip Section-4.3 inter-procedural promotion"),
+    Flag("-o", Next("PATH"), &["harden", "explore", "verify"], |c, v| match c {
+            Command::Harden { output, .. } => put(output, path(v)),
+            c => put(&mut search(c).out, path(v)),
+        },
+        "harden: write the module here; explore, verify: write the first failing trace here"),
+    Flag("--harden", Nothing, RUN_SEARCH, |c, _| put(shared!(c, harden), Ok(true)),
+        "harden the module (analysis + transform) first"),
+    Flag("--threads", Next("f1,f2"), RUN_SEARCH,
+        |c, v| put(shared!(c, threads), Ok(v.split(',').map(str::to_owned).collect())),
+        "thread entry functions (default: every zero-parameter function)"),
+    Flag("--seed", Next("N"), &["run", "explore"], |c, v| put(shared!(c, seed), number(v)),
+        "scheduler seed (run: default 0; explore: PCT base seed, default 1)"),
+    Flag("--steps", Next("N"), RUN_SEARCH, |c, v| put(shared!(c, steps), number(v)),
+        "step limit per run (default 50000000)"),
+    Flag("--jobs", Next("N"), RUN_SEARCH, |c, v| put(shared!(c, jobs), positive(v)),
+        "worker threads, at most one per core (output is identical for any N)"),
+    Flag("--scheduler", Next("NAME"), &["run", "explore"],
+        |c, v| put(shared!(c, scheduler), Ok(v.to_owned())),
+        "run: random (default), round-robin or pct; explore: pct (default), bounded or dpor"),
+    Flag("--trace", Next("PATH"), &["run"], |c, v| put(&mut run(c).trace, path(v)),
+        "record the run's event stream as JSONL (checked against the run's stats)"),
+    Flag("--trace-depth", Next("N"), &["run"], |c, v| put(&mut run(c).trace_depth, number(v)),
+        "failing-thread locations in failure reports (default 16, 0 = off)"),
+    Flag("--trials", Next("N"), &["run"], |c, v| put(&mut run(c).trials, positive(v)),
+        "run seeds seed..seed+N and print an aggregate summary"),
+    Flag("--replay", Next("PATH"), &["run"], |c, v| put(&mut run(c).replay, path(v)),
+        "re-execute a recorded decision trace bit-identically"),
+    Flag("--record", Next("PATH"), &["run"], |c, v| put(&mut run(c).record, path(v)),
+        "write the run's decision trace for a later --replay"),
+    Flag("--budget", Next("N"), SEARCH, |c, v| put(&mut search(c).budget, positive(v)),
+        "schedules to run at most (explore: default 256; verify: 65536)"),
+    Flag("--preemptions", Next("K"), SEARCH, |c, v| put(&mut search(c).preemptions, number(v)),
+        "preemption bound of bounded and dpor (default 2)"),
+    Flag("--depth", Next("D"), &["explore"], |c, v| put(&mut search(c).depth, positive(v)),
+        "PCT priority-change points (default 3)"),
+    Flag("--points", Next("SET"), SEARCH, |c, v| put(&mut search(c).points, Ok(v.to_owned())),
+        "decision points: sync, shared or all (explore: default sync; verify: shared)"),
+    Flag("--minimize", Nothing, &["explore"], |c, _| put(&mut search(c).minimize, Ok(true)),
+        "delta-debug the first failing trace before writing it (verify always does)"),
+    Flag("--keep-going", Nothing, &["explore"], |c, _| put(&mut search(c).keep_going, Ok(true)),
+        "search the whole budget and count every failure"),
+    Flag("--max-retries", Next("N"), SEARCH,
+        |c, v| put(&mut search(c).max_retries, number(v).map(Some)),
+        "recovery attempts per thread and site (verify: default 8)"),
+    Flag("--retry-backoff", Nothing, &["explore"],
+        |c, _| put(&mut search(c).retry_backoff, Ok(true)),
+        "back off after every rollback, the fair retry model verify always uses"),
+    Flag("--snapshot-budget", Next("N"), SEARCH,
+        |c, v| put(&mut search(c).snapshot_budget, number(v)),
+        "images kept in the prefix-sharing snapshot tree (default 8192, 0 = off)"),
+    Flag("--report-out", Next("PATH"), SEARCH, |c, v| put(&mut search(c).report_out, path(v)),
+        "write the exploration report as JSON (rendered by report)"),
+    Flag("--progress", Suffix("=MS"), SEARCH, |c, v| {
+            let ms = v.strip_prefix('=').map_or(Ok(DEFAULT_PROGRESS_INTERVAL_MS), number);
+            put(&mut search(c).progress, ms.map(Some))
+        },
+        "live stderr ticker, sampled every MS ms (default 500, 0 = every wave)"),
+    Flag("--progress-out", Next("PATH"), SEARCH,
+        |c, v| put(&mut search(c).progress_out, path(v)),
+        "record the progress and wave event stream as JSONL (for stats or report)"),
+    Flag("--metrics-out", Next("PATH"), SEARCH,
+        |c, v| put(&mut search(c).metrics_out, path(v)),
+        "write the search's final metrics in Prometheus text format"),
+    Flag("--limit", Next("N"), &["report"], |c, v| match c {
+            Command::Report { limit, .. } => put(limit, number(v)),
+            _ => unreachable!("the flag table routes only report here"),
+        },
+        "timeline lines to print (default 200, 0 = all)"),
+    Flag("--chrome", Next("PATH"), &["report"], |c, v| match c {
+            Command::Report { chrome, .. } => put(chrome, path(v)),
+            _ => unreachable!("the flag table routes only report here"),
+        },
+        "also write a JSONL event trace as Chrome trace-event JSON"),
+];
+
+/// Parses `argv[1..]`: the command name, then its input path and flags in
+/// any order. Each flag's setter writes into the command's options, which
+/// start at their defaults.
 ///
 /// # Errors
 ///
-/// Returns a usage error on unknown commands or malformed flags.
+/// Returns a usage error on an unknown command or flag, a flag the
+/// command does not read, a missing or malformed value, and a missing or
+/// second input path.
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(|| CliError::new(USAGE))?.as_str();
-    let mut input: Option<String> = None;
-    let mut fix_markers = Vec::new();
-    let mut no_optimize = false;
-    let mut no_interproc = false;
-    let mut output = None;
-    let mut threads = Vec::new();
-    let mut seed = 0u64;
-    let mut steps = 50_000_000u64;
-    let mut harden = false;
-    let mut trace: Option<String> = None;
-    let mut trace_depth = DEFAULT_TRACE_DEPTH;
-    let mut trials = 1usize;
-    let mut jobs = 1usize;
-    let mut limit = DEFAULT_REPORT_LIMIT;
-    let mut chrome: Option<String> = None;
-    let mut scheduler: Option<String> = None;
-    let mut replay: Option<String> = None;
-    let mut record: Option<String> = None;
-    let mut budget = 256usize;
-    let mut budget_given = false;
-    let mut preemptions = 2usize;
-    let mut depth = 3usize;
-    let mut points: Option<String> = None;
-    let mut seed_given = false;
-    let mut minimize = false;
-    let mut keep_going = false;
-    let mut report_out: Option<String> = None;
-    let mut snapshot_budget = 8192usize;
-    let mut progress: Option<u64> = None;
-    let mut progress_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut max_retries: Option<u64> = None;
-    let mut retry_backoff = false;
-
+    let (name, rest) = args.split_first().ok_or_else(|| CliError::new(usage()))?;
+    let (_, make) = COMMANDS
+        .iter()
+        .find(|(n, _)| n == name)
+        .ok_or_else(|| CliError::new(format!("unknown command `{name}`\n{}", usage())))?;
+    // The input path may come anywhere, so each flag's value is checked
+    // here and handed to its setter once the command exists.
+    let mut input = None;
+    let mut values = Vec::new();
+    let mut it = rest.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fix" => fix_markers.push(
-                it.next()
-                    .ok_or_else(|| CliError::new("--fix needs a marker name"))?
-                    .clone(),
-            ),
-            "--no-optimize" => no_optimize = true,
-            "--no-interproc" => no_interproc = true,
-            "--harden" => harden = true,
-            "-o" | "--output" => {
-                output = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("-o needs a path"))?
-                        .clone(),
-                )
+        if !arg.starts_with('-') {
+            if input.replace(arg.clone()).is_some() {
+                return Err(CliError::new(format!("unexpected argument `{arg}`")));
             }
-            "--threads" => {
-                let list = it
-                    .next()
-                    .ok_or_else(|| CliError::new("--threads needs a comma-separated list"))?;
-                threads = list.split(',').map(str::to_owned).collect();
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| CliError::new("--seed needs a number"))?;
-                seed_given = true;
-            }
-            "--steps" => {
-                steps = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| CliError::new("--steps needs a number"))?
-            }
-            "--trace" => {
-                trace = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--trace needs a path"))?
-                        .clone(),
-                )
-            }
-            "--trace-depth" => {
-                trace_depth = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| CliError::new("--trace-depth needs a number"))?
-            }
-            "--trials" => {
-                trials = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::new("--trials needs a number >= 1"))?
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::new("--jobs needs a number >= 1"))?
-            }
-            "--limit" => {
-                limit = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| CliError::new("--limit needs a number"))?
-            }
-            "--chrome" => {
-                chrome = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--chrome needs a path"))?
-                        .clone(),
-                )
-            }
-            "--scheduler" => {
-                scheduler = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--scheduler needs a name"))?
-                        .clone(),
-                )
-            }
-            "--replay" => {
-                replay = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--replay needs a path"))?
-                        .clone(),
-                )
-            }
-            "--record" => {
-                record = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--record needs a path"))?
-                        .clone(),
-                )
-            }
-            "--budget" => {
-                budget = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::new("--budget needs a number >= 1"))?;
-                budget_given = true;
-            }
-            "--preemptions" => {
-                preemptions = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| CliError::new("--preemptions needs a number"))?
-            }
-            "--depth" => {
-                depth = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::new("--depth needs a number >= 1"))?
-            }
-            "--points" => {
-                points = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--points needs sync|shared|all"))?
-                        .clone(),
-                )
-            }
-            "--minimize" => minimize = true,
-            "--keep-going" => keep_going = true,
-            "--max-retries" => {
-                max_retries = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| CliError::new("--max-retries needs a number"))?,
-                )
-            }
-            "--retry-backoff" => retry_backoff = true,
-            "--snapshot-budget" => {
-                snapshot_budget = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| CliError::new("--snapshot-budget needs a number (0 disables)"))?
-            }
-            "--report-out" => {
-                report_out = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--report-out needs a path"))?
-                        .clone(),
-                )
-            }
-            "--progress" => progress = Some(DEFAULT_PROGRESS_INTERVAL_MS),
-            "--progress-out" => {
-                progress_out = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--progress-out needs a path"))?
-                        .clone(),
-                )
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::new("--metrics-out needs a path"))?
-                        .clone(),
-                )
-            }
-            other if other.starts_with("--progress=") => {
-                progress =
-                    Some(other["--progress=".len()..].parse().map_err(|_| {
-                        CliError::new("--progress=<ms> needs a number of milliseconds")
-                    })?)
-            }
-            other if other.starts_with('-') => {
-                return Err(CliError::new(format!("unknown flag `{other}`\n{USAGE}")))
-            }
-            other => {
-                if input.is_some() {
-                    return Err(CliError::new(format!("unexpected argument `{other}`")));
-                }
-                input = Some(other.to_owned());
-            }
+            continue;
         }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.matches(arg))
+            .ok_or_else(|| CliError::new(format!("unknown flag `{arg}`\n{}", usage())))?;
+        let Flag(spelling, takes, commands, ..) = flag;
+        if !commands.contains(&name.as_str()) {
+            return Err(CliError::new(format!(
+                "`{spelling}` does not apply to `{name}` (it applies to {})",
+                commands.join(", ")
+            )));
+        }
+        values.push((
+            flag,
+            match takes {
+                Nothing => "",
+                Next(what) => it.next().map(String::as_str).ok_or_else(|| {
+                    CliError::new(format!("{spelling} needs a value: {spelling} {what}"))
+                })?,
+                Suffix(_) => &arg[spelling.len()..],
+            },
+        ));
     }
-    let input = input.ok_or_else(|| CliError::new(format!("missing input file\n{USAGE}")))?;
-    Ok(match cmd {
-        "print" => Command::Print { input },
-        "analyze" => Command::Analyze {
-            input,
-            fix_markers,
-            no_optimize,
-            no_interproc,
-        },
-        "harden" => Command::Harden {
-            input,
-            fix_markers,
-            output,
-        },
-        "run" => Command::Run {
-            input,
-            opts: RunOptions {
-                threads,
-                seed,
-                steps,
-                harden,
-                fix_markers,
-                trace,
-                trace_depth,
-                trials,
-                jobs,
-                scheduler: scheduler.unwrap_or_else(|| "random".into()),
-                replay,
-                record,
-            },
-        },
-        "explore" => Command::Explore {
-            input,
-            opts: ExploreOptions {
-                threads,
-                scheduler: scheduler.unwrap_or_else(|| "pct".into()),
-                budget,
-                preemptions,
-                depth,
-                points: points.unwrap_or_else(|| "sync".into()),
-                jobs,
-                seed: if seed_given { seed } else { 1 },
-                steps,
-                harden,
-                fix_markers,
-                minimize,
-                keep_going,
-                out: output,
-                report_out,
-                snapshot_budget,
-                progress,
-                progress_out,
-                metrics_out,
-                max_retries,
-                retry_backoff,
-            },
-        },
-        "verify" => Command::Verify {
-            input,
-            opts: ExploreOptions {
-                threads,
-                scheduler: "dpor".into(),
-                // Exhaustion, not sampling, is the point: verify defaults
-                // to a much larger schedule budget than explore.
-                budget: if budget_given { budget } else { 65_536 },
-                preemptions,
-                depth,
-                // DPOR needs shared-access decision points anyway.
-                points: points.unwrap_or_else(|| "shared".into()),
-                jobs,
-                seed: if seed_given { seed } else { 1 },
-                steps,
-                harden,
-                fix_markers,
-                // A counterexample should come out minimal by default.
-                minimize: true,
-                keep_going: false,
-                out: output,
-                report_out,
-                snapshot_budget,
-                progress,
-                progress_out,
-                metrics_out,
-                // A finite retry cap keeps hardened retry loops
-                // finite-state — without one, exhausting a program whose
-                // guards retry a million times is hopeless.
-                max_retries: Some(max_retries.unwrap_or(8)),
-                // Model a fair runtime: a rolled-back thread yields, so
-                // the peer it is waiting on can run. Without this every
-                // hardened program has a vacuous "scheduler starves the
-                // retry loop" counterexample.
-                retry_backoff: true,
-            },
-        },
-        "report" => Command::Report {
-            input,
-            limit,
-            chrome,
-        },
-        "stats" => Command::Stats { input },
-        other => return Err(CliError::new(format!("unknown command `{other}`\n{USAGE}"))),
-    })
+    let input = input.ok_or_else(|| CliError::new(format!("missing input file\n{}", usage())))?;
+    let mut cmd = make(input);
+    for (Flag(spelling, _, _, set, _), value) in values {
+        set(&mut cmd, value).map_err(|what| CliError::new(format!("{spelling} needs {what}")))?;
+    }
+    Ok(cmd)
 }
 
-/// Usage text.
+/// The commands and the flags each reads. Usage errors append one help
+/// line per flag from the flag table.
 pub const USAGE: &str =
-    "usage: conair-cli <print|analyze|harden|run|explore|verify|report|stats> <file> [options]
-  print   <file.cir>                     parse, validate, pretty-print
+    "usage: conair-cli <print|analyze|harden|run|explore|verify|report|stats> <file> [flags]
+  print   <file.cir>                 parse, validate and pretty-print
   analyze <file.cir> [--fix M]... [--no-optimize] [--no-interproc]
+                                     report failure sites and reexecution points
   harden  <file.cir> [--fix M]... [-o out.cir]
+                                     print or write the hardened module
   run     <file.cir> [--harden [--fix M]...] [--threads f1,f2] [--seed N]
-          [--steps N] [--trace out.jsonl] [--trace-depth N]
-          [--trials N [--jobs N]] [--scheduler random|round-robin|pct]
+          [--steps N] [--trace out.jsonl] [--trace-depth N] [--trials N]
+          [--jobs N] [--scheduler random|round-robin|pct]
           [--replay trace.json] [--record trace.json]
-          --threads defaults to every zero-parameter function;
-          --trace-depth defaults to 16 (0 disables failure location traces);
-          --trials N > 1 runs seeds seed..seed+N and prints an aggregate
-          summary; --jobs N spreads the trials over N worker threads,
-          at most one per core (the summary is identical for any job
-          count);
-          --replay re-executes a recorded decision trace bit-identically;
-          --record writes the run's decision trace for later --replay
+                                     execute the program
   explore <file.cir> [--harden [--fix M]...] [--threads f1,f2]
           [--scheduler pct|bounded|dpor] [--budget N] [--preemptions K]
-          [--depth D] [--points sync|shared|all] [--seed N] [--jobs N]
-          [--minimize] [--keep-going] [-o trace.json]
-          [--max-retries N] [--retry-backoff]
-          [--report-out report.json] [--snapshot-budget N]
-          [--progress[=MS]] [--progress-out p.jsonl] [--metrics-out m.prom]
-          searches schedules for a failing interleaving; the first failing
-          trace is written to -o (delta-debugged first with --minimize);
-          --keep-going exhausts the budget and counts every failure;
-          --snapshot-budget bounds the prefix-sharing snapshot tree the
-          search resumes schedules from (default 8192 CoW images,
-          0 disables it; reports are bit-identical at any value; resident
-          bytes are additionally capped, so deep trees stay cheap);
-          --progress prints a live stderr ticker (sampled every MS ms,
-          default 500, 0 = every wave); --progress-out records the
-          progress/wave event stream as JSONL for `stats` or `report`;
-          --metrics-out writes the search's final metrics in Prometheus
-          text format; none of the three changes the search or the report;
-          --scheduler dpor explores with dynamic partial-order reduction:
-          only schedules that reverse a detected race are generated, so
-          small programs exhaust in far fewer schedules than bounded
-          (requires shared-access decision points; narrower --points are
-          upgraded automatically)
-  verify  <file.cir> [--harden [--fix M]...] [--preemptions K]
-          [--budget N] [--max-retries N] [--jobs N] [-o trace.json]
-          [--report-out r.json] [--snapshot-budget N]
-          exhaustively verifies the program under K preemptions (default
-          2) with DPOR and prints a verdict: VERIFIED (search space
-          exhausted, no failing interleaving), COUNTEREXAMPLE (a failing
-          schedule, minimized and written to -o), or INCONCLUSIVE (budget
-          ran out; default 65536 schedules). Accepts every explore flag.
-          verify bounds hardened retry loops (--max-retries, default 8)
-          and always enables the fair retry-backoff model, so recovery
-          code is verified under a runtime where rolled-back threads
-          yield instead of spinning
-  report  <trace.jsonl|report.json|trace.json> [--limit N]
-          [--chrome out.json]
-  stats   <progress.jsonl>               summarize a recorded progress
-          stream: schedules/throughput, failures, snapshot reuse and the
-          self-profiling phase breakdown";
+          [--depth D] [--points sync|shared|all] [--seed N] [--steps N]
+          [--jobs N] [--minimize] [--keep-going] [-o trace.json]
+          [--max-retries N] [--retry-backoff] [--report-out report.json]
+          [--snapshot-budget N] [--progress[=MS]] [--progress-out p.jsonl]
+          [--metrics-out m.prom]
+                                     search schedules for a failing interleaving
+  verify  <file.cir> [--harden [--fix M]...] [--threads f1,f2]
+          [--preemptions K] [--budget N] [--points shared|all] [--steps N]
+          [--jobs N] [-o trace.json] [--max-retries N] [--report-out r.json]
+          [--snapshot-budget N] [--progress[=MS]] [--progress-out p.jsonl]
+          [--metrics-out m.prom]
+                                     exhaust the schedules within K preemptions
+                                     with DPOR and print a verdict: VERIFIED,
+                                     COUNTEREXAMPLE (minimized, written to -o)
+                                     or INCONCLUSIVE (the budget ran out)
+  report  <trace.jsonl|report.json|trace.json> [--limit N] [--chrome out.json]
+                                     render an event trace, exploration report
+                                     or decision trace
+  stats   <progress.jsonl>           summarize a recorded progress stream";
+
+/// [`USAGE`] followed by the flag table's help lines.
+fn usage() -> String {
+    let mut out = format!("{USAGE}\nflags:\n");
+    for Flag(spelling, takes, _, _, help) in FLAGS {
+        let spelled = match takes {
+            Nothing => spelling.to_string(),
+            Next(what) => format!("{spelling} {what}"),
+            Suffix(what) => format!("{spelling}[{what}]"),
+        };
+        let _ = writeln!(out, "  {spelled:<22} {help}");
+    }
+    out
+}
 
 fn load(text: &str) -> Result<Module, CliError> {
     let module = parse_module(text).map_err(|e| CliError::new(format!("parse error: {e}")))?;
@@ -857,6 +789,32 @@ fn make_scheduler(name: &str, seed: u64) -> Result<Box<dyn Scheduler>, CliError>
     })
 }
 
+/// The front half `run`, `explore` and `verify` share: loads the module,
+/// resolves its thread entries and, when `harden` is set, hardens it.
+/// Returns the program, the report so far (the hardening summary) and,
+/// when hardened, the hardening phase spans.
+fn prepare(
+    text: &str,
+    threads: &[String],
+    harden: bool,
+    fix_markers: &[String],
+) -> Result<(Program, String, Option<PhaseSpans>), CliError> {
+    let module = load(text)?;
+    let entries = resolve_entries(&module, threads)?;
+    let names: Vec<&str> = entries.iter().map(String::as_str).collect();
+    let program = Program::from_entry_names(module, &names);
+    if !harden {
+        return Ok((program, String::new(), None));
+    }
+    let (hardened, spans) = pipeline(fix_markers, false, false).harden_timed(&program);
+    let stats = &hardened.plan.stats;
+    let out = format!(
+        "hardened: {} recoverable sites, {} reexecution points\n",
+        stats.recoverable_sites, stats.static_points
+    );
+    Ok((hardened.program, out, Some(spans)))
+}
+
 /// Executes `run` on module text. Returns the report and the output files
 /// to write as `(path, contents)` pairs (the `--trace` JSONL and/or the
 /// `--record` decision trace). `replay_json` must carry the decision-trace
@@ -865,23 +823,29 @@ pub fn cmd_run(
     text: &str,
     opts: &RunOptions,
     replay_json: Option<&str>,
-) -> Result<(String, Vec<(String, String)>), CliError> {
-    let module = load(text)?;
-    let entries = resolve_entries(&module, &opts.threads)?;
-    let names: Vec<&str> = entries.iter().map(String::as_str).collect();
-    let mut program = Program::from_entry_names(module, &names);
-    let mut out = String::new();
-    let mut files: Vec<(String, String)> = Vec::new();
-
-    if opts.harden {
-        let (hardened, spans) = pipeline(&opts.fix_markers, false, false).harden_timed(&program);
-        let _ = writeln!(
-            out,
-            "hardened: {} recoverable sites, {} reexecution points",
-            hardened.plan.stats.recoverable_sites, hardened.plan.stats.static_points
-        );
+) -> Result<(String, Files), CliError> {
+    let conflict = match (opts.replay.is_some(), opts.trials > 1) {
+        (true, true) => Some("--replay re-executes a single run; use --trials 1"),
+        (true, _) if opts.trace.is_some() => Some("--replay cannot record a --trace"),
+        (true, _) if opts.scheduler != "random" => {
+            Some("--replay follows the recorded trace; --scheduler does not apply")
+        }
+        (_, true) if opts.scheduler != "random" => {
+            Some("--trials aggregates seeded random runs; use --trials 1 with --scheduler")
+        }
+        (_, true) if opts.record.is_some() => {
+            Some("--record captures a single run; use --trials 1")
+        }
+        (_, true) if opts.trace.is_some() => Some("--trace records a single run; use --trials 1"),
+        _ => None,
+    };
+    if let Some(why) = conflict {
+        return Err(CliError::new(format!("run: {why}")));
+    }
+    let mut files = Files::new();
+    let (program, mut out, spans) = prepare(text, &opts.threads, opts.harden, &opts.fix_markers)?;
+    if let Some(spans) = spans {
         let _ = writeln!(out, "phases: {}", spans.render());
-        program = hardened.program;
     }
 
     let config = MachineConfig {
@@ -892,19 +856,6 @@ pub fn cmd_run(
     };
 
     if opts.replay.is_some() {
-        if opts.trials > 1 {
-            return Err(CliError::new(
-                "run: --replay re-executes a single run; use --trials 1",
-            ));
-        }
-        if opts.trace.is_some() {
-            return Err(CliError::new("run: --replay cannot record a --trace"));
-        }
-        if opts.scheduler != "random" {
-            return Err(CliError::new(
-                "run: --replay follows the recorded trace; --scheduler does not apply",
-            ));
-        }
         let json = replay_json.expect("execute reads the --replay file");
         let trace = DecisionTrace::from_json(json)
             .map_err(|e| CliError::new(format!("run: bad replay trace: {e}")))?;
@@ -927,21 +878,6 @@ pub fn cmd_run(
     }
 
     if opts.trials > 1 {
-        if opts.scheduler != "random" {
-            return Err(CliError::new(
-                "run: --trials aggregates seeded random runs; use --trials 1 with --scheduler",
-            ));
-        }
-        if opts.record.is_some() {
-            return Err(CliError::new(
-                "run: --record captures a single run; use --trials 1",
-            ));
-        }
-        if opts.trace.is_some() {
-            return Err(CliError::new(
-                "run: --trace records a single run; use --trials 1",
-            ));
-        }
         let s = run_trials(
             &program,
             &config,
@@ -971,18 +907,14 @@ pub fn cmd_run(
         if let Some(max) = s.max_recovery_steps {
             let _ = writeln!(out, "max recovery steps: {max}");
         }
-        let _ = writeln!(out, "retries per run: {}", s.retries_hist.summary());
-        let _ = writeln!(
-            out,
-            "recovery latency (steps): {}",
-            s.recovery_hist.summary()
-        );
-        let _ = writeln!(out, "checkpoints per run: {}", s.checkpoints_hist.summary());
-        let _ = writeln!(
-            out,
-            "undo depth per rollback (regs): {}",
-            s.undo_depth_hist.summary()
-        );
+        for (label, hist) in [
+            ("retries per run", &s.retries_hist),
+            ("recovery latency (steps)", &s.recovery_hist),
+            ("checkpoints per run", &s.checkpoints_hist),
+            ("undo depth per rollback (regs)", &s.undo_depth_hist),
+        ] {
+            let _ = writeln!(out, "{label}: {}", hist.summary());
+        }
         return Ok((out, files));
     }
 
@@ -1115,18 +1047,6 @@ impl TraceSink for ProgressTicker {
 /// Fans one event stream out to several sinks.
 struct Tee(Vec<Box<dyn TraceSink>>);
 
-impl Tee {
-    /// The cheapest sink equivalent to `sinks`: `None` for zero, the sink
-    /// itself for one, a `Tee` otherwise.
-    fn flatten(mut sinks: Vec<Box<dyn TraceSink>>) -> Option<Box<dyn TraceSink>> {
-        match sinks.len() {
-            0 => None,
-            1 => sinks.pop(),
-            _ => Some(Box::new(Tee(sinks))),
-        }
-    }
-}
-
 impl TraceSink for Tee {
     fn record(&mut self, event: TraceEvent) {
         for sink in &mut self.0 {
@@ -1135,49 +1055,24 @@ impl TraceSink for Tee {
     }
 }
 
-/// Executes `explore` on module text. Returns the report text and the
-/// output files to write as `(path, contents)` pairs.
+/// Executes `explore` (and, with its verdict appended, `verify`) on module
+/// text. Returns the report text, the output files to write as `(path,
+/// contents)` pairs, and the report itself.
+///
+/// The text is the settings the report cannot carry (hardening, the dpor
+/// mask upgrade, the retry model, the worker count), then the report as
+/// `report` renders it, then the minimized trace and how to replay it.
 pub fn cmd_explore(
     text: &str,
     opts: &ExploreOptions,
-) -> Result<(String, Vec<(String, String)>), CliError> {
-    let (out, files, _) = explore_inner(text, opts)?;
-    Ok((out, files))
-}
-
-/// The shared engine of `explore` and `verify`: runs the search and
-/// returns the rendered text, the files to write, and the report (which
-/// `verify` turns into a verdict).
-#[allow(clippy::type_complexity)]
-fn explore_inner(
-    text: &str,
-    opts: &ExploreOptions,
-) -> Result<(String, Vec<(String, String)>, ExploreReport), CliError> {
-    let module = load(text)?;
-    let entries = resolve_entries(&module, &opts.threads)?;
-    let names: Vec<&str> = entries.iter().map(String::as_str).collect();
-    let mut program = Program::from_entry_names(module, &names);
-    let mut out = String::new();
-    let mut files: Vec<(String, String)> = Vec::new();
-
-    if opts.harden {
-        let hardened = pipeline(&opts.fix_markers, false, false).harden(&program);
-        let _ = writeln!(
-            out,
-            "hardened: {} recoverable sites, {} reexecution points",
-            hardened.plan.stats.recoverable_sites, hardened.plan.stats.static_points
-        );
-        program = hardened.program;
-    }
-
+) -> Result<(String, Files, ExploreReport), CliError> {
+    let mut files = Files::new();
+    let (program, mut out, _) = prepare(text, &opts.threads, opts.harden, &opts.fix_markers)?;
+    let k = opts.preemptions;
     let strategy = match opts.scheduler.as_str() {
         "pct" => ExploreStrategy::Pct { depth: opts.depth },
-        "bounded" => ExploreStrategy::Bounded {
-            preemptions: opts.preemptions,
-        },
-        "dpor" => ExploreStrategy::Dpor {
-            preemptions: opts.preemptions,
-        },
+        "bounded" => ExploreStrategy::Bounded { preemptions: k },
+        "dpor" => ExploreStrategy::Dpor { preemptions: k },
         other => {
             return Err(CliError::new(format!(
                 "explore: unknown scheduler `{other}` (expected pct, bounded or dpor)"
@@ -1200,14 +1095,13 @@ fn explore_inner(
             mask.name()
         );
     }
-    let mut config = MachineConfig {
+    let defaults = MachineConfig::default();
+    let config = MachineConfig {
         step_limit: opts.steps,
         retry_backoff: opts.retry_backoff,
-        ..MachineConfig::default()
+        max_retries: opts.max_retries.unwrap_or(defaults.max_retries),
+        ..defaults
     };
-    if let Some(cap) = opts.max_retries {
-        config.max_retries = cap;
-    }
     if opts.retry_backoff || opts.max_retries.is_some() {
         let _ = writeln!(
             out,
@@ -1216,6 +1110,7 @@ fn explore_inner(
             if config.retry_backoff { "on" } else { "off" }
         );
     }
+    let _ = writeln!(out, "jobs: {}", TrialPool::new(opts.jobs).jobs());
     let mut ec = ExploreConfig::new(strategy);
     ec.mask = mask;
     ec.budget = opts.budget;
@@ -1229,11 +1124,7 @@ fn explore_inner(
     let observing =
         opts.progress.is_some() || opts.progress_out.is_some() || opts.metrics_out.is_some();
     let buffer = EventBuffer::new();
-    let mut observer = if observing {
-        let mut obs = ExploreObserver::new();
-        if let Some(ms) = opts.progress {
-            obs = obs.with_interval_ms(ms);
-        }
+    let mut observer = observing.then(|| {
         let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
         if opts.progress_out.is_some() {
             sinks.push(Box::new(buffer.clone()));
@@ -1241,107 +1132,43 @@ fn explore_inner(
         if opts.progress.is_some() {
             sinks.push(Box::new(ProgressTicker));
         }
-        if let Some(sink) = Tee::flatten(sinks) {
-            obs = obs.with_sink(sink);
-        }
-        Some(obs)
-    } else {
-        None
-    };
+        ExploreObserver::new()
+            .with_interval_ms(opts.progress.unwrap_or(DEFAULT_PROGRESS_INTERVAL_MS))
+            .with_sink(Box::new(Tee(sinks)))
+    });
     let mut report = explore_observed(&program, &config, &ec, observer.as_mut());
-    let _ = writeln!(
-        out,
-        "explored {} schedules ({}, points {}, budget {}, {} jobs)",
-        report.schedules,
-        report.strategy,
-        PointMask::from_bits(report.mask).name(),
-        report.budget,
-        TrialPool::new(opts.jobs).jobs()
-    );
-    let _ = writeln!(
-        out,
-        "failures: {} ({:.1} per 1k schedules)",
-        report.failures,
-        report.failures_per_1k()
-    );
-    match &report.first_failure {
-        Some(found) => {
+
+    // Minimize before rendering, so the report's phases count it.
+    let mut tail = String::new();
+    if let Some(found) = &report.first_failure {
+        let trace = if opts.minimize {
+            let minimize_start = std::time::Instant::now();
+            let min = minimize(&program, &config, &found.trace, opts.budget)
+                .map_err(|e| CliError::new(format!("explore: minimize failed: {e}")))?;
+            report.phases.minimize_us += minimize_start.elapsed().as_micros() as u64;
+            let preemptions = min.minimized_preemptions;
+            let plural = if preemptions == 1 { "" } else { "s" };
             let _ = writeln!(
-                out,
-                "first failure: schedule #{}, {} decisions, outcome {}",
-                found.index,
-                found.trace.len(),
-                found.outcome.label()
+                tail,
+                "minimized: {} -> {} decisions, {} -> {} deviations \
+                 ({preemptions} preemption{plural}), {} candidate replays",
+                min.original_len,
+                min.minimized_len,
+                min.original_deviations,
+                min.minimized_deviations,
+                min.candidates
             );
-            if let RunOutcome::Failed(f) = &found.outcome {
-                let _ = writeln!(out, "  {} in thread {}: {}", f.kind, f.thread, f.msg);
-            }
-            let _ = writeln!(out, "trace hash: {:#018x}", found.trace.hash());
-            let final_trace = if opts.minimize {
-                let minimize_start = std::time::Instant::now();
-                let min = minimize(&program, &config, &found.trace, opts.budget)
-                    .map_err(|e| CliError::new(format!("explore: minimize failed: {e}")))?;
-                report.phases.minimize_us += minimize_start.elapsed().as_micros() as u64;
-                let plural = if min.minimized_preemptions == 1 {
-                    ""
-                } else {
-                    "s"
-                };
-                let _ = writeln!(
-                    out,
-                    "minimized: {} -> {} decisions, {} -> {} deviations ({} preemption{plural}), \
-                     {} candidate replays",
-                    min.original_len,
-                    min.minimized_len,
-                    min.original_deviations,
-                    min.minimized_deviations,
-                    min.minimized_preemptions,
-                    min.candidates
-                );
-                min.trace
-            } else {
-                found.trace.clone()
-            };
-            if let Some(path) = &opts.out {
-                files.push((path.clone(), final_trace.to_json()));
-                let _ = writeln!(out, "replay with: run --replay {path}");
-            }
-        }
-        None => {
-            let _ = writeln!(out, "no failing schedule found within the budget");
-            if report.exhausted {
-                let _ = writeln!(
-                    out,
-                    "(search space exhausted: every schedule within {} preemptions ran)",
-                    opts.preemptions
-                );
-            }
+            min.trace
+        } else {
+            found.trace.clone()
+        };
+        if let Some(path) = &opts.out {
+            files.push((path.clone(), trace.to_json()));
+            let _ = writeln!(tail, "replay with: run --replay {path}");
         }
     }
-    let d = &report.dpor;
-    if d.races_detected > 0 || d.backtrack_points > 0 || d.sleep_skips > 0 {
-        let _ = writeln!(
-            out,
-            "dpor: {} races detected, {} backtrack points, {} sleep-set skips",
-            d.races_detected, d.backtrack_points, d.sleep_skips
-        );
-    }
-    if report.snapshots_taken > 0 || report.snapshot_hits > 0 {
-        let _ = writeln!(
-            out,
-            "snapshot tree: {} taken, {} schedules resumed, {} steps saved",
-            report.snapshots_taken, report.snapshot_hits, report.steps_saved
-        );
-    }
-    if report.phases.total_us() > 0 {
-        let p = &report.phases;
-        let _ = writeln!(
-            out,
-            "phases (us): capture {}, restore {}, interpret {}, merge {}, minimize {}",
-            p.capture_us, p.restore_us, p.interpret_us, p.merge_us, p.minimize_us
-        );
-    }
-    let _ = writeln!(out, "wall time: {} ms", report.wall_ms);
+    out += &render_explore_report(&report);
+    out += &tail;
 
     if let Some(path) = &opts.report_out {
         let json = serde_json::to_string_pretty(&report).expect("explore report serializes");
@@ -1357,8 +1184,7 @@ fn explore_inner(
     Ok((out, files, report))
 }
 
-/// The engine of the `verify` subcommand: an exhaustive DPOR search with
-/// stop-at-first-counterexample, rendered as a verdict.
+/// The `verify` verdict on a finished search under `opts`:
 ///
 /// * **verified** — the frontier drained with no failing schedule: every
 ///   interleaving within the preemption budget ran (modulo provably
@@ -1366,63 +1192,42 @@ fn explore_inner(
 /// * **counterexample** — a failing schedule was found; it is minimized
 ///   (when `--minimize`, the default) and written to `-o`.
 /// * **inconclusive** — the schedule budget ran out first.
-pub fn cmd_verify(
-    text: &str,
-    opts: &ExploreOptions,
-) -> Result<(String, Vec<(String, String)>), CliError> {
-    let mut opts = opts.clone();
-    opts.scheduler = "dpor".into();
-    // A single counterexample settles the verdict.
-    opts.keep_going = false;
-    let (mut out, files, report) = explore_inner(text, &opts)?;
+fn verdict(report: &ExploreReport, opts: &ExploreOptions) -> String {
     match (&report.first_failure, report.exhausted) {
-        (Some(found), _) => {
-            let _ = writeln!(
-                out,
-                "verdict: COUNTEREXAMPLE — schedule #{} fails ({} decisions{})",
-                found.index,
-                found.trace.len(),
-                if opts.minimize {
-                    ", minimized above"
-                } else {
-                    ""
-                }
-            );
-        }
-        (None, true) => {
-            let _ = writeln!(
-                out,
-                "verdict: VERIFIED under {} preemptions — {} schedules, depth {} decisions, \
-                 no failing interleaving",
-                opts.preemptions, report.schedules, report.probe_decisions
-            );
-        }
-        (None, false) => {
-            let _ = writeln!(
-                out,
-                "verdict: INCONCLUSIVE — budget exhausted with {} prefixes unexplored \
-                 (raise --budget)",
-                report.frontier
-            );
-        }
+        (Some(found), _) => format!(
+            "verdict: COUNTEREXAMPLE — schedule #{} fails ({} decisions{})\n",
+            found.index,
+            found.trace.len(),
+            if opts.minimize {
+                ", minimized above"
+            } else {
+                ""
+            }
+        ),
+        (None, true) => format!(
+            "verdict: VERIFIED under {} preemptions — {} schedules, depth {} decisions, \
+             no failing interleaving\n",
+            opts.preemptions, report.schedules, report.probe_decisions
+        ),
+        (None, false) => format!(
+            "verdict: INCONCLUSIVE — budget exhausted with {} prefixes unexplored \
+             (raise --budget)\n",
+            report.frontier
+        ),
     }
-    Ok((out, files))
 }
 
-/// Renders an exploration report (`explore --report-out` JSON).
+/// Renders an exploration report: the one text form of an
+/// [`ExploreReport`], which `explore`, `verify` and `report` all print.
 fn render_explore_report(report: &ExploreReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "exploration report:");
-    let _ = writeln!(out, "  strategy: {}", report.strategy);
+    let mut out = String::from("exploration report:\n");
     let _ = writeln!(
         out,
-        "  points: {}",
-        PointMask::from_bits(report.mask).name()
-    );
-    let _ = writeln!(
-        out,
-        "  schedules: {} (budget {})",
-        report.schedules, report.budget
+        "  explored {} schedules ({}, points {}, budget {})",
+        report.schedules,
+        report.strategy,
+        PointMask::from_bits(report.mask).name(),
+        report.budget
     );
     let _ = writeln!(
         out,
@@ -1430,32 +1235,29 @@ fn render_explore_report(report: &ExploreReport) -> String {
         report.failures,
         report.failures_per_1k()
     );
-    match (&report.first_failure, report.first_failure_depth()) {
-        (Some(found), Some(depth)) => {
+    match &report.first_failure {
+        Some(found) => {
             let _ = writeln!(
                 out,
-                "  first failure: schedule #{}, depth {} decisions, outcome {}",
+                "  first failure: schedule #{}, {} decisions, outcome {}",
                 found.index,
-                depth,
+                found.trace.len(),
                 found.outcome.label()
             );
+            if let RunOutcome::Failed(f) = &found.outcome {
+                let _ = writeln!(out, "    {} in thread {}: {}", f.kind, f.thread, f.msg);
+            }
             let _ = writeln!(out, "  trace hash: {:#018x}", found.trace.hash());
         }
-        _ => {
-            let _ = writeln!(out, "  first failure: none");
-        }
+        None => out += "  no failing schedule found within the budget\n",
+    }
+    if report.exhausted {
+        out += "  search space exhausted: every schedule within the bound ran\n";
     }
     if report.frontier > 0 {
         let _ = writeln!(out, "  unexplored frontier: {} prefixes", report.frontier);
     }
     let _ = writeln!(out, "  probe decisions: {}", report.probe_decisions);
-    if report.snapshots_taken > 0 || report.snapshot_hits > 0 {
-        let _ = writeln!(
-            out,
-            "  snapshot tree: {} taken, {} hits, {} steps saved",
-            report.snapshots_taken, report.snapshot_hits, report.steps_saved
-        );
-    }
     let d = &report.dpor;
     if d.races_detected > 0 || d.backtrack_points > 0 || d.sleep_skips > 0 {
         let _ = writeln!(
@@ -1464,8 +1266,12 @@ fn render_explore_report(report: &ExploreReport) -> String {
             d.races_detected, d.backtrack_points, d.sleep_skips
         );
     }
-    if report.exhausted {
-        let _ = writeln!(out, "  exhausted: search space fully explored");
+    if report.snapshots_taken > 0 || report.snapshot_hits > 0 {
+        let _ = writeln!(
+            out,
+            "  snapshot tree: {} taken, {} schedules resumed, {} steps saved",
+            report.snapshots_taken, report.snapshot_hits, report.steps_saved
+        );
     }
     if report.phases.total_us() > 0 {
         let p = &report.phases;
@@ -1552,11 +1358,8 @@ fn render_event(e: &TraceEvent) -> String {
             reexecution,
             ..
         } => {
-            if *reexecution {
-                format!("{thread} checkpoint (epoch {epoch}, reexecution)")
-            } else {
-                format!("{thread} checkpoint (epoch {epoch})")
-            }
+            let again = if *reexecution { ", reexecution" } else { "" };
+            format!("{thread} checkpoint (epoch {epoch}{again})")
         }
         FailureDetected {
             thread, site, kind, ..
@@ -1643,23 +1446,22 @@ pub fn cmd_report(
     // The JSON documents are whole-text objects that fail JSONL parsing,
     // so try them first.
     let as_report = serde_json::from_str::<ExploreReport>(jsonl);
-    if let Ok(report) = as_report {
-        if chrome {
-            return Err(CliError::new(
-                "report: --chrome needs a JSONL event trace, not an exploration report",
-            ));
+    let document = match &as_report {
+        Ok(report) => Some(("an exploration report", render_explore_report(report))),
+        Err(_) if serde_json::from_str::<DecisionTrace>(jsonl).is_ok() => {
+            let trace = DecisionTrace::from_json(jsonl)
+                .map_err(|e| CliError::new(format!("report: {e}")))?;
+            Some(("a decision trace", render_decision_trace(&trace)))
         }
-        return Ok((render_explore_report(&report), None));
-    }
-    if serde_json::from_str::<DecisionTrace>(jsonl).is_ok() {
-        let trace =
-            DecisionTrace::from_json(jsonl).map_err(|e| CliError::new(format!("report: {e}")))?;
+        Err(_) => None,
+    };
+    if let Some((what, text)) = document {
         if chrome {
-            return Err(CliError::new(
-                "report: --chrome needs a JSONL event trace, not a decision trace",
-            ));
+            return Err(CliError::new(format!(
+                "report: --chrome needs a JSONL event trace, not {what}"
+            )));
         }
-        return Ok((render_decision_trace(&trace), None));
+        return Ok((text, None));
     }
     let events = from_jsonl(jsonl).map_err(|e| {
         // One JSON object that is no report, trace or event stream is most
@@ -1709,17 +1511,13 @@ pub fn cmd_report(
             let _ = writeln!(out, "    {site}: {}", rec.retries);
         }
     }
-    let _ = writeln!(
-        out,
-        "  recovery latency (steps): {}",
-        m.rollback_latency.summary()
-    );
-    let _ = writeln!(
-        out,
-        "  undo depth per rollback (regs): {}",
-        m.undo_depth.summary()
-    );
-    let _ = writeln!(out, "  lock waits (steps): {}", m.lock_waits.summary());
+    for (label, hist) in [
+        ("recovery latency (steps)", &m.rollback_latency),
+        ("undo depth per rollback (regs)", &m.undo_depth),
+        ("lock waits (steps)", &m.lock_waits),
+    ] {
+        let _ = writeln!(out, "  {label}: {}", hist.summary());
+    }
     let _ = writeln!(
         out,
         "  compensation: {} frees, {} unlocks",
@@ -1738,12 +1536,9 @@ pub fn cmd_report(
         let _ = writeln!(out, "  schedule: {decisions} decisions, hash {hash:#018x}");
     }
 
-    let chrome_json = if chrome {
-        let value = to_chrome_trace(&events);
-        Some(serde_json::to_string(&value).expect("chrome trace serializes"))
-    } else {
-        None
-    };
+    let chrome_json = chrome.then(|| {
+        serde_json::to_string(&to_chrome_trace(&events)).expect("chrome trace serializes")
+    });
     Ok((out, chrome_json))
 }
 
@@ -1761,7 +1556,8 @@ pub fn cmd_stats(jsonl: &str) -> Result<String, CliError> {
     let mut executed = 0u64;
     let mut widths: Vec<u64> = Vec::new();
     let mut elapsed_ms = 0u64;
-    let (mut capture, mut restore, mut interpret, mut merge) = (0u64, 0u64, 0u64, 0u64);
+    // Capture, restore, interpret and merge microseconds.
+    let mut phases = [0u64; 4];
     let mut last_progress: Option<&TraceEvent> = None;
     for e in &events {
         match e {
@@ -1779,10 +1575,10 @@ pub fn cmd_stats(jsonl: &str) -> Result<String, CliError> {
                 executed += ex;
                 widths.push(*width);
                 elapsed_ms = elapsed_ms.max(*step);
-                capture += capture_us;
-                restore += restore_us;
-                interpret += interpret_us;
-                merge += merge_us;
+                let wave = [capture_us, restore_us, interpret_us, merge_us];
+                for (total, us) in phases.iter_mut().zip(wave) {
+                    *total += us;
+                }
             }
             TraceEvent::ExploreProgress { step, .. } => {
                 progress_count += 1;
@@ -1824,14 +1620,10 @@ pub fn cmd_stats(jsonl: &str) -> Result<String, CliError> {
                 *schedules as f64 * 1000.0 / elapsed_ms as f64
             );
         }
-        match first_failure {
-            Some(first) => {
-                let _ = writeln!(out, "failures: {failures} (first at schedule #{first})");
-            }
-            None => {
-                let _ = writeln!(out, "failures: {failures}");
-            }
-        }
+        let first = first_failure
+            .map(|first| format!(" (first at schedule #{first})"))
+            .unwrap_or_default();
+        let _ = writeln!(out, "failures: {failures}{first}");
         let _ = writeln!(
             out,
             "frontier: {frontier} prefixes, snapshot tree: {snapshot_nodes} nodes \
@@ -1849,18 +1641,16 @@ pub fn cmd_stats(jsonl: &str) -> Result<String, CliError> {
             widths.iter().max().copied().unwrap_or(0)
         );
     }
-    let attributed = capture + restore + interpret + merge;
+    let attributed: u64 = phases.iter().sum();
     if attributed > 0 {
-        let pct = |v: u64| 100.0 * v as f64 / attributed as f64;
         let _ = writeln!(out, "phase breakdown ({attributed} us attributed):");
-        let _ = writeln!(out, "  capture:   {capture:>10} us ({:.1}%)", pct(capture));
-        let _ = writeln!(out, "  restore:   {restore:>10} us ({:.1}%)", pct(restore));
-        let _ = writeln!(
-            out,
-            "  interpret: {interpret:>10} us ({:.1}%)",
-            pct(interpret)
-        );
-        let _ = writeln!(out, "  merge:     {merge:>10} us ({:.1}%)", pct(merge));
+        for (name, us) in ["capture", "restore", "interpret", "merge"]
+            .into_iter()
+            .zip(phases)
+        {
+            let pct = 100.0 * us as f64 / attributed as f64;
+            let _ = writeln!(out, "  {:<11}{us:>10} us ({pct:.1}%)", format!("{name}:"));
+        }
     }
     Ok(out)
 }
@@ -1878,55 +1668,25 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
     let write = |path: &str, text: &str| {
         std::fs::write(path, text).map_err(|e| CliError::new(format!("cannot write `{path}`: {e}")))
     };
-    match command {
-        Command::Print { input } => cmd_print(&read(input)?),
+    let (mut report, files) = match command {
+        Command::Print { input } => return cmd_print(&read(input)?),
         Command::Analyze {
             input,
             fix_markers,
             no_optimize,
             no_interproc,
-        } => cmd_analyze(&read(input)?, fix_markers, *no_optimize, *no_interproc),
+        } => return cmd_analyze(&read(input)?, fix_markers, *no_optimize, *no_interproc),
         Command::Harden {
             input,
             fix_markers,
             output,
         } => {
             let hardened = cmd_harden(&read(input)?, fix_markers)?;
-            match output {
-                Some(path) => {
-                    write(path, &hardened)?;
-                    Ok(format!("wrote hardened module to {path}\n"))
-                }
-                None => Ok(hardened),
-            }
-        }
-        Command::Run { input, opts } => {
-            let replay_json = match &opts.replay {
-                Some(path) => Some(read(path)?),
-                None => None,
+            let Some(path) = output else {
+                return Ok(hardened);
             };
-            let (mut report, files) = cmd_run(&read(input)?, opts, replay_json.as_deref())?;
-            for (path, text) in &files {
-                write(path, text)?;
-                let _ = writeln!(report, "wrote {path}");
-            }
-            Ok(report)
-        }
-        Command::Explore { input, opts } => {
-            let (mut report, files) = cmd_explore(&read(input)?, opts)?;
-            for (path, text) in &files {
-                write(path, text)?;
-                let _ = writeln!(report, "wrote {path}");
-            }
-            Ok(report)
-        }
-        Command::Verify { input, opts } => {
-            let (mut report, files) = cmd_verify(&read(input)?, opts)?;
-            for (path, text) in &files {
-                write(path, text)?;
-                let _ = writeln!(report, "wrote {path}");
-            }
-            Ok(report)
+            write(path, &hardened)?;
+            return Ok(format!("wrote hardened module to {path}\n"));
         }
         Command::Report {
             input,
@@ -1938,10 +1698,26 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
                 write(path, json)?;
                 let _ = writeln!(report, "wrote Chrome trace to {path}");
             }
-            Ok(report)
+            return Ok(report);
         }
-        Command::Stats { input } => cmd_stats(&read(input)?),
+        Command::Stats { input } => return cmd_stats(&read(input)?),
+        Command::Run { input, opts } => {
+            let replay_json = opts.replay.as_deref().map(read).transpose()?;
+            cmd_run(&read(input)?, opts, replay_json.as_deref())?
+        }
+        Command::Explore { input, opts } | Command::Verify { input, opts } => {
+            let (mut out, files, report) = cmd_explore(&read(input)?, opts)?;
+            if matches!(command, Command::Verify { .. }) {
+                out += &verdict(&report, opts);
+            }
+            (out, files)
+        }
+    };
+    for (path, text) in &files {
+        write(path, text)?;
+        let _ = writeln!(report, "wrote {path}");
     }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -2066,13 +1842,75 @@ bb0:
         assert!(parse_args(&[]).is_err());
         assert!(parse_args(&args(&["frobnicate", "a.cir"])).is_err());
         assert!(parse_args(&args(&["print"])).is_err());
-        assert!(parse_args(&args(&["analyze", "a.cir", "--fix"])).is_err());
         assert!(parse_args(&args(&["run", "a", "b"])).is_err());
         assert!(parse_args(&args(&["run", "a.cir", "--bogus"])).is_err());
-        assert!(parse_args(&args(&["run", "a.cir", "--trace"])).is_err());
         assert!(parse_args(&args(&["run", "a.cir", "--trials", "0"])).is_err());
         assert!(parse_args(&args(&["run", "a.cir", "--jobs", "x"])).is_err());
         assert!(parse_args(&args(&["report", "t.jsonl", "--limit", "x"])).is_err());
+        assert!(parse_args(&args(&["explore", "a.cir", "--seed=3"])).is_err());
+
+        // Every flag x command pair parses exactly when the table lists
+        // it, and a refusal names both the flag and the command.
+        let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        for Flag(spelling, takes, commands, ..) in FLAGS {
+            for &cmd in &names {
+                let mut argv = args(&[cmd, "a.cir", spelling]);
+                if let Next(_) = takes {
+                    argv.push("1".into());
+                }
+                match parse_args(&argv) {
+                    Ok(_) => assert!(commands.contains(&cmd), "{cmd} accepted {spelling}"),
+                    Err(e) => {
+                        assert!(!commands.contains(&cmd), "{cmd} {spelling}: {e}");
+                        assert!(e.message.contains(spelling), "{e}");
+                        assert!(e.message.contains(&format!("`{cmd}`")), "{e}");
+                    }
+                }
+                // A value-taking flag with its value missing is an error,
+                // not a panic.
+                if let (Next(_), true) = (takes, commands.contains(&cmd)) {
+                    let err = parse_args(&args(&[cmd, "a.cir", spelling])).unwrap_err();
+                    assert!(err.message.contains("needs a value"), "{err}");
+                }
+            }
+        }
+
+        // USAGE lists, per command, exactly the flags the table gives it.
+        let mut listed: Vec<(&str, &str)> = Vec::new();
+        let mut current = None;
+        for line in USAGE.lines().skip(1) {
+            let mut words = line.split_whitespace().peekable();
+            if let Some(name) = words.peek().filter(|w| names.contains(w)) {
+                current = Some(*name);
+            }
+            for word in words {
+                let word = word.trim_start_matches('[');
+                if word.starts_with('-') {
+                    let spelling = word.split(['[', ']', '=', ')', ',']).next().unwrap();
+                    listed.push((current.unwrap(), spelling));
+                }
+            }
+        }
+        let mut table: Vec<(&str, &str)> = FLAGS
+            .iter()
+            .flat_map(|Flag(spelling, _, commands, ..)| commands.iter().map(|&c| (c, *spelling)))
+            .collect();
+        listed.sort_unstable();
+        listed.dedup();
+        table.sort_unstable();
+        assert_eq!(listed, table, "USAGE and the flag table disagree");
+
+        // Flags a command does not read are refused, not ignored.
+        for line in [
+            "verify a.cir --scheduler pct",
+            "verify a.cir --keep-going",
+            "print a.cir --trials 3",
+            "run a.cir -o x",
+        ] {
+            let argv: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            let err = parse_args(&argv).unwrap_err();
+            assert!(err.message.contains("does not apply"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -2410,7 +2248,7 @@ bb0:
             report_out: Some("report.json".into()),
             ..ExploreOptions::default()
         };
-        let (out, files) = cmd_explore(DEMO, &opts).unwrap();
+        let (out, files, _) = cmd_explore(DEMO, &opts).unwrap();
         assert!(out.contains("first failure: "), "{out}");
         assert!(out.contains("minimized: "), "{out}");
         assert!(out.contains("trace hash: "), "{out}");
@@ -2473,7 +2311,7 @@ bb0:
             report_out: Some("report.json".into()),
             ..ExploreOptions::default()
         };
-        let (out, files) = cmd_explore(DEMO, &opts).unwrap();
+        let (out, files, _) = cmd_explore(DEMO, &opts).unwrap();
         assert!(out.contains("snapshot tree: "), "{out}");
         let report_json = &files.iter().find(|(p, _)| p == "report.json").unwrap().1;
         let (rendered, _) = cmd_report(report_json, 0, false).unwrap();
@@ -2485,7 +2323,7 @@ bb0:
             snapshot_budget: 0,
             ..opts
         };
-        let (off_out, off_files) = cmd_explore(DEMO, &off).unwrap();
+        let (off_out, off_files, _) = cmd_explore(DEMO, &off).unwrap();
         assert!(!off_out.contains("snapshot tree: "), "{off_out}");
         let off_json = &off_files
             .iter()
@@ -2557,7 +2395,7 @@ bb0:
             jobs: 4,
             ..base.clone()
         };
-        let (out, files) = cmd_explore(DEMO, &observed).unwrap();
+        let (out, files, _) = cmd_explore(DEMO, &observed).unwrap();
         assert!(out.contains("phases (us): "), "{out}");
         let file = |name: &str, files: &[(String, String)]| {
             files
@@ -2594,7 +2432,7 @@ bb0:
         // Observability must not change the search: the report is
         // identical (modulo wall-clock fields) to a run with every flag
         // off at a different job count.
-        let (plain_out, plain_files) = cmd_explore(DEMO, &base).unwrap();
+        let (plain_out, plain_files, _) = cmd_explore(DEMO, &base).unwrap();
         assert!(!plain_out.is_empty());
         let on: ExploreReport = serde_json::from_str(&file("report.json", &files)).unwrap();
         let off: ExploreReport = serde_json::from_str(&file("report.json", &plain_files)).unwrap();
@@ -2614,7 +2452,7 @@ bb0:
             ..ExploreOptions::default()
         };
         let text = include_str!("../../../assets/order_violation.cir");
-        let (_, files) = cmd_explore(text, &opts).unwrap();
+        let (_, files, _) = cmd_explore(text, &opts).unwrap();
         let file = |name: &str| {
             files
                 .iter()
@@ -2671,7 +2509,7 @@ bb0:
             budget: 50,
             ..ExploreOptions::default()
         };
-        let (out, files) = cmd_explore(BENIGN, &opts).unwrap();
+        let (out, files, _) = cmd_explore(BENIGN, &opts).unwrap();
         assert!(out.contains("no failing schedule found"), "{out}");
         assert!(out.contains("search space exhausted"), "{out}");
         assert!(files.is_empty());

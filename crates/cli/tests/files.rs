@@ -118,17 +118,18 @@ fn missing_file_reports_cleanly() {
     assert!(err.message.contains("cannot read"));
 }
 
-/// A program past the live-heap cap or the call-depth cap gets a failure
-/// report, not a process abort.
+/// A program past the live-heap cap, the call-depth cap or the live
+/// stack-words cap gets a failure report, not a process abort.
 #[test]
 fn resource_caps_report_instead_of_aborting() {
-    for (name, body, cause) in [
-        ("alloc", "%r0 = alloc 99999999999999", "heap exhausted"),
-        ("recursion", "%r0 = call @f0()", "call stack overflow"),
+    for (name, regs, body, cause) in [
+        ("alloc", 1, "%r0 = alloc 99999999999999", "heap exhausted"),
+        ("recursion", 1, "%r0 = call @f0()", "call stack overflow"),
+        ("stack", 65_000, "%r0 = call @f0()", "stack exhausted"),
     ] {
         let path = std::env::temp_dir().join(format!("conair_cli_cap_{name}.cir"));
         let src = format!(
-            "module m {{\nfn a(params=0, regs=1, locals=0) {{\nbb0:\n    {body}\n    ret\n}}\n}}\n"
+            "module m {{\nfn a(params=0, regs={regs}, locals=0) {{\nbb0:\n    {body}\n    ret\n}}\n}}\n"
         );
         std::fs::write(&path, src).unwrap();
         let run = execute(&Command::Run {
@@ -314,5 +315,28 @@ fn pct_counterexample_minimizes_below_its_budget() {
         "{replay}"
     );
     assert!(!replay.contains("diverged"), "{replay}");
+    let _ = std::fs::remove_file(path);
+}
+
+/// `explore` prints its report with the renderer `report` uses: the block
+/// `report` renders from the written JSON appears verbatim in the
+/// explore output.
+#[test]
+fn explore_prints_the_report_it_writes() {
+    let path = std::env::temp_dir().join("conair_cli_one_renderer.json");
+    let path = path.to_string_lossy().into_owned();
+    let explored = cli(&[
+        "explore",
+        &asset("deadlock.cir"),
+        "--scheduler",
+        "bounded",
+        "--keep-going",
+        "--report-out",
+        &path,
+    ])
+    .unwrap();
+    let rendered = cli(&["report", &path]).unwrap();
+    assert!(rendered.starts_with("exploration report:\n"), "{rendered}");
+    assert!(explored.contains(&rendered), "{explored}\n---\n{rendered}");
     let _ = std::fs::remove_file(path);
 }

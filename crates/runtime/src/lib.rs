@@ -80,7 +80,7 @@ pub use sched::{
 };
 pub use thread::{
     Checkpoint, CompensationRecord, Frame, ThreadState, ThreadStats, ThreadStatus, UndoRecord,
-    MAX_CALL_DEPTH,
+    MAX_CALL_DEPTH, MAX_STACK_WORDS,
 };
 pub use trace::{
     from_jsonl, summarize_events, to_chrome_trace, to_jsonl, EventBuffer, TraceEvent, TraceSink,

@@ -39,6 +39,7 @@ use crate::sched::{
 };
 use crate::thread::{
     CompensationRecord, Frame, ThreadState, ThreadStatus, UndoRecord, MAX_CALL_DEPTH,
+    MAX_STACK_WORDS,
 };
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -129,6 +130,17 @@ impl StepEffect {
     #[inline(never)]
     fn stack_overflow() -> Self {
         StepEffect::Fail(FailureKind::SegFault, None, "call stack overflow".into())
+    }
+
+    /// A call of a `words`-word frame would push the thread's live frames
+    /// past [`MAX_STACK_WORDS`].
+    #[cold]
+    #[inline(never)]
+    fn stack_exhausted(words: usize) -> Self {
+        let msg = format!(
+            "stack exhausted: call of a {words}-word frame past the {MAX_STACK_WORDS}-word cap"
+        );
+        StepEffect::Fail(FailureKind::SegFault, None, msg)
     }
 }
 
@@ -656,7 +668,7 @@ impl<'p> Machine<'p> {
     /// Installs a [`TraceSink`] receiving structured [`TraceEvent`]s.
     ///
     /// Without a sink (the default), no event is ever constructed — every
-    /// emission site hands [`Machine::emit`] a closure that only runs when
+    /// emission site hands the machine's `emit` a closure that only runs when
     /// a sink is present.
     pub fn with_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
@@ -1679,8 +1691,10 @@ impl<'p> Machine<'p> {
                 let (nregs, nlocals) = (layout.num_regs(), layout.num_locals());
                 let ret_dst = (dst != u32::MAX).then_some(Reg(dst));
                 let frame = Frame::with_sizes(callee, nregs, nlocals, &vals, ret_dst);
-                self.threads[tid.index()].frames.push(frame);
-                StepEffect::Continue
+                match self.threads[tid.index()].push_frame(frame) {
+                    Ok(()) => StepEffect::Continue,
+                    Err(frame) => StepEffect::stack_exhausted(frame.words()),
+                }
             }
             D::Marker { id } => {
                 self.marker_counts.get_mut()[id as usize] += 1;

@@ -95,7 +95,7 @@ pub enum ExploreStrategy {
         /// Maximum preemptions per schedule.
         preemptions: usize,
     },
-    /// Dynamic partial-order reduction (see [`super::dpor`]): the bounded
+    /// Dynamic partial-order reduction (see the `sched::dpor` module): the bounded
     /// search's frontier, but only race-reversing backtrack candidates are
     /// enqueued. Requires a decision mask containing
     /// [`PointKind::SharedAccess`] (the independence evidence is per-step

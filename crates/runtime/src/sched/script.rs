@@ -66,7 +66,7 @@ impl ScheduleScript {
     /// `next_marker` (if any), is held given current marker counts.
     ///
     /// This is the string-keyed reference semantics; the machine's hot
-    /// path uses the [`CompiledScript`] equivalent.
+    /// path uses the compiled-script equivalent.
     pub fn is_held(
         &self,
         thread: usize,

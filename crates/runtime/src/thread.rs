@@ -54,6 +54,12 @@ const MASK_WIDTH: usize = 64;
 /// until the step limit.
 pub const MAX_CALL_DEPTH: usize = 1 << 16;
 
+/// Most register and local words one thread's live frames may hold, the
+/// size of [`crate::MAX_HEAP_WORDS`]. Without it the depth cap and the
+/// validator's per-frame cap multiply: deep recursion of maximal frames
+/// could reach 2^32 words before either trips.
+pub const MAX_STACK_WORDS: usize = 1 << 24;
+
 /// One activation record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -72,7 +78,7 @@ pub struct Frame {
     pub ret_dst: Option<Reg>,
     /// Wide-frame fallback for undo-log dedup: the epoch at which each
     /// register was last recorded (0 = never; live epochs start at 1).
-    /// Only allocated for frames wider than [`MASK_WIDTH`] registers —
+    /// Only allocated for frames wider than `MASK_WIDTH` (64) registers —
     /// narrow frames (the common case) dedup through the thread's
     /// `written_mask` bit set and keep this empty, so calls allocate
     /// nothing extra and hot writes touch no additional cache line.
@@ -109,6 +115,11 @@ impl Frame {
                 Vec::new()
             },
         }
+    }
+
+    /// Register and local words this frame holds.
+    pub(crate) fn words(&self) -> usize {
+        self.regs.len() + self.locals.len()
     }
 }
 
@@ -234,7 +245,9 @@ pub struct ThreadState {
     /// [`crate::ThreadSpec`] — keeping it out of per-run state avoids a
     /// per-run allocation per thread.
     pub id: ThreadId,
-    /// Call stack; empty once the thread is done.
+    /// Call stack; empty once the thread is done. Push with
+    /// [`ThreadState::push_frame`] and pop with [`ThreadState::pop_frame`],
+    /// which keep the live stack-word count.
     pub frames: Vec<Frame>,
     /// Scheduling status.
     pub status: ThreadStatus,
@@ -258,6 +271,9 @@ pub struct ThreadState {
     /// [`MASK_WIDTH`] registers wide: one shift + test on state already in
     /// cache, no per-frame tag load.
     written_mask: u64,
+    /// Register and local words of `frames`, kept at push, pop and
+    /// rollback so the [`MAX_STACK_WORDS`] check costs no walk.
+    stack_words: usize,
     /// Resources acquired under recent epochs.
     pub compensation: Vec<CompensationRecord>,
     /// Undo log (buffered-writes policy only).
@@ -274,9 +290,11 @@ pub struct ThreadState {
 impl ThreadState {
     /// Creates a thread about to execute `func(args)`.
     pub fn new(id: ThreadId, func_id: FuncId, func: &Function, args: &[i64]) -> Self {
+        let frame = Frame::new(func_id, func, args, None);
         Self {
             id,
-            frames: vec![Frame::new(func_id, func, args, None)],
+            stack_words: frame.words(),
+            frames: vec![frame],
             status: ThreadStatus::Runnable,
             checkpoint: None,
             epoch: 0,
@@ -391,6 +409,7 @@ impl ThreadState {
     /// Panics if the thread is done (no frames).
     pub fn pop_frame(&mut self) -> Frame {
         let finished = self.frames.pop().expect("pop with an active frame");
+        self.stack_words -= finished.words();
         if self.cp_depth != NO_CHECKPOINT_DEPTH && (self.frames.len() as u32) < self.cp_depth {
             self.checkpoint = None;
             self.cp_depth = NO_CHECKPOINT_DEPTH;
@@ -398,6 +417,18 @@ impl ThreadState {
             self.reg_undo.clear();
         }
         finished
+    }
+
+    /// Pushes a callee frame, or returns it unpushed when the stack would
+    /// pass [`MAX_STACK_WORDS`]. The caller checks [`MAX_CALL_DEPTH`].
+    pub fn push_frame(&mut self, frame: Frame) -> Result<(), Frame> {
+        let words = self.stack_words + frame.words();
+        if words > MAX_STACK_WORDS {
+            return Err(frame);
+        }
+        self.stack_words = words;
+        self.frames.push(frame);
+        Ok(())
     }
 
     /// Registers recorded in the undo log this epoch (rollback cost in
@@ -472,6 +503,10 @@ impl ThreadState {
             cp.frame_depth <= self.frames.len(),
             "checkpoint above current stack — stale jmp_buf"
         );
+        self.stack_words -= self.frames[cp.frame_depth..]
+            .iter()
+            .map(Frame::words)
+            .sum::<usize>();
         self.frames.truncate(cp.frame_depth);
         let top = self.frames.last_mut().expect("checkpoint frame is live");
         for &(r, old) in self.reg_undo.iter().rev() {
@@ -594,8 +629,8 @@ mod tests {
         // Enter a callee and checkpoint inside it.
         let mut callee = Function::new("callee", 0);
         callee.num_regs = 2;
-        t.frames
-            .push(Frame::new(FuncId(1), &callee, &[], Some(Reg(3))));
+        t.push_frame(Frame::new(FuncId(1), &callee, &[], Some(Reg(3))))
+            .unwrap();
         t.top_mut().pc = 1;
         t.save_checkpoint();
         t.write_reg(Reg(0), 9);
@@ -612,6 +647,30 @@ mod tests {
     }
 
     #[test]
+    fn stack_words_follow_push_pop_and_rollback() {
+        let mut t = mk_thread();
+        let live = |t: &ThreadState| t.frames.iter().map(Frame::words).sum::<usize>();
+        t.top_mut().pc = 1;
+        t.save_checkpoint();
+        let mut callee = Function::new("callee", 0);
+        callee.num_regs = 3;
+        callee.num_locals = 2;
+        for _ in 0..3 {
+            t.push_frame(Frame::new(FuncId(1), &callee, &[], None))
+                .unwrap();
+        }
+        assert_eq!((t.stack_words, live(&t)), (5 + 15, 20));
+        t.pop_frame();
+        assert_eq!(t.stack_words, live(&t));
+        assert!(t.restore_checkpoint());
+        assert_eq!(t.stack_words, 5);
+        // A frame past the cap is handed back unpushed.
+        let huge = Frame::with_sizes(FuncId(1), MAX_STACK_WORDS, 0, &[], None);
+        assert!(t.push_frame(huge).is_err());
+        assert_eq!((t.frames.len(), t.stack_words), (1, 5));
+    }
+
+    #[test]
     fn restore_without_checkpoint_fails() {
         let mut t = mk_thread();
         assert!(!t.restore_checkpoint());
@@ -625,8 +684,8 @@ mod tests {
         // Push a callee frame; its writes need no undo records.
         let mut callee = Function::new("callee", 0);
         callee.num_regs = 1;
-        t.frames
-            .push(Frame::new(FuncId(1), &callee, &[], Some(Reg(3))));
+        t.push_frame(Frame::new(FuncId(1), &callee, &[], Some(Reg(3))))
+            .unwrap();
         t.write_reg(Reg(0), 42);
         assert_eq!(t.undo_depth(), 0, "callee frame writes are not logged");
         assert_eq!(t.frames.len(), 2);
@@ -642,8 +701,8 @@ mod tests {
         t.save_checkpoint();
         let mut callee = Function::new("callee", 0);
         callee.num_regs = 1;
-        t.frames
-            .push(Frame::new(FuncId(1), &callee, &[], Some(Reg(3))));
+        t.push_frame(Frame::new(FuncId(1), &callee, &[], Some(Reg(3))))
+            .unwrap();
         // Simulate the interpreter's return path: pop (the checkpoint is
         // below, so it survives), then write the return value into the
         // (checkpoint) frame through write_reg.

@@ -188,9 +188,10 @@ proptest! {
                     let width = real.top().regs.len();
                     let ret_dst = Some(Reg((*dst % width) as u32));
                     let args = [real.top().regs[0]];
-                    real.frames.push(Frame::with_sizes(
+                    real.push_frame(Frame::with_sizes(
                         FuncId(1), CALLEE_REGS, LOCALS, &args, ret_dst,
-                    ));
+                    ))
+                    .expect("far under the stack-words cap");
                     shadow.frames.push(Frame::with_sizes(
                         FuncId(1), CALLEE_REGS, LOCALS, &args, ret_dst,
                     ));
