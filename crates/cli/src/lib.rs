@@ -491,7 +491,8 @@ const FLAGS: &[Flag] = &[
         "back off after every rollback, the fair retry model verify always uses"),
     Flag("--snapshot-budget", Next("N"), SEARCH,
         |c, v| put(&mut search(c).snapshot_budget, number(v)),
-        "images kept in the prefix-sharing snapshot tree (default 8192, 0 = off)"),
+        "images kept in the prefix-sharing snapshot tree (default 8192; 0 = off, \
+         lone-thread splicing too)"),
     Flag("--report-out", Next("PATH"), SEARCH, |c, v| put(&mut search(c).report_out, path(v)),
         "write the exploration report as JSON (rendered by report)"),
     Flag("--progress", Suffix("=MS"), SEARCH, |c, v| {

@@ -72,7 +72,7 @@ pub use metrics::Histogram;
 pub use outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};
 pub use program::{Program, ThreadSpec};
 pub use sched::{
-    explore, explore_observed, minimize, run_replay, Consult, DecisionTrace, Divergence,
+    explore, explore_observed, minimize, run_replay, Consult, Consults, DecisionTrace, Divergence,
     DporCounters, ExploreConfig, ExploreObserver, ExplorePhases, ExploreReport, ExploreStrategy,
     Footprint, FoundSchedule, FrontierScheduler, Gate, MinimizeReport, PctConfig, PctScheduler,
     PointKind, PointMask, ReplayScheduler, RoundRobin, SchedContext, ScheduleScript, Scheduler,

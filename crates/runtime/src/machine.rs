@@ -254,6 +254,32 @@ impl MachineSnapshot {
             && self.aux_work == other.aux_work
     }
 
+    /// The state a lone-thread continuation from this image depends on
+    /// (see [`Machine::continuation_eq`]).
+    fn continuation(&self) -> Continuation<'_> {
+        Continuation {
+            step: self.step,
+            last_picked: self.last_picked,
+            aux_work: self.aux_work,
+            pending_wait: self.pending_wait,
+            maybe_timed_waiter: self.maybe_timed_waiter,
+            backoff_rng: &self.backoff_rng,
+            wait_edges: &self.wait_edges,
+            locks: &self.locks,
+            threads: Threads::Shared(&self.threads),
+            marker_counts: self.marker_counts.get(),
+            site_checks: self.site_checks.get(),
+            rolled_back: self.rolled_back.get(),
+            memory: &self.memory,
+        }
+    }
+
+    /// Whether a run continuing from `self` and one continuing from
+    /// `other` would go on identically (see [`Machine::continuation_eq`]).
+    pub(crate) fn continuation_eq(&self, other: &MachineSnapshot) -> bool {
+        self.continuation() == other.continuation()
+    }
+
     /// Sharing accounting of this image at this moment. Approximate in
     /// bytes but deterministic for a deterministic capture/drop sequence,
     /// which is what the explorer's cross-`--jobs` bit-identity needs —
@@ -307,6 +333,115 @@ impl MachineSnapshot {
 /// otherwise — the end-of-run path out of the CoW fields.
 fn unwrap_arc<T: Clone>(a: Arc<T>) -> T {
     Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone())
+}
+
+/// Thread images as a live machine holds them or as a snapshot shares
+/// them.
+#[derive(Clone, Copy)]
+enum Threads<'a> {
+    Owned(&'a [ThreadState]),
+    Shared(&'a [Arc<ThreadState>]),
+}
+
+impl Threads<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Threads::Owned(t) => t.len(),
+            Threads::Shared(t) => t.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> &ThreadState {
+        match self {
+            Threads::Owned(t) => &t[i],
+            Threads::Shared(t) => &t[i],
+        }
+    }
+}
+
+/// Everything the rest of a run depends on, borrowed from a live machine
+/// or a snapshot: [`MachineSnapshot::state_eq`]'s fields without the
+/// outputs, plus the scheduler-visible `last_picked`, the backoff RNG and
+/// the timed-waiter hint. Outputs are left out because the machine only
+/// appends to them and never reads them. The cheap fields compare first
+/// and memory last.
+struct Continuation<'a> {
+    step: u64,
+    last_picked: Option<ThreadId>,
+    aux_work: u64,
+    pending_wait: Option<(LockId, u64)>,
+    maybe_timed_waiter: bool,
+    backoff_rng: &'a SmallRng,
+    wait_edges: &'a [WaitEdge],
+    locks: &'a LockTable,
+    threads: Threads<'a>,
+    marker_counts: &'a [u64],
+    site_checks: &'a [u64],
+    rolled_back: &'a [bool],
+    memory: &'a Memory,
+}
+
+impl PartialEq for Continuation<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.step == other.step
+            && self.last_picked == other.last_picked
+            && self.aux_work == other.aux_work
+            && self.pending_wait == other.pending_wait
+            && self.maybe_timed_waiter == other.maybe_timed_waiter
+            && self.backoff_rng == other.backoff_rng
+            && self.wait_edges == other.wait_edges
+            && self.locks == other.locks
+            && self.marker_counts == other.marker_counts
+            && self.site_checks == other.site_checks
+            && self.rolled_back == other.rolled_back
+            && self.threads.len() == other.threads.len()
+            && (0..self.threads.len()).all(|i| self.threads.get(i) == other.threads.get(i))
+            && self.memory.content_eq(other.memory)
+    }
+}
+
+/// What a frontier run does at its *lone consults*: consults at decision
+/// index [`LoneHook::from`] or deeper where one thread is left and every
+/// other thread is done. Past its forced prefix a frontier scheduler
+/// picks from the eligible set and the last thread alone, so from a lone
+/// consult on the run is a single-threaded continuation decided by the
+/// machine state (see [`Machine::continuation_eq`]).
+pub(crate) trait LoneHook {
+    /// Whether the hook does anything; `false` compiles the check out.
+    const ACTIVE: bool;
+
+    /// First decision index the hook applies at: the end of the run's
+    /// forced prefix.
+    fn from(&self) -> usize;
+
+    /// Called before the pick at each lone consult. Returning an outcome
+    /// ends the run here with it: the hook already knows how the run
+    /// continues.
+    fn at_lone(&mut self, m: &mut Machine<'_>) -> Option<RunOutcome>;
+
+    /// Called once when the run loop has ended.
+    fn finish(&mut self, m: &mut Machine<'_>);
+}
+
+/// No hook: every run path except the explorer's frontier runs.
+impl LoneHook for () {
+    const ACTIVE: bool = false;
+
+    fn from(&self) -> usize {
+        usize::MAX
+    }
+
+    fn at_lone(&mut self, _: &mut Machine<'_>) -> Option<RunOutcome> {
+        None
+    }
+
+    fn finish(&mut self, _: &mut Machine<'_>) {}
+}
+
+/// Extends a lone-point key by one word.
+#[inline]
+fn key_push(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
 }
 
 /// Natural sealing granularity of the decision log — bounds tail growth
@@ -490,8 +625,12 @@ pub struct Machine<'p> {
     /// exits (set by [`Machine::run_with_final_snapshot`]).
     capture_final: bool,
     /// Wall time spent inside [`Machine::snapshot`] by this run's capture
-    /// plan — the explorer's self-profiling "capture" phase.
+    /// plan and lone images — the explorer's self-profiling "capture"
+    /// phase.
     capture_wall: Duration,
+    /// Register undo-log depth of every rollback since a [`LoneHook`]
+    /// asked for them ([`Machine::log_undo`]); `None` until then.
+    undo_log: Option<Vec<u64>>,
     sink: Option<Box<dyn TraceSink>>,
 }
 
@@ -561,6 +700,7 @@ impl<'p> Machine<'p> {
             capture: None,
             capture_final: false,
             capture_wall: Duration::ZERO,
+            undo_log: None,
             sink: None,
         }
     }
@@ -575,6 +715,12 @@ impl<'p> Machine<'p> {
     /// re-imaged into the copy-on-capture cache, and everything else is a
     /// refcount bump.
     pub fn snapshot(&mut self) -> MachineSnapshot {
+        self.image(true)
+    }
+
+    /// [`Machine::snapshot`], with the decision log and the outputs left
+    /// empty unless `logs` is set.
+    fn image(&mut self, logs: bool) -> MachineSnapshot {
         let threads: Vec<Arc<ThreadState>> = self
             .threads
             .iter()
@@ -589,7 +735,11 @@ impl<'p> Machine<'p> {
             memory: self.memory.fork(),
             locks: self.locks.clone(),
             threads,
-            outputs: self.outputs.share(),
+            outputs: if logs {
+                self.outputs.share()
+            } else {
+                CowLog::new()
+            },
             marker_counts: self.marker_counts.share(),
             site_recovery: Arc::clone(&self.site_recovery),
             site_checks: self.site_checks.share(),
@@ -606,7 +756,11 @@ impl<'p> Machine<'p> {
             // Tail-copy share: the push path seals at `DECISION_CHUNK`,
             // so the copied tail is bounded (u32s — cheaper than sealing
             // a dribble chunk per capture).
-            decision_log: self.decision_log.clone(),
+            decision_log: if logs {
+                self.decision_log.clone()
+            } else {
+                CowLog::new()
+            },
         }
     }
 
@@ -689,7 +843,7 @@ impl<'p> Machine<'p> {
     /// (the pick call inlines into the step loop); `&mut dyn Scheduler`
     /// callers still work through the `?Sized` bound.
     pub fn run<S: Scheduler + ?Sized>(self, scheduler: &mut S) -> RunResult {
-        self.run_inner(scheduler).0
+        self.run_inner(scheduler, &mut ()).0
     }
 
     /// Runs like [`Machine::run`], additionally returning an image of the
@@ -702,7 +856,7 @@ impl<'p> Machine<'p> {
         scheduler: &mut S,
     ) -> (RunResult, MachineSnapshot) {
         self.capture_final = true;
-        let (result, _, snap) = self.run_inner(scheduler);
+        let (result, _, snap) = self.run_inner(scheduler, &mut ());
         (result, snap.expect("capture_final requested an image"))
     }
 
@@ -716,11 +870,24 @@ impl<'p> Machine<'p> {
     /// run of decisions leading to it. Capture keys on the decision log,
     /// so [`MachineConfig::record_decisions`] must be set.
     pub fn run_captured_at_branches<S: Scheduler + ?Sized>(
+        self,
+        scheduler: &mut S,
+        capture_from: usize,
+        capture_limit: usize,
+        placement: CapturePlacement,
+    ) -> (RunResult, Vec<BranchCapture>) {
+        self.run_frontier(scheduler, capture_from, capture_limit, placement, &mut ())
+    }
+
+    /// [`Machine::run_captured_at_branches`] with a [`LoneHook`] consulted
+    /// at every lone consult: the explorer's frontier runs.
+    pub(crate) fn run_frontier<S: Scheduler + ?Sized, H: LoneHook>(
         mut self,
         scheduler: &mut S,
         capture_from: usize,
         capture_limit: usize,
         placement: CapturePlacement,
+        hook: &mut H,
     ) -> (RunResult, Vec<BranchCapture>) {
         assert!(
             self.config.record_decisions,
@@ -737,13 +904,14 @@ impl<'p> Machine<'p> {
                 out: Vec::new(),
             });
         }
-        let (result, captured, _) = self.run_inner(scheduler);
+        let (result, captured, _) = self.run_inner(scheduler, hook);
         (result, captured)
     }
 
-    fn run_inner<S: Scheduler + ?Sized>(
+    fn run_inner<S: Scheduler + ?Sized, H: LoneHook>(
         mut self,
         scheduler: &mut S,
+        hook: &mut H,
     ) -> (RunResult, Vec<BranchCapture>, Option<MachineSnapshot>) {
         let start = Instant::now();
         if self.sink.is_some() {
@@ -757,7 +925,8 @@ impl<'p> Machine<'p> {
             }
         }
         let mask = scheduler.decision_mask();
-        let outcome = self.run_loop(scheduler, mask);
+        let outcome = self.run_loop(scheduler, mask, hook);
+        hook.finish(&mut self);
         // Final image before the teardown below starts moving fields out
         // of `self` (the snapshot shares the still-intact decision log).
         let final_snap = self.capture_final.then(|| self.snapshot());
@@ -816,10 +985,11 @@ impl<'p> Machine<'p> {
         (result, captured, final_snap)
     }
 
-    fn run_loop<S: Scheduler + ?Sized>(
+    fn run_loop<S: Scheduler + ?Sized, H: LoneHook>(
         &mut self,
         scheduler: &mut S,
         mask: PointMask,
+        hook: &mut H,
     ) -> RunOutcome {
         let consult_every_step = mask.is_all();
         loop {
@@ -899,6 +1069,15 @@ impl<'p> Machine<'p> {
                     if self.config.record_decisions {
                         self.fill_footprints();
                         self.maybe_capture();
+                        if H::ACTIVE
+                            && self.eligible.len() == 1
+                            && self.decision_log.len() >= hook.from()
+                            && self.peers_done()
+                        {
+                            if let Some(outcome) = hook.at_lone(self) {
+                                return outcome;
+                            }
+                        }
                     }
                     let ctx = SchedContext {
                         eligible: &self.eligible,
@@ -1017,7 +1196,7 @@ impl<'p> Machine<'p> {
             return false;
         };
         let t = &self.threads[tid.index()];
-        !t.frames.is_empty() && {
+        !t.frames().is_empty() && {
             let frame = t.top();
             self.dense.func(frame.func).marker_id(frame.pc).is_some()
         }
@@ -1109,6 +1288,94 @@ impl<'p> Machine<'p> {
         });
     }
 
+    /// Whether every thread but one is done: the consult's only eligible
+    /// thread runs alone from here on.
+    fn peers_done(&self) -> bool {
+        self.threads.iter().filter(|t| !t.is_done()).count() == 1
+    }
+
+    /// Whether continuing this machine and continuing a run from `img`
+    /// would go on identically: the same steps, decisions, footprints,
+    /// rollbacks and outcome, up to the outputs, which the machine only
+    /// appends to. Compares step, last thread, backoff RNG and every
+    /// field [`MachineSnapshot::state_eq`] covers except the outputs.
+    /// The live machine is compared in place; no image is built.
+    pub(crate) fn continuation_eq(&self, img: &MachineSnapshot) -> bool {
+        let live = Continuation {
+            step: self.step,
+            last_picked: self.last_picked,
+            aux_work: self.aux_work,
+            pending_wait: self.pending_wait,
+            maybe_timed_waiter: self.maybe_timed_waiter,
+            backoff_rng: &self.backoff_rng,
+            wait_edges: &self.wait_edges,
+            locks: &self.locks,
+            threads: Threads::Owned(&self.threads),
+            marker_counts: self.marker_counts.get(),
+            site_checks: self.site_checks.get(),
+            rolled_back: self.rolled_back.get(),
+            memory: &self.memory,
+        };
+        live == img.continuation()
+    }
+
+    /// A cheap key over the part of [`Machine::continuation_eq`]'s state
+    /// that differs most between runs: the step, the last thread, and
+    /// the running thread's frames (function, pc, registers, locals).
+    /// Equal continuations have equal keys; the converse is what
+    /// `continuation_eq` confirms.
+    pub(crate) fn lone_key(&self) -> u64 {
+        let mut h = key_push(0xcbf2_9ce4_8422_2325, self.step);
+        h = key_push(h, self.last_picked.map_or(u64::MAX, |t| t.index() as u64));
+        if let Some(&tid) = self.eligible.first() {
+            h = key_push(h, tid.index() as u64);
+            for f in self.threads[tid.index()].frames() {
+                h = key_push(h, u64::from(f.func.0) << 32 | u64::from(f.pc));
+                for &w in f.regs.iter().chain(&f.locals) {
+                    h = key_push(h, w as u64);
+                }
+            }
+        }
+        h
+    }
+
+    /// An image of the machine at a lone consult, for a later
+    /// [`Machine::continuation_eq`]. It holds no decision log and no
+    /// outputs, which the compare never reads, and its time counts as
+    /// capture time.
+    pub(crate) fn lone_image(&mut self) -> MachineSnapshot {
+        let start = Instant::now();
+        let snap = self.image(false);
+        self.capture_wall += start.elapsed();
+        snap
+    }
+
+    /// The step counter.
+    pub(crate) fn step(&self) -> u64 {
+        self.step
+    }
+
+    /// Decisions made so far.
+    pub(crate) fn decisions(&self) -> usize {
+        self.decision_log.len()
+    }
+
+    /// Starts logging each rollback's register undo-log depth (the
+    /// samples of [`RunStats::undo_depth`]) for [`Machine::undo_log`].
+    pub(crate) fn log_undo(&mut self) {
+        self.undo_log.get_or_insert_with(Vec::new);
+    }
+
+    /// The undo-depth samples logged since [`Machine::log_undo`].
+    pub(crate) fn undo_log(&self) -> &[u64] {
+        self.undo_log.as_deref().unwrap_or_default()
+    }
+
+    /// Takes the logged undo-depth samples.
+    pub(crate) fn take_undo_log(&mut self) -> Vec<u64> {
+        self.undo_log.take().unwrap_or_default()
+    }
+
     /// Re-evaluates `gates_active` after a marker count increment: a hit on
     /// some gate's `until` marker may release it for good (counts never
     /// decrease during a run). While gates are active the count change may
@@ -1124,7 +1391,7 @@ impl<'p> Machine<'p> {
     }
 
     fn is_gate_held(&self, t: &ThreadState) -> bool {
-        if !self.compiled_script.any() || t.frames.is_empty() {
+        if !self.compiled_script.any() || t.frames().is_empty() {
             return false;
         }
         let frame = t.top();
@@ -1145,7 +1412,7 @@ impl<'p> Machine<'p> {
         match self.dense.func(frame.func).point_kind(frame.pc) {
             // The table marks every `Return` as an exit; only a return
             // from the bottom frame actually ends the thread.
-            PointKind::ThreadExit if t.frames.len() > 1 => PointKind::Local,
+            PointKind::ThreadExit if t.frames().len() > 1 => PointKind::Local,
             kind => kind,
         }
     }
@@ -1676,7 +1943,7 @@ impl<'p> Machine<'p> {
                 args_start,
                 args_len,
             } => {
-                if self.threads[tid.index()].frames.len() >= MAX_CALL_DEPTH {
+                if self.threads[tid.index()].frames().len() >= MAX_CALL_DEPTH {
                     return StepEffect::stack_overflow();
                 }
                 let mut vals = Vec::with_capacity(args_len as usize);
@@ -1873,7 +2140,7 @@ impl<'p> Machine<'p> {
         let t = &mut self.threads[tid.index()];
         // pop_frame retires the checkpoint if this was its frame.
         let finished = t.pop_frame();
-        if !t.frames.is_empty() {
+        if !t.frames().is_empty() {
             if let (Some(dst), Some(v)) = (finished.ret_dst, v) {
                 // The pop may have re-exposed the checkpoint frame, so the
                 // return-value write must go through the logged path.
@@ -2060,6 +2327,9 @@ impl<'p> Machine<'p> {
         // accumulated (what restore is about to walk).
         let regs_undone = self.threads[tid.index()].undo_depth() as u64;
         Arc::make_mut(&mut self.cold).undo_depth.record(regs_undone);
+        if let Some(log) = self.undo_log.as_mut() {
+            log.push(regs_undone);
+        }
         let restored = self.threads[tid.index()].restore_checkpoint();
         debug_assert!(restored, "checkpoint checked above");
         self.rolled_back.get_mut()[tid.index()] = true;
@@ -2078,4 +2348,80 @@ impl<'p> Machine<'p> {
 enum RecoveryOutcome {
     RolledBack,
     Exhausted,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use conair_ir::{FuncBuilder, ModuleBuilder};
+
+    /// Two threads over one global and one lock.
+    fn program() -> Program {
+        let mut mb = ModuleBuilder::new("cont");
+        let g = mb.global("g", 0);
+        let l = mb.lock("l");
+        for name in ["a", "b"] {
+            let mut fb = FuncBuilder::new(name, 0);
+            fb.lock(l);
+            let v = fb.load_global(g);
+            let v = fb.add(v, 1);
+            fb.store_global(g, v);
+            fb.unlock(l);
+            fb.ret();
+            mb.function(fb.finish());
+        }
+        Program::from_entry_names(mb.finish(), &["a", "b"])
+    }
+
+    #[test]
+    fn continuation_eq_ignores_outputs_only() {
+        let p = program();
+        let cfg = MachineConfig::default();
+        let img = Machine::new(&p, cfg).lone_image();
+        let same = Machine::new(&p, cfg);
+        assert!(same.continuation_eq(&img));
+        assert_eq!(same.lone_key(), Machine::new(&p, cfg).lone_key());
+        // Outputs are append-only history: a machine that printed more
+        // continues the same way.
+        let mut printed = Machine::new(&p, cfg);
+        printed.outputs.push(OutputRecord {
+            thread: ThreadId(1),
+            label: "x".into(),
+            value: 7,
+        });
+        assert!(printed.continuation_eq(&img));
+        assert!(!printed.snapshot().state_eq(&img), "state_eq sees outputs");
+    }
+
+    #[test]
+    fn continuation_eq_rejects_any_other_difference() {
+        let p = program();
+        let cfg = MachineConfig::default();
+        let img = Machine::new(&p, cfg).lone_image();
+        type Perturb = fn(&mut Machine<'_>);
+        let perturbations: [(&str, Perturb); 6] = [
+            ("step", |m| m.step += 1),
+            ("last thread", |m| m.last_picked = Some(ThreadId(0))),
+            ("backoff rng", |m| {
+                m.backoff_rng.gen_range(0..=1u64);
+            }),
+            ("held lock", |m| {
+                m.locks.try_acquire(LockId(0), ThreadId(1));
+            }),
+            ("one register", |m| m.threads[0].write_reg(Reg(0), 1)),
+            ("one memory word", |m| {
+                let g = m.memory.global_addr(GlobalId(0));
+                m.memory.write(g, 1).unwrap();
+            }),
+        ];
+        for (what, perturb) in perturbations {
+            let mut m = Machine::new(&p, cfg);
+            perturb(&mut m);
+            assert!(!m.continuation_eq(&img), "{what}: must not match");
+            assert!(
+                !m.lone_image().continuation_eq(&img),
+                "{what}: image compare"
+            );
+        }
+    }
 }

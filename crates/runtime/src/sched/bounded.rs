@@ -16,14 +16,15 @@ use super::point::PointMask;
 use super::{SchedContext, Scheduler};
 use crate::locks::ThreadId;
 
-/// One recorded scheduler consult.
-#[derive(Debug, Clone)]
-pub struct Consult {
+/// One recorded scheduler consult, borrowed from the [`Consults`] log (or
+/// lone-thread tail) that holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Consult<'a> {
     /// Threads that were eligible, in thread-id order.
-    pub eligible: Vec<ThreadId>,
+    pub eligible: &'a [ThreadId],
     /// Footprints of the eligible threads' next instructions, aligned with
     /// `eligible` (empty when the machine did not compute them).
-    pub footprints: Vec<Footprint>,
+    pub footprints: &'a [Footprint],
     /// The thread the scheduler chose.
     pub chosen: ThreadId,
     /// The previously running thread (`None` on the first consult).
@@ -34,41 +35,7 @@ pub struct Consult {
     pub(crate) node: Option<u32>,
 }
 
-impl Consult {
-    /// A consult with no recorded footprints — schedulers running outside
-    /// decision-recording mode, and tests.
-    pub fn new(eligible: Vec<ThreadId>, chosen: ThreadId, last: Option<ThreadId>) -> Self {
-        Self::with_footprints(eligible, Vec::new(), chosen, last)
-    }
-
-    /// A consult carrying the machine's per-eligible-thread footprints.
-    pub fn with_footprints(
-        eligible: Vec<ThreadId>,
-        footprints: Vec<Footprint>,
-        chosen: ThreadId,
-        last: Option<ThreadId>,
-    ) -> Self {
-        debug_assert!(footprints.is_empty() || footprints.len() == eligible.len());
-        Self {
-            eligible,
-            footprints,
-            chosen,
-            last,
-            node: None,
-        }
-    }
-
-    /// A copy of this consult recording a different choice — the branch
-    /// override a DPOR backtrack candidate carries for the decision it
-    /// reverses. The copy keeps the node id: it is the same branch node.
-    pub fn with_chosen(&self, chosen: ThreadId) -> Self {
-        debug_assert!(self.eligible.contains(&chosen));
-        Self {
-            chosen,
-            ..self.clone()
-        }
-    }
-
+impl Consult<'_> {
     /// The recorded footprint of `pick`'s next instruction
     /// ([`Footprint::Opaque`] when none was recorded).
     pub fn footprint_for(&self, pick: ThreadId) -> Footprint {
@@ -97,7 +64,122 @@ impl Consult {
     /// preemption, or a switch to another thread than the default one
     /// when the running thread could not continue.
     pub fn is_deviation(&self) -> bool {
-        self.chosen != default_pick(&self.eligible, self.last)
+        self.chosen != default_pick(self.eligible, self.last)
+    }
+}
+
+/// `u32` stand-in for `None` in a [`Consults`] head.
+const NONE: u32 = u32::MAX;
+
+/// The fixed-size part of one recorded consult.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// End of the consult's eligible set in [`Consults::threads`]; it
+    /// starts where the previous consult's ends.
+    end: u32,
+    chosen: u32,
+    last: u32,
+    node: u32,
+    /// Whether the machine recorded footprints for this consult.
+    footprints: bool,
+}
+
+/// A run's recorded consults, in decision order. Eligible sets and
+/// footprints live in two flat per-run buffers, so recording a decision
+/// allocates nothing once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct Consults {
+    heads: Vec<Head>,
+    /// Every consult's eligible set, concatenated.
+    threads: Vec<ThreadId>,
+    /// Footprints aligned with `threads` ([`Footprint::Opaque`] where a
+    /// consult recorded none).
+    footprints: Vec<Footprint>,
+}
+
+impl Consults {
+    /// Consults recorded.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Whether no consult was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Records one consult. `footprints` is empty or aligned with
+    /// `eligible`.
+    pub fn push(
+        &mut self,
+        eligible: &[ThreadId],
+        footprints: &[Footprint],
+        chosen: ThreadId,
+        last: Option<ThreadId>,
+    ) {
+        debug_assert!(footprints.is_empty() || footprints.len() == eligible.len());
+        self.threads.extend_from_slice(eligible);
+        if footprints.is_empty() {
+            self.footprints
+                .resize(self.threads.len(), Footprint::Opaque);
+        } else {
+            self.footprints.extend_from_slice(footprints);
+        }
+        self.heads.push(Head {
+            end: self.threads.len() as u32,
+            chosen: chosen.index() as u32,
+            last: last.map_or(NONE, |t| t.index() as u32),
+            node: NONE,
+            footprints: !footprints.is_empty(),
+        });
+    }
+
+    /// A one-consult log holding `c` with `chosen` as its choice — the
+    /// branch override a DPOR backtrack candidate carries for the decision
+    /// it reverses. The copy keeps the node id: it is the same branch node.
+    pub(crate) fn branch(c: Consult<'_>, chosen: ThreadId) -> Self {
+        debug_assert!(c.eligible.contains(&chosen));
+        let mut out = Consults::default();
+        out.push(c.eligible, c.footprints, chosen, c.last);
+        out.heads[0].node = c.node.unwrap_or(NONE);
+        out
+    }
+
+    /// Consult `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> Consult<'_> {
+        let h = self.heads[i];
+        let start = if i == 0 {
+            0
+        } else {
+            self.heads[i - 1].end as usize
+        };
+        let end = h.end as usize;
+        let some = |v: u32| (v != NONE).then_some(v);
+        Consult {
+            eligible: &self.threads[start..end],
+            footprints: if h.footprints {
+                &self.footprints[start..end]
+            } else {
+                &[]
+            },
+            chosen: ThreadId(h.chosen as usize),
+            last: some(h.last).map(|t| ThreadId(t as usize)),
+            node: some(h.node),
+        }
+    }
+
+    /// Stamps consult `i` with DPOR node id `node`.
+    pub(crate) fn set_node(&mut self, i: usize, node: u32) {
+        self.heads[i].node = node;
+    }
+
+    /// The consults in decision order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Consult<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
     }
 }
 
@@ -116,7 +198,7 @@ pub struct FrontierScheduler {
     prefix: Vec<u32>,
     mask: PointMask,
     idx: usize,
-    consults: Vec<Consult>,
+    consults: Consults,
     infeasible: bool,
     picks: u64,
 }
@@ -137,7 +219,7 @@ impl FrontierScheduler {
             prefix,
             mask,
             idx: start,
-            consults: Vec::new(),
+            consults: Consults::default(),
             infeasible: false,
             picks: 0,
         }
@@ -151,12 +233,12 @@ impl FrontierScheduler {
     }
 
     /// The recorded consults, in decision order.
-    pub fn consults(&self) -> &[Consult] {
+    pub fn consults(&self) -> &Consults {
         &self.consults
     }
 
     /// Consumes the scheduler, returning its consults.
-    pub fn into_consults(self) -> Vec<Consult> {
+    pub fn into_consults(self) -> Consults {
         self.consults
     }
 
@@ -191,12 +273,8 @@ impl Scheduler for FrontierScheduler {
             }
         };
         self.picks += 1;
-        self.consults.push(Consult::with_footprints(
-            ctx.eligible.to_vec(),
-            ctx.footprints.to_vec(),
-            chosen,
-            ctx.last,
-        ));
+        self.consults
+            .push(ctx.eligible, ctx.footprints, chosen, ctx.last);
         chosen
     }
 
@@ -240,9 +318,48 @@ mod tests {
         assert_eq!(s.pick(&ctx), ThreadId(0), "forced preemption");
         assert_eq!(s.pick(&ctx), ThreadId(1), "past prefix: keep running");
         let consults = s.into_consults();
-        assert!(!consults[0].is_preemption(), "first pick never preempts");
-        assert!(consults[1].is_preemption());
-        assert!(!consults[2].is_preemption());
+        assert!(
+            !consults.get(0).is_preemption(),
+            "first pick never preempts"
+        );
+        assert!(consults.get(1).is_preemption());
+        assert!(!consults.get(2).is_preemption());
+    }
+
+    #[test]
+    fn consults_share_flat_buffers_and_read_back_exactly() {
+        let (t0, t1, t2) = (ThreadId(0), ThreadId(1), ThreadId(2));
+        let fps = [Footprint::Write(8), Footprint::Lock(1), Footprint::Read(16)];
+        let mut log = Consults::default();
+        log.push(&[t0, t1, t2], &fps, t1, None);
+        log.push(&[t2], &[], t2, Some(t1));
+        log.push(&[t0, t2], &fps[..2], t0, Some(t2));
+        log.set_node(2, 7);
+        assert_eq!(log.len(), 3);
+        let c = log.get(0);
+        assert_eq!((c.eligible, c.footprints), (&[t0, t1, t2][..], &fps[..]));
+        assert_eq!((c.chosen, c.last, c.node), (t1, None, None));
+        assert_eq!(c.footprint_for(t2), Footprint::Read(16));
+        let c = log.get(1);
+        assert_eq!((c.eligible, c.footprints), (&[t2][..], &[][..]));
+        assert_eq!(c.footprint_for(t2), Footprint::Opaque, "none recorded");
+        assert_eq!((c.chosen, c.last), (t2, Some(t1)));
+        let c = log.get(2);
+        assert_eq!((c.eligible, c.footprints), (&[t0, t2][..], &fps[..2]));
+        assert_eq!(c.node, Some(7));
+        // A branch override is the same node with another choice.
+        let branch = Consults::branch(log.get(2), t2);
+        assert_eq!(
+            branch.get(0),
+            Consult {
+                chosen: t2,
+                ..log.get(2)
+            }
+        );
+        assert_eq!(
+            log.iter().map(|c| c.chosen).collect::<Vec<_>>(),
+            [t1, t2, t0]
+        );
     }
 
     #[test]
@@ -255,19 +372,24 @@ mod tests {
 
     #[test]
     fn preemption_cost_of_alternatives() {
-        let c = Consult::new(
-            vec![ThreadId(0), ThreadId(1), ThreadId(2)],
+        let mut log = Consults::default();
+        log.push(
+            &[ThreadId(0), ThreadId(1), ThreadId(2)],
+            &[],
             ThreadId(1),
             Some(ThreadId(1)),
         );
-        assert!(!c.is_preemption_for(ThreadId(1)));
-        assert!(c.is_preemption_for(ThreadId(0)));
-        assert!(c.is_preemption_for(ThreadId(2)));
-        let blocked_last = Consult::new(
-            vec![ThreadId(0), ThreadId(2)],
+        log.push(
+            &[ThreadId(0), ThreadId(2)],
+            &[],
             ThreadId(0),
             Some(ThreadId(1)),
         );
+        let c = log.get(0);
+        assert!(!c.is_preemption_for(ThreadId(1)));
+        assert!(c.is_preemption_for(ThreadId(0)));
+        assert!(c.is_preemption_for(ThreadId(2)));
+        let blocked_last = log.get(1);
         assert!(
             !blocked_last.is_preemption_for(ThreadId(2)),
             "switching away from a blocked thread is free"

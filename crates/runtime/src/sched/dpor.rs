@@ -27,8 +27,9 @@
 //!
 //! The analysis runs on the exploring thread, in schedule-index order,
 //! over each run's *composed* consult history — the candidate's inherited
-//! prefix ([`Hist`], shared `Arc` slices of ancestor runs' consults) plus
-//! the consults the run recorded live past its snapshot resume point — so
+//! prefix ([`Hist`], shared `Arc` slices of ancestor runs' consults), the
+//! consults the run recorded live past its snapshot resume point, and the
+//! lone-thread tail it spliced from an earlier run ([`TailRef`]) — so
 //! results are deterministic and bit-identical across `--jobs` and
 //! snapshot-cache settings, exactly like the bounded search. The history
 //! is flattened once per run, and the clocks live in one flat arena with
@@ -48,8 +49,9 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use super::bounded::Consult;
+use super::bounded::{Consult, Consults};
 use super::footprint::{clock_join, clock_leq, Footprint};
+use super::runner::TailRef;
 use super::WordMap;
 use crate::locks::ThreadId;
 
@@ -76,7 +78,7 @@ pub struct DporCounters {
 /// One consult range borrowed from an executed run's recorded consults.
 #[derive(Clone)]
 struct HistSlice {
-    src: Arc<Vec<Consult>>,
+    src: Arc<Consults>,
     off: usize,
     len: usize,
 }
@@ -99,10 +101,10 @@ impl Hist {
     }
 
     #[cfg(test)]
-    fn get(&self, mut i: usize) -> &Consult {
+    fn get(&self, mut i: usize) -> Consult<'_> {
         for s in &self.slices {
             if i < s.len {
-                return &s.src[s.off + i];
+                return s.src.get(s.off + i);
             }
             i -= s.len;
         }
@@ -130,10 +132,11 @@ impl Hist {
         out
     }
 
-    /// Appends one branch consult.
-    fn pushed(mut self, c: Consult) -> Hist {
+    /// Appends one branch consult (a one-consult log).
+    fn pushed(mut self, c: Consults) -> Hist {
+        debug_assert_eq!(c.len(), 1);
         self.slices.push(HistSlice {
-            src: Arc::new(vec![c]),
+            src: Arc::new(c),
             off: 0,
             len: 1,
         });
@@ -223,22 +226,32 @@ pub(crate) struct Analysis {
 
 /// An executed run's full consult view: inherited history below the
 /// candidate's prefix, live consults (recorded from the snapshot resume
-/// depth `consult_base`) above it, flattened once into `steps`.
+/// depth `consult_base`) above it, then the spliced lone tail, flattened
+/// once into `steps`.
 struct RunView<'a> {
     hist: &'a Hist,
-    own: &'a Arc<Vec<Consult>>,
+    own: &'a Arc<Consults>,
     consult_base: usize,
     /// The consult of every decision, in order.
-    steps: Vec<&'a Consult>,
+    steps: Vec<Consult<'a>>,
 }
 
 impl<'a> RunView<'a> {
-    fn new(hist: &'a Hist, own: &'a Arc<Vec<Consult>>, consult_base: usize) -> Self {
-        let mut steps = Vec::with_capacity(consult_base + own.len());
+    fn new(
+        hist: &'a Hist,
+        own: &'a Arc<Consults>,
+        consult_base: usize,
+        tail: Option<&'a TailRef>,
+    ) -> Self {
+        let tail_len = tail.map_or(0, TailRef::len);
+        let mut steps = Vec::with_capacity(consult_base + own.len() + tail_len);
         for s in &hist.slices {
-            steps.extend(&s.src[s.off..s.off + s.len]);
+            steps.extend((s.off..s.off + s.len).map(|i| s.src.get(i)));
         }
-        steps.extend(&own[hist.len() - consult_base..]);
+        steps.extend((hist.len() - consult_base..own.len()).map(|i| own.get(i)));
+        if let Some(tail) = tail {
+            steps.extend(tail.consults());
+        }
         Self {
             hist,
             own,
@@ -275,9 +288,10 @@ impl Dpor {
     ///
     /// `cand` is the candidate that ran ([`Candidate::root`] for the
     /// probe), `own`/`consult_base` the consults the run recorded live,
-    /// `decisions` its full decision trace (always recorded from zero —
-    /// the resume snapshot restores the decision log) and `bound` the
-    /// preemption budget.
+    /// `tail` the lone-thread consults it spliced after them, `decisions`
+    /// its full decision trace (always recorded from zero — the resume
+    /// snapshot restores the decision log) and `bound` the preemption
+    /// budget.
     ///
     /// Every branch consult the run reached past its forced prefix is a
     /// node no earlier run passed: the run's last forced decision deviates
@@ -285,12 +299,15 @@ impl Dpor {
     /// default past its own prefix. So each such consult is stamped with a
     /// fresh node id before `own` is shared, and children inherit the
     /// stamped consults through their [`Hist`]. Node identity never rests
-    /// on a hash of the decision prefix.
+    /// on a hash of the decision prefix. A spliced tail holds no branch
+    /// node: its consults each had one eligible thread.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn analyze(
         &mut self,
         cand: &Candidate,
-        mut own: Vec<Consult>,
+        mut own: Consults,
         consult_base: usize,
+        tail: Option<&TailRef>,
         decisions: &[u32],
         threads: usize,
         bound: usize,
@@ -299,7 +316,7 @@ impl Dpor {
         debug_assert_eq!(cand.hist.len(), prefix_len, "history covers the prefix");
         debug_assert!(consult_base <= prefix_len, "resume point is an ancestor");
         debug_assert_eq!(
-            consult_base + own.len(),
+            consult_base + own.len() + tail.map_or(0, TailRef::len),
             decisions.len(),
             "one consult per decision"
         );
@@ -317,30 +334,38 @@ impl Dpor {
         // already executed and is counted).
         let mut cur_sleep = cand.sleep.clone();
         let mut live_until = decisions.len();
-        for (i, c) in own
-            .iter_mut()
-            .enumerate()
-            .skip(prefix_len - consult_base)
-            .map(|(k, c)| (consult_base + k, c))
-        {
-            let p = c.chosen;
-            if c.eligible.len() >= 2 {
-                c.node = Some(self.nodes.len() as u32);
+        for k in prefix_len - consult_base..own.len() {
+            let (branch, p, fp) = {
+                let c = own.get(k);
+                (c.eligible.len() >= 2, c.chosen, c.footprint_for(c.chosen))
+            };
+            if branch {
+                own.set_node(k, self.nodes.len() as u32);
                 self.nodes.push(NodeState {
                     sleep: cur_sleep.clone(),
                     explored: vec![p],
                 });
             }
             if asleep(&cur_sleep, p) {
-                live_until = i;
+                live_until = consult_base + k;
                 break;
             }
-            let fp = c.footprint_for(p);
             cur_sleep.retain(|&(_, sfp)| sfp.independent(fp));
+        }
+        if let Some(tail) = tail.filter(|_| live_until == decisions.len()) {
+            let start = consult_base + own.len();
+            for (i, c) in tail.consults().enumerate() {
+                if asleep(&cur_sleep, c.chosen) {
+                    live_until = start + i;
+                    break;
+                }
+                let fp = c.footprint_for(c.chosen);
+                cur_sleep.retain(|&(_, sfp)| sfp.independent(fp));
+            }
         }
 
         let own = Arc::new(own);
-        let view = RunView::new(&cand.hist, &own, consult_base);
+        let view = RunView::new(&cand.hist, &own, consult_base, tail);
         let n = view.steps.len().min(decisions.len());
         let mut out = Analysis::default();
         let Dpor {
@@ -475,7 +500,7 @@ impl Dpor {
 /// thread with a pending operation never ran it — the run aborted
 /// (failure, deadlock) with it still in flight — and gets a virtual race
 /// check, the executed-trace analog of Flanagan–Godefroid's `next(s, p)`.
-fn pending_ops(steps: &[&Consult], threads: usize) -> Vec<Option<Footprint>> {
+fn pending_ops(steps: &[Consult<'_>], threads: usize) -> Vec<Option<Footprint>> {
     let mut pending = vec![None; threads];
     let mut seen = vec![false; threads];
     let mut unseen = threads;
@@ -536,7 +561,7 @@ fn join_deps(
     clocks: &[u32],
     threads: usize,
     deps: &[usize],
-    steps: &[&Consult],
+    steps: &[Consult<'_>],
     p: ThreadId,
     races: &mut u64,
 ) -> Option<usize> {
@@ -612,7 +637,7 @@ fn spawn(
             prefix,
             cost,
             sleep,
-            hist: view.prefix_hist(j).pushed(cj.with_chosen(alt)),
+            hist: view.prefix_hist(j).pushed(Consults::branch(cj, alt)),
         });
     }
 }
@@ -621,17 +646,17 @@ fn spawn(
 mod tests {
     use super::*;
 
-    fn consult(eligible: &[usize], chosen: usize, last: Option<usize>) -> Consult {
-        Consult::new(
-            eligible.iter().map(|&t| ThreadId(t)).collect(),
-            ThreadId(chosen),
-            last.map(ThreadId),
-        )
-    }
+    /// One consult: eligible threads, their footprints (or none), the
+    /// chosen thread and the previously running one.
+    type Rec<'a> = (&'a [usize], &'a [Footprint], usize, Option<usize>);
 
-    fn with_fps(mut c: Consult, fps: &[Footprint]) -> Consult {
-        c.footprints = fps.to_vec();
-        c
+    fn log(recs: &[Rec<'_>]) -> Consults {
+        let mut out = Consults::default();
+        for &(eligible, fps, chosen, last) in recs {
+            let eligible: Vec<ThreadId> = eligible.iter().map(|&t| ThreadId(t)).collect();
+            out.push(&eligible, fps, ThreadId(chosen), last.map(ThreadId));
+        }
+        out
     }
 
     /// Analyzes a from-scratch run of `cand` on `dpor`: `consults` were
@@ -639,11 +664,11 @@ mod tests {
     fn run(
         dpor: &mut Dpor,
         cand: &Candidate,
-        consults: Vec<Consult>,
+        consults: Consults,
         decisions: &[u32],
         bound: usize,
     ) -> Analysis {
-        dpor.analyze(cand, consults, 0, decisions, 2, bound)
+        dpor.analyze(cand, consults, 0, None, decisions, 2, bound)
     }
 
     /// Two threads racing on one address — with an unrelated write in
@@ -653,11 +678,11 @@ mod tests {
     #[test]
     fn conflicting_writes_spawn_reversal() {
         let w8 = Footprint::Write(8);
-        let consults = vec![
-            with_fps(consult(&[0, 1], 0, None), &[w8, w8]),
-            with_fps(consult(&[0, 1], 0, Some(0)), &[Footprint::Write(99), w8]),
-            with_fps(consult(&[1], 1, Some(0)), &[w8]),
-        ];
+        let consults = log(&[
+            (&[0, 1], &[w8, w8], 0, None),
+            (&[0, 1], &[Footprint::Write(99), w8], 0, Some(0)),
+            (&[1], &[w8], 1, Some(0)),
+        ]);
         let decisions = vec![0, 0, 1];
         let mut nodes = Dpor::default();
         let a = run(
@@ -679,13 +704,15 @@ mod tests {
     /// Independent accesses (distinct addresses) never race.
     #[test]
     fn independent_steps_spawn_nothing() {
-        let consults = vec![
-            with_fps(
-                consult(&[0, 1], 0, None),
+        let consults = log(&[
+            (
+                &[0, 1],
                 &[Footprint::Write(8), Footprint::Write(16)],
+                0,
+                None,
             ),
-            with_fps(consult(&[1], 1, Some(0)), &[Footprint::Write(16)]),
-        ];
+            (&[1], &[Footprint::Write(16)], 1, Some(0)),
+        ]);
         let decisions = vec![0, 1];
         let mut nodes = Dpor::default();
         let a = run(
@@ -706,10 +733,7 @@ mod tests {
         let w8 = Footprint::Write(8);
         // `last: Some(0)` makes switching to t1 at the first consult a
         // preemption, so the reversal costs one unit of budget.
-        let consults = vec![
-            with_fps(consult(&[0, 1], 0, Some(0)), &[w8, w8]),
-            with_fps(consult(&[1], 1, Some(0)), &[w8]),
-        ];
+        let consults = log(&[(&[0, 1], &[w8, w8], 0, Some(0)), (&[1], &[w8], 1, Some(0))]);
         let decisions = vec![0, 1];
         let mut dpor = Dpor::default();
         let first = run(
@@ -730,10 +754,7 @@ mod tests {
         // The child runs t1 then t0 and re-detects the same race, now with
         // t0's write second: its reversal (t0 first at the root) is the
         // probe itself, so nothing new spawns.
-        let child_run = vec![
-            with_fps(consult(&[0, 1], 1, Some(0)), &[w8, w8]),
-            with_fps(consult(&[0], 0, Some(1)), &[w8]),
-        ];
+        let child_run = log(&[(&[0, 1], &[w8, w8], 1, Some(0)), (&[0], &[w8], 0, Some(1))]);
         let again = run(&mut dpor, child, child_run, &[1, 0], 1);
         assert_eq!(again.races, 1, "the race is detected again");
         assert!(again.candidates.is_empty(), "node table dedups");
@@ -752,10 +773,7 @@ mod tests {
     fn aborted_run_reverses_pending_conflict() {
         // t0 reads address 8 and the run ends (assertion failure); t1 was
         // eligible the whole time with a pending Write(8) that never ran.
-        let consults = vec![with_fps(
-            consult(&[0, 1], 0, None),
-            &[Footprint::Read(8), Footprint::Write(8)],
-        )];
+        let consults = log(&[(&[0, 1], &[Footprint::Read(8), Footprint::Write(8)], 0, None)]);
         let decisions = vec![0];
         let mut nodes = Dpor::default();
         let a = run(
@@ -773,14 +791,16 @@ mod tests {
     /// Hist composition: truncation and the branch override share slices.
     #[test]
     fn hist_slices_compose() {
-        let base = Arc::new(vec![
-            consult(&[0, 1], 0, None),
-            consult(&[0, 1], 0, Some(0)),
-            consult(&[0, 1], 1, Some(0)),
-        ]);
+        let base = Arc::new(log(&[
+            (&[0, 1], &[], 0, None),
+            (&[0, 1], &[], 0, Some(0)),
+            (&[0, 1], &[], 1, Some(0)),
+        ]));
         let hist = Hist::default();
-        let view = RunView::new(&hist, &base, 0);
-        let h = view.prefix_hist(2).pushed(base[2].with_chosen(ThreadId(0)));
+        let view = RunView::new(&hist, &base, 0, None);
+        let h = view
+            .prefix_hist(2)
+            .pushed(Consults::branch(base.get(2), ThreadId(0)));
         assert_eq!(h.len(), 3);
         assert_eq!(h.get(0).chosen, ThreadId(0));
         assert_eq!(h.get(2).chosen, ThreadId(0), "override applied");

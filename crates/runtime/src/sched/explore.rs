@@ -34,8 +34,8 @@
 //! same prefix and no schedule runs twice (pinned exactly, trace by
 //! trace, in `tests/exploration.rs`).
 //!
-//! One layer makes the search cheap without changing what it reports
-//! (deterministic, enforced bit-identical by tests): the
+//! Two layers make the search cheap without changing what it reports
+//! (deterministic, enforced bit-identical by tests). The first is the
 //! **prefix-sharing snapshot tree** (`runner.rs`). Executed runs deposit
 //! [`MachineSnapshot`]s keyed by decision prefix (LRU-bounded by
 //! `--snapshot-budget`), and each run resumes from its deepest retained
@@ -47,6 +47,12 @@
 //! lies deep in the run: MozillaXP consults the scheduler at steps 1,
 //! 554505 and 554512. Each PCT run's scheduler is advanced down the
 //! retained nodes before it starts.
+//!
+//! The second is **lone-tail splicing** (`runner.rs`): once a bounded or
+//! DPOR run is past its forced prefix with one thread left, it stops at
+//! the first state an earlier run recorded exactly and appends that
+//! run's remaining consults, decisions and outcome. Both layers are on
+//! exactly when `snapshot_budget > 0`.
 //!
 //! [`MachineSnapshot`]: crate::MachineSnapshot
 
@@ -61,7 +67,7 @@ use super::dpor::{Candidate, Dpor};
 use super::pct::PctConfig;
 use super::point::{PointKind, PointMask};
 use super::runner::{
-    Executed, PctPlan, Resume, RunPlan, Runner, SnapshotTree, CAPTURE_PER_RUN,
+    Executed, LoneMemo, PctPlan, Resume, RunPlan, Runner, SnapshotTree, CAPTURE_PER_RUN,
     DEFAULT_SNAPSHOT_BUDGET,
 };
 
@@ -137,8 +143,8 @@ pub struct ExploreConfig {
     /// density and throughput.
     pub stop_at_first: bool,
     /// Retained snapshots the prefix tree may hold (`0` disables the
-    /// cache entirely). Pure perf: reports are bit-identical at any
-    /// value.
+    /// cache entirely, lone-tail splicing included). Pure perf: reports
+    /// are bit-identical at any value.
     pub snapshot_budget: usize,
 }
 
@@ -243,8 +249,10 @@ pub struct ExploreReport {
     /// Executed schedules that resumed from a retained ancestor snapshot
     /// instead of interpreting from step zero.
     pub snapshot_hits: u64,
-    /// Interpreter steps those resumes skipped (sum of resumed snapshots'
-    /// step counters).
+    /// Interpreter steps the search skipped: the step counters of the
+    /// snapshots runs resumed from, plus the steps of the lone-thread
+    /// remainders runs spliced from the lone memo instead of
+    /// interpreting.
     pub steps_saved: u64,
     /// Always 0: no frontier candidate can repeat an executed schedule.
     /// Kept because the benchmark harness reads it.
@@ -281,11 +289,6 @@ impl ExploreReport {
         } else {
             self.failures as f64 * 1000.0 / self.schedules as f64
         }
-    }
-
-    /// Decision depth of the first failing schedule.
-    pub fn first_failure_depth(&self) -> Option<usize> {
-        self.first_failure.as_ref().map(|f| f.trace.len())
     }
 
     /// A copy with the nondeterministic wall time (total and per-phase)
@@ -355,6 +358,8 @@ pub struct ExploreObserver {
     decisions_dpor: u64,
     /// PCT priority demotions applied at change points.
     pct_demotions: u64,
+    /// Interpreter steps runs skipped by splicing a lone-thread remainder.
+    spliced_steps: u64,
     /// Register undo-log depth per rollback, across all executed schedules
     /// (schedules sharing a resumed prefix each count the prefix's
     /// rollbacks).
@@ -399,6 +404,7 @@ impl ExploreObserver {
             decisions_pct: 0,
             decisions_dpor: 0,
             pct_demotions: 0,
+            spliced_steps: 0,
             undo_depth: Histogram::new(),
             traces: None,
         }
@@ -441,6 +447,7 @@ impl ExploreObserver {
                 self.pct_demotions += ex.demotions;
             }
         }
+        self.spliced_steps += ex.spliced_steps();
         self.undo_depth.merge(&ex.undo_depth);
         if let Some(traces) = self.traces.as_mut() {
             traces.push(ex.trace.decisions.clone());
@@ -525,6 +532,7 @@ impl ExploreObserver {
         );
         counter("conair_explore_snapshot_hits_total", report.snapshot_hits);
         counter("conair_explore_steps_saved_total", report.steps_saved);
+        counter("conair_explore_spliced_steps_total", self.spliced_steps);
         counter("conair_explore_pct_demotions_total", self.pct_demotions);
         let _ = writeln!(
             out,
@@ -708,6 +716,7 @@ impl Frontier {
                     cand,
                     std::mem::take(&mut ex.consults),
                     ex.consult_base,
+                    ex.tail(),
                     &ex.trace.decisions,
                     self.threads,
                     preemptions,
@@ -786,6 +795,11 @@ pub fn explore_observed(
         0
     };
     let mut tree = SnapshotTree::new(ec.snapshot_budget);
+    // Systematic runs also splice lone-thread ends other runs recorded.
+    // Like the tree, the memo is on exactly when the cache is: budget 0
+    // is the unspliced oracle.
+    let mut memo = LoneMemo::default();
+    let lone = systematic && ec.snapshot_budget > 0;
 
     // Schedule 0 in every strategy: the probe — the non-preemptive
     // default schedule (empty forced prefix). It measures PCT's `k`, is
@@ -797,9 +811,10 @@ pub fn explore_observed(
         capture,
         capture_from: 1,
     };
-    let mut probe = runner.frontier(&probe_plan, ec.mask);
+    let mut probe = runner.frontier(&probe_plan, ec.mask, lone.then_some(&memo));
     report.probe_decisions = probe.trace.len() as u64;
     report.snapshots_taken += tree.absorb(&mut probe);
+    memo.commit(&mut probe, 0);
     clock.note_run(&probe);
     if let Some(obs) = observer.as_deref_mut() {
         // The probe is a frontier (non-preemptive default) run under every
@@ -828,8 +843,9 @@ pub fn explore_observed(
     // Every PCT run's first consult is the probe's first consult.
     let pct_root = probe
         .consults
-        .first()
-        .map(|c| c.eligible.clone())
+        .iter()
+        .next()
+        .map(|c| c.eligible.to_vec())
         .unwrap_or_default();
     let mut frontier = Frontier {
         queue: VecDeque::new(),
@@ -941,9 +957,10 @@ pub fn explore_observed(
         if jobs.is_empty() {
             break;
         }
+        let memo_now = lone.then_some(&memo);
         let results = pool.map(jobs.len(), |j| match &jobs[j] {
             Job::Pct(plan) => runner.pct(plan),
-            Job::Frontier(plan, _) => runner.frontier(plan, ec.mask),
+            Job::Frontier(plan, _) => runner.frontier(plan, ec.mask, memo_now),
         });
         let merge_start = Instant::now();
         let executed = results.len();
@@ -951,6 +968,8 @@ pub fn explore_observed(
         for (j, (job, mut ex)) in jobs.iter().zip(results).enumerate() {
             record(&mut report, base + j, &ex);
             report.snapshots_taken += tree.absorb(&mut ex);
+            report.steps_saved += ex.spliced_steps();
+            memo.commit(&mut ex, wave);
             if let Job::Frontier(_, cand) = job {
                 frontier.expand(ec.strategy, cand, &mut ex, &mut report);
             }
@@ -959,6 +978,7 @@ pub fn explore_observed(
                 obs.observe_run(ec.strategy, &ex);
             }
         }
+        memo.retire(wave);
         clock.merge += merge_start.elapsed();
         report.phases = clock.to_phases();
         if let Some(obs) = observer.as_deref_mut() {
@@ -1000,7 +1020,7 @@ fn push_children(
     for (j, c) in ex.consults.iter().enumerate() {
         let i = ex.consult_base + j;
         if i >= frontier {
-            for &alt in &c.eligible {
+            for &alt in c.eligible {
                 if alt == c.chosen {
                     continue;
                 }
@@ -1238,7 +1258,6 @@ mod tests {
             },
         };
         assert!((report.failures_per_1k() - 40.0).abs() < 1e-9);
-        assert_eq!(report.first_failure_depth(), None);
         let norm = report.normalized();
         assert_eq!(norm.wall_ms, 0);
         assert_eq!(norm.snapshots_taken, 0);

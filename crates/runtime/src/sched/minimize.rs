@@ -145,10 +145,10 @@ fn deviations(run: &Executed) -> Vec<(usize, u32)> {
 /// The order accepted candidates strictly descend in: preemptions (each
 /// one a deviation), deviations, decisions.
 fn rank(run: &Executed) -> (usize, usize, usize) {
-    let count = |pred: fn(&Consult) -> bool| run.consults.iter().filter(|c| pred(c)).count();
+    let count = |pred: fn(&Consult<'_>) -> bool| run.consults.iter().filter(|c| pred(c)).count();
     (
-        count(Consult::is_preemption),
-        count(Consult::is_deviation),
+        count(|c| c.is_preemption()),
+        count(|c| c.is_deviation()),
         run.trace.len(),
     )
 }

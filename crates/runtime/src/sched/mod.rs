@@ -43,7 +43,7 @@ mod runner;
 mod script;
 
 pub use basic::{RoundRobin, SeededRandom};
-pub use bounded::{Consult, FrontierScheduler};
+pub use bounded::{Consult, Consults, FrontierScheduler};
 pub use decision::DecisionTrace;
 pub use dpor::DporCounters;
 pub use explore::{

@@ -20,6 +20,16 @@
 //! deterministic and identical across `--jobs`. Workers only ever read
 //! images through the `Arc`.
 //!
+//! Frontier runs also share their ends. Once a run is past its forced
+//! prefix and every other thread is done, the rest of it is a
+//! single-threaded continuation decided by the machine state alone. At
+//! such *lone consults* the run looks itself up in the [`LoneMemo`] of
+//! lone points earlier runs recorded, and on an exact match stops
+//! interpreting and splices the earlier run's remaining consults,
+//! decisions and outcome ([`TailRef`]). The memo changes only between
+//! waves, on the exploring thread, so splices too are identical across
+//! `--jobs`.
+//!
 //! [`super::minimize`] uses the runner without a tree: its few candidates
 //! run from step zero ([`Runner::replay`]) on the runner's one
 //! lowering of the program.
@@ -27,15 +37,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::bounded::{Consult, FrontierScheduler};
+use super::bounded::{Consult, Consults, FrontierScheduler};
 use super::decision::DecisionTrace;
+use super::footprint::Footprint;
 use super::pct::{PctConfig, PctScheduler};
 use super::point::PointMask;
 use super::{SchedContext, Scheduler, WordMap};
 use crate::dense::DenseProgram;
 use crate::locks::ThreadId;
 use crate::machine::{
-    BranchCapture, CapturePlacement, Machine, MachineConfig, MachineSnapshot, SnapshotFootprint,
+    BranchCapture, CapturePlacement, LoneHook, Machine, MachineConfig, MachineSnapshot,
+    SnapshotFootprint,
 };
 use crate::metrics::Histogram;
 use crate::outcome::{RunOutcome, RunResult};
@@ -73,7 +85,8 @@ pub(super) struct Resume {
 pub(super) struct Executed {
     pub outcome: RunOutcome,
     pub trace: DecisionTrace,
-    pub consults: Vec<Consult>,
+    /// The consults the run made live; a splice's follow in `splice`.
+    pub consults: Consults,
     /// Decision index of the first recorded consult: the snapshot depth
     /// when the run resumed mid-tree, 0 from scratch.
     pub consult_base: usize,
@@ -96,8 +109,25 @@ pub(super) struct Executed {
     /// included (0 for frontier runs).
     pub demotions: u64,
     /// Register undo-log depths at the run's rollbacks (prefix samples
-    /// repeat across schedules sharing a resumed prefix).
+    /// repeat across schedules sharing a resumed prefix), a splice's
+    /// included.
     pub undo_depth: Histogram,
+    /// The remainder the run spliced from the lone memo, if it did.
+    pub splice: Option<Splice>,
+    /// The lone points the run recorded for the memo, if any.
+    pub lone: Option<LoneRecord>,
+}
+
+impl Executed {
+    /// The lone-thread consults the run spliced after `consults`.
+    pub fn tail(&self) -> Option<&TailRef> {
+        self.splice.as_ref().map(|s| &s.tail)
+    }
+
+    /// Interpreter steps the run's splice skipped.
+    pub fn spliced_steps(&self) -> u64 {
+        self.splice.as_ref().map_or(0, |s| s.steps)
+    }
 }
 
 /// How to execute one frontier candidate.
@@ -150,14 +180,15 @@ impl<'p> Runner<'p> {
 
     /// Runs `sched` from `resume` (or from step zero), capturing up to
     /// `capture` branch points from decision `capture_from` on, placed per
-    /// `placement`.
-    fn run<S: Scheduler>(
+    /// `placement`, with `hook` at every lone consult.
+    fn run<S: Scheduler, H: LoneHook>(
         &self,
         sched: &mut S,
         resume: Option<&Resume>,
         capture_from: usize,
         capture: usize,
         placement: CapturePlacement,
+        hook: &mut H,
     ) -> (RunResult, Vec<BranchCapture>, Duration) {
         let mut machine = Machine::with_shared_dense(self.program, self.dense.clone(), self.config);
         let restore_wall = match resume {
@@ -168,29 +199,48 @@ impl<'p> Runner<'p> {
             }
             None => Duration::ZERO,
         };
-        let (result, snaps) =
-            machine.run_captured_at_branches(sched, capture_from, capture, placement);
+        let (result, snaps) = machine.run_frontier(sched, capture_from, capture, placement, hook);
         (result, snaps, restore_wall)
     }
 
     /// Executes a frontier candidate, recording its consults. Its
     /// captures spread over the whole run: its children branch anywhere
-    /// past its prefix.
-    pub fn frontier(&self, plan: &RunPlan, mask: PointMask) -> Executed {
+    /// past its prefix. With a `memo`, the run records lone points past
+    /// its prefix and splices the first one the memo already holds.
+    pub fn frontier(&self, plan: &RunPlan, mask: PointMask, memo: Option<&LoneMemo>) -> Executed {
         let (consult_base, base_preemptions) = plan
             .resume
             .as_ref()
             .map_or((0, 0), |r| (r.depth, r.preemptions));
         let mut sched = FrontierScheduler::resume(plan.prefix.clone(), consult_base, mask);
-        let (result, snaps, restore_wall) = self.run(
-            &mut sched,
-            plan.resume.as_ref(),
-            plan.capture_from,
-            plan.capture,
-            CapturePlacement::Spread,
-        );
+        let resume = plan.resume.as_ref();
+        let (result, snaps, restore_wall, lone) = match memo {
+            Some(memo) => {
+                let mut hook = LoneRun::new(memo, plan.prefix.len());
+                let (result, snaps, restore_wall) = self.run(
+                    &mut sched,
+                    resume,
+                    plan.capture_from,
+                    plan.capture,
+                    CapturePlacement::Spread,
+                    &mut hook,
+                );
+                (result, snaps, restore_wall, Some(hook))
+            }
+            None => {
+                let (result, snaps, restore_wall) = self.run(
+                    &mut sched,
+                    resume,
+                    plan.capture_from,
+                    plan.capture,
+                    CapturePlacement::Spread,
+                    &mut (),
+                );
+                (result, snaps, restore_wall, None)
+            }
+        };
         let (picks, infeasible) = (sched.picks(), sched.infeasible());
-        Executed {
+        let mut ex = Executed {
             outcome: result.outcome,
             trace: result
                 .decisions
@@ -206,11 +256,17 @@ impl<'p> Runner<'p> {
             picks,
             demotions: 0,
             undo_depth: result.stats.undo_depth,
+            splice: None,
+            lone: None,
+        };
+        if let Some(hook) = lone {
+            hook.close(&mut ex, result.stats.steps);
         }
+        ex
     }
 
     /// Executes `prefix` as a frontier candidate from step zero, capturing
-    /// nothing.
+    /// nothing and splicing nothing.
     pub fn replay(&self, prefix: Vec<u32>, mask: PointMask) -> Executed {
         let plan = RunPlan {
             prefix,
@@ -218,7 +274,7 @@ impl<'p> Runner<'p> {
             capture: 0,
             capture_from: 0,
         };
-        self.frontier(&plan, mask)
+        self.frontier(&plan, mask, None)
     }
 
     /// Executes a PCT run. Its own captures are the first branch points
@@ -235,6 +291,7 @@ impl<'p> Runner<'p> {
             depth + 1,
             plan.capture,
             CapturePlacement::First,
+            &mut (),
         );
         let mut trace = result
             .decisions
@@ -243,7 +300,7 @@ impl<'p> Runner<'p> {
         Executed {
             outcome: result.outcome,
             trace,
-            consults: Vec::new(),
+            consults: Consults::default(),
             consult_base: 0,
             base_preemptions: 0,
             snaps,
@@ -254,6 +311,8 @@ impl<'p> Runner<'p> {
             picks: sched.decisions() - skipped,
             demotions: sched.demotions(),
             undo_depth: result.stats.undo_depth,
+            splice: None,
+            lone: None,
         }
     }
 }
@@ -649,6 +708,340 @@ impl SnapshotTree {
     }
 }
 
+/// Lone points one run may record.
+const LONE_PER_RUN: usize = 16;
+
+/// Decision-index stride of lone points: a run records its lone consults
+/// at depths that are multiples of it. Runs that converge on one
+/// continuation make their consults at the same depths, so they record
+/// the same points, and a later run finds one within this many lone
+/// consults of wherever it joins.
+const LONE_STRIDE: usize = 4;
+
+/// Waves a memo entry outlives the last wave that added or spliced it.
+/// On the catalog almost every splice reads an entry added or spliced
+/// one wave earlier.
+const LONE_KEEP: usize = 2;
+
+/// The end of a frontier run from its first lone point on: the consults
+/// it interpreted there, then the remainder it spliced, if any. Every
+/// consult here had one eligible thread, the lone one, which it chose; so
+/// one footprint per consult describes it. Shared (never copied) by the
+/// memo entries and the runs that splice it.
+pub(crate) struct LoneTail {
+    /// The lone thread, as the one-thread eligible set of every consult.
+    thread: [ThreadId; 1],
+    /// The running thread at the first consult of `fps`; every later
+    /// consult follows a pick of the lone thread.
+    first_last: Option<ThreadId>,
+    /// The lone thread's footprint at each consult the run interpreted.
+    fps: Vec<Footprint>,
+    /// Undo-depth samples of the rollbacks among those consults.
+    undo: Vec<u64>,
+    /// The remainder the run spliced after `fps`.
+    rest: Option<TailRef>,
+    /// Consults in `fps` and `rest`.
+    len: usize,
+    outcome: RunOutcome,
+    /// The step counter at the run's end.
+    end_step: u64,
+}
+
+/// The remainder of a run from one lone point on: a shared [`LoneTail`]
+/// read from an offset.
+#[derive(Clone)]
+pub(crate) struct TailRef {
+    tail: Arc<LoneTail>,
+    /// First consult of the remainder in `tail.fps`.
+    at: usize,
+    /// First undo sample of the remainder in `tail.undo`.
+    undo_at: usize,
+}
+
+impl TailRef {
+    /// Consults in the remainder.
+    pub(crate) fn len(&self) -> usize {
+        self.tail.len - self.at
+    }
+
+    /// The remainder's consults, in decision order.
+    pub(crate) fn consults(&self) -> TailConsults<'_> {
+        TailConsults {
+            tail: &self.tail,
+            i: self.at,
+        }
+    }
+
+    /// The lone thread.
+    fn thread(&self) -> ThreadId {
+        self.tail.thread[0]
+    }
+
+    /// Undo-depth samples of the remainder's rollbacks, in order.
+    fn undo_samples(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::successors(Some(self), |r| r.tail.rest.as_ref())
+            .flat_map(|r| r.tail.undo[r.undo_at..].iter().copied())
+    }
+}
+
+/// Iterator over a [`TailRef`]'s consults, following spliced remainders.
+pub(crate) struct TailConsults<'a> {
+    tail: &'a LoneTail,
+    i: usize,
+}
+
+impl<'a> Iterator for TailConsults<'a> {
+    type Item = Consult<'a>;
+
+    fn next(&mut self) -> Option<Consult<'a>> {
+        while self.i == self.tail.fps.len() {
+            let rest = self.tail.rest.as_ref()?;
+            self.tail = &rest.tail;
+            self.i = rest.at;
+        }
+        let (t, i) = (self.tail, self.i);
+        self.i += 1;
+        Some(Consult {
+            eligible: &t.thread,
+            footprints: &t.fps[i..=i],
+            chosen: t.thread[0],
+            last: if i == 0 {
+                t.first_last
+            } else {
+                Some(t.thread[0])
+            },
+            node: None,
+        })
+    }
+}
+
+/// A splice: where a run stopped interpreting and what it appended.
+pub(super) struct Splice {
+    /// The appended remainder.
+    pub tail: TailRef,
+    /// The memo entry it came from.
+    entry: u32,
+    /// Interpreter steps the splice skipped.
+    pub steps: u64,
+}
+
+/// One lone point a run recorded: the machine just before the pick at a
+/// lone consult.
+struct LonePoint {
+    /// Decision index of the consult.
+    depth: usize,
+    key: u64,
+    image: MachineSnapshot,
+    /// Undo samples the run had logged before it.
+    undo_at: usize,
+}
+
+/// What a run hands the memo at merge.
+pub(super) struct LoneRecord {
+    /// Ascending depth; never empty.
+    points: Vec<LonePoint>,
+    /// Undo-depth samples from the first point on.
+    undo: Vec<u64>,
+    /// The step counter at the run's end, a splice's steps included.
+    end_step: u64,
+}
+
+/// A frontier run's [`LoneHook`]: looks each lone consult up in the
+/// memo, and records a few lone points of its own.
+struct LoneRun<'m> {
+    memo: &'m LoneMemo,
+    from: usize,
+    points: Vec<LonePoint>,
+    /// The entry matched and the step counter there.
+    hit: Option<(u32, u64)>,
+    undo: Vec<u64>,
+}
+
+impl<'m> LoneRun<'m> {
+    fn new(memo: &'m LoneMemo, from: usize) -> Self {
+        Self {
+            memo,
+            from,
+            points: Vec::new(),
+            hit: None,
+            undo: Vec::new(),
+        }
+    }
+
+    /// Appends the splice to `ex` and hands over the recorded points.
+    /// `steps` is the step counter where the run stopped.
+    fn close(self, ex: &mut Executed, steps: u64) {
+        let mut end_step = steps;
+        if let Some((entry, step)) = self.hit {
+            let tail = self.memo.entries[entry as usize].tail.clone();
+            let n = tail.len();
+            ex.trace
+                .decisions
+                .extend(std::iter::repeat_n(tail.thread().index() as u32, n));
+            for v in tail.undo_samples() {
+                ex.undo_depth.record(v);
+            }
+            end_step = tail.tail.end_step;
+            ex.splice = Some(Splice {
+                steps: end_step + 1 - step,
+                tail,
+                entry,
+            });
+        }
+        if !self.points.is_empty() {
+            ex.lone = Some(LoneRecord {
+                points: self.points,
+                undo: self.undo,
+                end_step,
+            });
+        }
+    }
+}
+
+impl LoneHook for LoneRun<'_> {
+    const ACTIVE: bool = true;
+
+    fn from(&self) -> usize {
+        self.from
+    }
+
+    fn at_lone(&mut self, m: &mut Machine<'_>) -> Option<RunOutcome> {
+        let depth = m.decisions();
+        let due = self.points.len() < LONE_PER_RUN && depth.is_multiple_of(LONE_STRIDE);
+        if self.memo.entries.is_empty() && !due {
+            return None;
+        }
+        let key = m.lone_key();
+        if let Some(entry) = self.memo.find(key, |img| m.continuation_eq(img)) {
+            self.hit = Some((entry, m.step()));
+            return Some(self.memo.entries[entry as usize].tail.tail.outcome.clone());
+        }
+        if due {
+            m.log_undo();
+            self.points.push(LonePoint {
+                depth,
+                key,
+                undo_at: m.undo_log().len(),
+                image: m.lone_image(),
+            });
+        }
+        None
+    }
+
+    fn finish(&mut self, m: &mut Machine<'_>) {
+        self.undo = m.take_undo_log();
+    }
+}
+
+/// One memo entry: a lone point and the remainder from it.
+struct LoneEntry {
+    key: u64,
+    image: MachineSnapshot,
+    tail: TailRef,
+    /// The next older entry with the same key ([`NIL`] at the end).
+    next: u32,
+    /// Last wave that added or spliced the entry.
+    used: usize,
+}
+
+/// The lone points of earlier runs, looked up by a cheap key over the
+/// machine state and confirmed by an exact continuation compare. Workers
+/// read it during a wave; the exploring thread adds the wave's points at
+/// merge, in schedule order.
+#[derive(Default)]
+pub(super) struct LoneMemo {
+    entries: Vec<LoneEntry>,
+    /// Key → newest entry with that key.
+    index: WordMap<u64, u32>,
+}
+
+impl LoneMemo {
+    /// The newest entry under `key` whose image `eq` accepts.
+    fn find(&self, key: u64, mut eq: impl FnMut(&MachineSnapshot) -> bool) -> Option<u32> {
+        let mut slot = *self.index.get(&key)?;
+        while slot != NIL {
+            let e = &self.entries[slot as usize];
+            if eq(&e.image) {
+                return Some(slot);
+            }
+            slot = e.next;
+        }
+        None
+    }
+
+    fn insert(&mut self, key: u64, image: MachineSnapshot, tail: TailRef, used: usize) {
+        let slot = self.entries.len() as u32;
+        let next = self.index.insert(key, slot).unwrap_or(NIL);
+        self.entries.push(LoneEntry {
+            key,
+            image,
+            tail,
+            next,
+            used,
+        });
+    }
+
+    /// Takes an executed run's lone points in and marks the entry it
+    /// spliced as used in `wave`. A point some entry already matches
+    /// exactly is dropped.
+    pub fn commit(&mut self, ex: &mut Executed, wave: usize) {
+        if let Some(s) = &ex.splice {
+            self.entries[s.entry as usize].used = wave;
+        }
+        let Some(rec) = ex.lone.take() else {
+            return;
+        };
+        let d0 = rec.points[0].depth;
+        let k0 = d0 - ex.consult_base;
+        let first = ex.consults.get(k0);
+        let thread = first.chosen;
+        let fps: Vec<Footprint> = (k0..ex.consults.len())
+            .map(|k| ex.consults.get(k).footprint_for(thread))
+            .collect();
+        let rest = ex.splice.as_ref().map(|s| s.tail.clone());
+        let tail = Arc::new(LoneTail {
+            thread: [thread],
+            first_last: first.last,
+            len: fps.len() + rest.as_ref().map_or(0, TailRef::len),
+            fps,
+            undo: rec.undo,
+            rest,
+            outcome: ex.outcome.clone(),
+            end_step: rec.end_step,
+        });
+        for p in rec.points {
+            if self
+                .find(p.key, |img| img.continuation_eq(&p.image))
+                .is_some()
+            {
+                continue;
+            }
+            let tail = TailRef {
+                tail: tail.clone(),
+                at: p.depth - d0,
+                undo_at: p.undo_at,
+            };
+            self.insert(p.key, p.image, tail, wave);
+        }
+    }
+
+    /// Drops, after merging `wave`, the entries no later wave is expected
+    /// to reach: those neither added nor spliced in the last
+    /// [`LONE_KEEP`] waves. Compacts the slots, so it runs only between
+    /// waves, when no splice in flight names one.
+    pub fn retire(&mut self, wave: usize) {
+        let live = |e: &LoneEntry| wave < e.used + LONE_KEEP;
+        if self.entries.iter().all(live) {
+            return;
+        }
+        self.entries.retain(live);
+        self.index.clear();
+        for (slot, e) in self.entries.iter_mut().enumerate() {
+            e.next = self.index.insert(e.key, slot as u32).unwrap_or(NIL);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,6 +1135,125 @@ mod tests {
             eligible: vec![ThreadId(0), ThreadId(1)],
             singles_from,
         }
+    }
+
+    /// `b` prints and exits; `a` prints, then makes many shared stores.
+    /// Run `b` first, or preempt `a` after its print: either way `a`
+    /// ends up alone in the same state at the same step, with the two
+    /// prints in opposite orders.
+    fn printers() -> Program {
+        let mut mb = ModuleBuilder::new("printers");
+        let g = mb.global("g", 0);
+        let mut fb = FuncBuilder::new("a", 0);
+        fb.output("a", 1);
+        for i in 0..24 {
+            fb.store_global(g, i);
+        }
+        fb.ret();
+        mb.function(fb.finish());
+        let mut fb = FuncBuilder::new("b", 0);
+        fb.output("b", 2);
+        fb.ret();
+        mb.function(fb.finish());
+        Program::from_entry_names(mb.finish(), &["a", "b"])
+    }
+
+    /// A from-scratch frontier plan forcing `prefix`.
+    fn forced(prefix: Vec<u32>) -> RunPlan {
+        RunPlan {
+            prefix,
+            resume: None,
+            capture: 0,
+            capture_from: 0,
+        }
+    }
+
+    /// Every consult of `ex`, a splice's included.
+    fn all_consults(ex: &Executed) -> Vec<Consult<'_>> {
+        let tail = ex.tail().into_iter().flat_map(TailRef::consults);
+        ex.consults.iter().chain(tail).collect()
+    }
+
+    #[test]
+    fn later_run_splices_the_lone_tail_of_an_earlier_one() {
+        let program = printers();
+        let runner = Runner::new(&program, &MachineConfig::default());
+        let mask = PointMask::SYNC_SHARED;
+        let mut memo = LoneMemo::default();
+        let mut first = runner.frontier(&forced(vec![1]), mask, Some(&memo));
+        assert!(first.splice.is_none(), "an empty memo splices nothing");
+        assert!(first.lone.is_some(), "a is alone once b exits");
+        memo.commit(&mut first, 0);
+        assert!(!memo.entries.is_empty());
+        let spliced = runner.frontier(&forced(vec![0, 1]), mask, Some(&memo));
+        let plain = runner.frontier(&forced(vec![0, 1]), mask, None);
+        assert!(spliced.spliced_steps() > 0, "the second run splices");
+        assert!(spliced.consults.len() < plain.consults.len());
+        assert_eq!(spliced.outcome, plain.outcome);
+        assert_eq!(spliced.trace, plain.trace);
+        assert_eq!(all_consults(&spliced), all_consults(&plain));
+        assert_eq!(spliced.undo_depth, plain.undo_depth);
+        assert_eq!(spliced.infeasible, plain.infeasible);
+        // The earlier run's tail printed in the other order: the
+        // continuation compare does not read outputs.
+        let outputs = |prefix: Vec<u32>| {
+            let mut sched = FrontierScheduler::new(prefix, mask);
+            let r = Machine::new(&program, MachineConfig::default()).run(&mut sched);
+            r.outputs.into_iter().map(|o| o.label).collect::<Vec<_>>()
+        };
+        assert_eq!(outputs(vec![1]), ["b", "a"]);
+        assert_eq!(outputs(vec![0, 1]), ["a", "b"]);
+    }
+
+    #[test]
+    fn memo_confirms_every_key_match_exactly() {
+        let program = printers();
+        let runner = Runner::new(&program, &MachineConfig::default());
+        let mask = PointMask::SYNC_SHARED;
+        let mut memo = LoneMemo::default();
+        let mut first = runner.frontier(&forced(vec![1]), mask, Some(&memo));
+        memo.commit(&mut first, 0);
+        // A key every machine hashes to: only the exact compare decides.
+        for e in &mut memo.entries {
+            e.key = 0;
+            e.next = NIL;
+        }
+        memo.index.clear();
+        memo.index.insert(0, 0);
+        let mut m = Machine::new(&program, MachineConfig::default());
+        assert!(
+            memo.find(0, |img| m.continuation_eq(img)).is_none(),
+            "a fresh machine is not a lone point"
+        );
+        m.restore_from(&memo.entries[0].image);
+        assert_eq!(memo.find(0, |img| m.continuation_eq(img)), Some(0));
+    }
+
+    #[test]
+    fn memo_drops_entries_idle_for_lone_keep_waves() {
+        let program = printers();
+        let runner = Runner::new(&program, &MachineConfig::default());
+        let mask = PointMask::SYNC_SHARED;
+        let mut memo = LoneMemo::default();
+        let mut first = runner.frontier(&forced(vec![1]), mask, Some(&memo));
+        memo.commit(&mut first, 0);
+        let n = memo.entries.len();
+        assert!(n >= 2, "the first run records several lone points");
+        memo.retire(LONE_KEEP - 1);
+        assert_eq!(memo.entries.len(), n, "still within reach");
+        // A splice keeps the entry it read alive; the idle ones go.
+        let mut again = runner.frontier(&forced(vec![0, 1]), mask, Some(&memo));
+        let entry = again.splice.as_ref().expect("spliced").entry;
+        let key = memo.entries[entry as usize].key;
+        memo.commit(&mut again, LONE_KEEP);
+        memo.retire(LONE_KEEP);
+        assert!(memo.entries.len() < n, "idle entries dropped");
+        assert!(memo.entries.iter().all(|e| e.used == LONE_KEEP));
+        let slot = memo.index[&key];
+        assert_eq!(memo.entries[slot as usize].key, key, "index rebuilt");
+        memo.retire(2 * LONE_KEEP);
+        assert!(memo.entries.is_empty());
+        assert!(memo.index.is_empty());
     }
 
     #[test]
@@ -914,8 +1426,9 @@ mod tests {
                 capture_from: 1,
             },
             mask,
+            None,
         );
-        let root = probe.consults[0].eligible.clone();
+        let root = probe.consults.get(0).eligible.to_vec();
         let cfg = PctConfig {
             depth: 3,
             k: 16,
@@ -938,6 +1451,7 @@ mod tests {
                     capture: CAPTURE_PER_RUN,
                 },
                 mask,
+                None,
             );
             tree.absorb(&mut ex);
         }

@@ -245,10 +245,11 @@ pub struct ThreadState {
     /// [`crate::ThreadSpec`] — keeping it out of per-run state avoids a
     /// per-run allocation per thread.
     pub id: ThreadId,
-    /// Call stack; empty once the thread is done. Push with
-    /// [`ThreadState::push_frame`] and pop with [`ThreadState::pop_frame`],
-    /// which keep the live stack-word count.
-    pub frames: Vec<Frame>,
+    /// Call stack; empty once the thread is done. Private so that every
+    /// push and pop goes through [`ThreadState::push_frame`] and
+    /// [`ThreadState::pop_frame`] (and rollback), which keep
+    /// `stack_words` — part of thread equality — in step with it.
+    frames: Vec<Frame>,
     /// Scheduling status.
     pub status: ThreadStatus,
     /// The single thread-local checkpoint slot.
@@ -318,6 +319,12 @@ impl ThreadState {
             self.trace.pop_front();
         }
         self.trace.push_back((step, loc));
+    }
+
+    /// The call stack, outermost frame first (empty once the thread is
+    /// done).
+    pub fn frames(&self) -> &[Frame] {
+        &self.frames
     }
 
     /// The active frame.

@@ -247,7 +247,8 @@ pub enum TraceEvent {
         /// Bytes the snapshot tree holds that no other image shares
         /// (insert-time accounting — the eviction pressure signal).
         resident_bytes: u64,
-        /// Interpreter steps saved by prefix-sharing snapshot resume.
+        /// Interpreter steps saved by prefix-sharing snapshot resume and
+        /// by splicing lone-thread remainders.
         steps_saved: u64,
         /// Waves completed.
         wave: u64,

@@ -82,12 +82,12 @@ fn mk_thread() -> ThreadState {
 /// Frame-by-frame equality of the two threads.
 fn assert_same(real: &ThreadState, shadow: &ThreadState, step: usize) -> Result<(), TestCaseError> {
     prop_assert_eq!(
-        real.frames.len(),
-        shadow.frames.len(),
+        real.frames().len(),
+        shadow.frames().len(),
         "frame depth diverged at step {}",
         step
     );
-    for (i, (rf, sf)) in real.frames.iter().zip(&shadow.frames).enumerate() {
+    for (i, (rf, sf)) in real.frames().iter().zip(shadow.frames()).enumerate() {
         prop_assert_eq!(
             &rf.regs,
             &sf.regs,
@@ -129,20 +129,23 @@ struct FullClone {
 fn clone_save(t: &ThreadState) -> FullClone {
     let top = t.top();
     FullClone {
-        frame_depth: t.frames.len(),
+        frame_depth: t.frames().len(),
         regs: top.regs.clone(),
         pc: top.pc.wrapping_sub(1),
     }
 }
 
-/// The full-clone `longjmp`: truncate frames and restore the saved
-/// register image wholesale.
+/// The full-clone `longjmp`: pop frames down to the checkpoint depth and
+/// restore the saved register image wholesale. The shadow never saves a
+/// checkpoint of its own, so its pops retire nothing.
 fn clone_restore(t: &mut ThreadState, cp: &FullClone) {
     assert!(
-        cp.frame_depth <= t.frames.len(),
+        cp.frame_depth <= t.frames().len(),
         "clone checkpoint above current stack"
     );
-    t.frames.truncate(cp.frame_depth);
+    while t.frames().len() > cp.frame_depth {
+        t.pop_frame();
+    }
     let top = t.top_mut();
     top.regs = cp.regs.clone();
     top.pc = cp.pc;
@@ -182,7 +185,7 @@ proptest! {
                     shadow.top_mut().locals[*s] = *v;
                 }
                 Op::Call(dst) => {
-                    if real.frames.len() >= MAX_DEPTH {
+                    if real.frames().len() >= MAX_DEPTH {
                         continue;
                     }
                     let width = real.top().regs.len();
@@ -192,21 +195,22 @@ proptest! {
                         FuncId(1), CALLEE_REGS, LOCALS, &args, ret_dst,
                     ))
                     .expect("far under the stack-words cap");
-                    shadow.frames.push(Frame::with_sizes(
+                    shadow.push_frame(Frame::with_sizes(
                         FuncId(1), CALLEE_REGS, LOCALS, &args, ret_dst,
-                    ));
+                    ))
+                    .expect("far under the stack-words cap");
                 }
                 Op::Ret(v) => {
                     // Never pop the root frame, and never pop the frame an
                     // active checkpoint is pinned to (the interpreter's
                     // checkpoint placement guarantees checkpoints dominate
                     // their failure sites within the frame).
-                    if real.frames.len() <= pinned_depth(&real) {
+                    if real.frames().len() <= pinned_depth(&real) {
                         continue;
                     }
                     let cp_before = real.checkpoint;
                     let fin_real = real.pop_frame();
-                    let fin_shadow = shadow.frames.pop().expect("guarded above");
+                    let fin_shadow = shadow.pop_frame();
                     prop_assert_eq!(fin_real.ret_dst, fin_shadow.ret_dst);
                     // The guard means this pop never retires the checkpoint.
                     prop_assert_eq!(real.checkpoint, cp_before);

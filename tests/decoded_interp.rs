@@ -389,7 +389,7 @@ fn run_forced(
     program: &Program,
     prefix: Vec<u32>,
     mask: PointMask,
-) -> (RunResult, Vec<conair_runtime::Consult>) {
+) -> (RunResult, conair_runtime::Consults) {
     let mut sched = FrontierScheduler::new(prefix, mask);
     let r = Machine::new(program, config()).run(&mut sched);
     (r, sched.into_consults())

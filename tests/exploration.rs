@@ -402,3 +402,83 @@ fn systematic_searches_never_repeat_a_schedule() {
         }
     }
 }
+
+/// Thread `w` stores `g` and exits; thread `r` prints, makes eight
+/// shared stores, then asserts a flag nobody sets. Hardened, the assert
+/// rolls `r` back until its retries run out, so every schedule in which
+/// `w` finishes first ends in rollbacks made by `r` alone — the part of a
+/// run a later schedule splices instead of interpreting.
+fn lone_retrier() -> Program {
+    let mut mb = ModuleBuilder::new("lone_retrier");
+    let g = mb.global("g", 0);
+    let h = mb.global("h", 0);
+    let flag = mb.global("flag", 0);
+    let mut fb = FuncBuilder::new("w", 0);
+    fb.store_global(g, 1);
+    fb.ret();
+    mb.function(fb.finish());
+    let mut fb = FuncBuilder::new("r", 0);
+    fb.output("r", 1);
+    for i in 0..8 {
+        fb.store_global(h, i);
+    }
+    let v = fb.load_global(flag);
+    let ok = fb.cmp(CmpKind::Eq, v, 1);
+    fb.assert(ok, "flag must be set");
+    fb.ret();
+    mb.function(fb.finish());
+    Program::from_entry_names(mb.finish(), &["w", "r"])
+}
+
+/// The series of `name` (histogram buckets included) in a Prometheus dump.
+fn prom_series<'a>(prom: &'a str, name: &str) -> Vec<&'a str> {
+    prom.lines().filter(|l| l.starts_with(name)).collect()
+}
+
+#[test]
+fn splicing_carries_rollbacks_and_leaves_observations_unchanged() {
+    let hardened = Conair::survival().harden(&lone_retrier()).program;
+    let config = MachineConfig {
+        max_retries: 3,
+        retry_backoff: true,
+        ..machine()
+    };
+    for strategy in [
+        ExploreStrategy::Bounded { preemptions: 1 },
+        ExploreStrategy::Dpor { preemptions: 1 },
+    ] {
+        let observe = |snapshot_budget: usize| {
+            let mut ec = ExploreConfig::new(strategy);
+            ec.mask = PointMask::SYNC_SHARED;
+            ec.budget = 256;
+            ec.stop_at_first = false;
+            ec.snapshot_budget = snapshot_budget;
+            let mut obs = ExploreObserver::new().with_traces();
+            let report = explore_observed(&hardened, &config, &ec, Some(&mut obs));
+            let prom = obs.render_prometheus(&report);
+            (report, obs.traces().to_vec(), prom)
+        };
+        let (cached, cached_traces, cached_prom) = observe(8192);
+        let (plain, plain_traces, plain_prom) = observe(0);
+        let label = strategy.label();
+        assert!(cached.exhausted && cached.failures > 0, "{label}");
+        assert_eq!(cached.normalized(), plain.normalized(), "{label}");
+        assert_eq!(cached_traces, plain_traces, "{label}: traces");
+        let spliced = prom_series(&cached_prom, "conair_explore_spliced_steps_total ");
+        assert_ne!(
+            spliced,
+            ["conair_explore_spliced_steps_total 0"],
+            "{label}: some run spliced"
+        );
+        let undo = prom_series(&cached_prom, "conair_explore_undo_depth");
+        assert_eq!(
+            undo,
+            prom_series(&plain_prom, "conair_explore_undo_depth"),
+            "{label}: spliced runs carry their remainder's rollbacks"
+        );
+        assert!(
+            !undo.contains(&"conair_explore_undo_depth_count 0"),
+            "{label}: runs rolled back"
+        );
+    }
+}

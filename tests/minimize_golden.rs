@@ -27,7 +27,9 @@
 //! stopped hashing decision prefixes, and both changes had to leave it
 //! fixed. The raw hash zeroes only the wall-clock fields, so it also fixes
 //! every capture and resume decision the search makes; the DPOR rows'
-//! raw hashes were re-recorded when the captures moved.
+//! raw hashes were re-recorded when the captures moved, and the rows whose
+//! runs splice lone-thread remainders were re-recorded when `steps_saved`
+//! started counting the spliced steps.
 
 use conair::Conair;
 use conair_runtime::{
@@ -174,7 +176,7 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "HawkNL",
         search: Search::Dpor,
         schedules: 9,
-        report_hash: 0x49d3_606d_b226_a727,
+        report_hash: 0x0adb_be0b_bed5_d632,
         shape_hash: 0x02a0_ce84_6242_69e0,
     },
     SearchGolden {
@@ -230,14 +232,14 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "MozillaJS",
         search: Search::Hint,
         schedules: 40,
-        report_hash: 0xf5e4_9cb0_a899_35d7,
+        report_hash: 0x2477_4852_2851_4b99,
         shape_hash: 0x6446_b19d_b88a_75db,
     },
     SearchGolden {
         app: "MozillaJS",
         search: Search::Dpor,
         schedules: 9,
-        report_hash: 0xa951_70a0_5d98_54f4,
+        report_hash: 0x14ef_06d4_70cb_235f,
         shape_hash: 0x1936_d28e_5cca_f7e0,
     },
     SearchGolden {
@@ -279,7 +281,7 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "SQLite",
         search: Search::Dpor,
         schedules: 8,
-        report_hash: 0x8490_7bfa_97a6_c076,
+        report_hash: 0xf252_f0c5_f6aa_77af,
         shape_hash: 0x854a_e982_3509_58c0,
     },
     SearchGolden {
@@ -314,21 +316,21 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "FFT",
         search: Search::Verify,
         schedules: 248,
-        report_hash: 0xc383_340e_ea39_440a,
+        report_hash: 0x17bf_fcf3_08bc_108a,
         shape_hash: 0x46f0_a61e_e6a5_8ec0,
     },
     SearchGolden {
         app: "HawkNL",
         search: Search::Verify,
         schedules: 211,
-        report_hash: 0x4a36_0ed4_c83f_6f15,
+        report_hash: 0xc416_7bb5_1fd6_145a,
         shape_hash: 0x6e43_92b5_dbd2_3ba7,
     },
     SearchGolden {
         app: "SQLite",
         search: Search::Verify,
         schedules: 324,
-        report_hash: 0x8178_ad9f_484c_d7a4,
+        report_hash: 0x7c6c_57aa_2175_03f0,
         shape_hash: 0xc149_d457_78f4_3f91,
     },
 ];

@@ -51,7 +51,7 @@ fn run_forced(
     config: MachineConfig,
     prefix: Vec<u32>,
     mask: PointMask,
-) -> (RunResult, Vec<conair_runtime::Consult>) {
+) -> (RunResult, conair_runtime::Consults) {
     let mut sched = FrontierScheduler::new(prefix, mask);
     let result = Machine::new(program, config).run(&mut sched);
     (result, sched.into_consults())
@@ -93,7 +93,7 @@ fn fork_matches_scratch(name: &str, mask: PointMask) {
     assert!(!snaps.is_empty(), "{name}: default run captured snapshots");
     for c in &snaps {
         assert!(
-            c.eligible.len() >= 2 && c.eligible == consults[c.depth].eligible,
+            c.eligible.len() >= 2 && c.eligible == consults.get(c.depth).eligible,
             "{name}: capture at depth {} is not the branch point it names",
             c.depth
         );
@@ -184,7 +184,7 @@ fn spread_matches_scratch(name: &str, mask: PointMask, limit: usize) {
     let (reference, consults) = run_forced(&w.program, config, Vec::new(), mask);
     assert_identical(&reference, &captured, &format!("{name}: capture run"));
     let forks: Vec<usize> = (from..consults.len())
-        .filter(|&i| consults[i].eligible.len() >= 2)
+        .filter(|&i| consults.get(i).eligible.len() >= 2)
         .collect();
     assert!(
         forks.len() > 2 * limit,
@@ -209,7 +209,8 @@ fn spread_matches_scratch(name: &str, mask: PointMask, limit: usize) {
     let trace = reference.decisions.clone().expect("recorded");
     for c in &snaps {
         assert_eq!(
-            c.eligible, consults[c.depth].eligible,
+            c.eligible,
+            consults.get(c.depth).eligible,
             "{name}: eligible set"
         );
         let forked = resume_forced(

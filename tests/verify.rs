@@ -7,7 +7,8 @@
 
 use conair::Conair;
 use conair_runtime::{
-    explore, ExploreConfig, ExploreReport, ExploreStrategy, MachineConfig, PointMask, Program,
+    explore, explore_observed, ExploreConfig, ExploreObserver, ExploreReport, ExploreStrategy,
+    MachineConfig, PointMask, Program,
 };
 use conair_workloads::{verify_hint, workload_by_name};
 
@@ -80,15 +81,16 @@ macro_rules! verify_test {
     };
 }
 
-// The five small catalog workloads of the acceptance bar. (The other
-// five also verify clean but take minutes to exhaust — HTTrack and
-// MozillaXP at thousands of schedules, the MySQL pair at tens of
-// thousands — so CI holds the fast ones.)
+// The five small catalog workloads of the acceptance bar, and
+// Transmission. (The other four also verify clean, but HTTrack and
+// MozillaXP run thousands of schedules and the MySQL pair thousands of
+// long ones, seconds to minutes each, so CI holds the fast ones.)
 verify_test!(verifies_fft, "FFT");
 verify_test!(verifies_zsnes, "ZSNES");
 verify_test!(verifies_hawknl, "HawkNL");
 verify_test!(verifies_sqlite, "SQLite");
 verify_test!(verifies_mozilla_js, "MozillaJS");
+verify_test!(verifies_transmission, "Transmission");
 
 #[test]
 fn unhardened_is_falsified_under_the_same_model() {
@@ -148,42 +150,55 @@ fn dpor_reaches_first_bug_10x_sooner_than_bounded() {
 
 #[test]
 fn verification_is_jobs_and_cache_invariant() {
-    // The acceptance determinism bar on a real workload: the exhaustive
+    // The acceptance determinism bar on real workloads: the exhaustive
     // verdict, the DPOR counters and every normalized report field are
     // bit-identical across worker counts and with the snapshot cache off.
-    let name = "HawkNL";
-    let w = workload_by_name(name).expect("registered workload");
-    let hint = verify_hint(name).unwrap();
-    let hardened = Conair::survival().harden(&w.program);
-    let config = verify_machine(hint.max_retries);
-    let mut ec = ExploreConfig::new(ExploreStrategy::Dpor {
-        preemptions: hint.preemptions,
-    });
-    ec.mask = PointMask::SYNC_SHARED;
-    ec.budget = hint.budget;
-    let baseline = explore(&hardened.program, &config, &ec);
-    assert!(baseline.exhausted && baseline.failures == 0);
-    for jobs in [2, 4] {
-        ec.jobs = jobs;
-        let fanned = explore(&hardened.program, &config, &ec);
+    // The cached searches splice lone-thread remainders (they skip
+    // steps that way), so budget 0 is the splice's oracle too.
+    for name in ["FFT", "HawkNL", "SQLite"] {
+        let w = workload_by_name(name).expect("registered workload");
+        let hint = verify_hint(name).unwrap();
+        let hardened = Conair::survival().harden(&w.program);
+        let config = verify_machine(hint.max_retries);
+        let mut ec = ExploreConfig::new(ExploreStrategy::Dpor {
+            preemptions: hint.preemptions,
+        });
+        ec.mask = PointMask::SYNC_SHARED;
+        ec.budget = hint.budget;
+        let mut obs = ExploreObserver::new();
+        let baseline = explore_observed(&hardened.program, &config, &ec, Some(&mut obs));
+        assert!(baseline.exhausted && baseline.failures == 0, "{name}");
+        let prom = obs.render_prometheus(&baseline);
+        let spliced: u64 = prom
+            .lines()
+            .find_map(|l| l.strip_prefix("conair_explore_spliced_steps_total "))
+            .and_then(|v| v.parse().ok())
+            .expect("spliced-steps counter");
+        assert!(spliced > 0, "{name}: no run spliced");
+        for jobs in [2, 4] {
+            ec.jobs = jobs;
+            let fanned = explore(&hardened.program, &config, &ec);
+            assert_eq!(
+                baseline.normalized(),
+                fanned.normalized(),
+                "{name}: --jobs {jobs} diverged"
+            );
+            assert_eq!(
+                baseline.dpor, fanned.dpor,
+                "{name}: --jobs {jobs} changed dpor counters"
+            );
+            assert_eq!(baseline.exhausted, fanned.exhausted);
+            assert_eq!(baseline.steps_saved, fanned.steps_saved, "{name}");
+        }
+        ec.jobs = 1;
+        ec.snapshot_budget = 0;
+        let uncached = explore(&hardened.program, &config, &ec);
+        assert_eq!(uncached.steps_saved, 0);
         assert_eq!(
             baseline.normalized(),
-            fanned.normalized(),
-            "--jobs {jobs} diverged"
+            uncached.normalized(),
+            "{name}: snapshot cache changed the verdict"
         );
-        assert_eq!(
-            baseline.dpor, fanned.dpor,
-            "--jobs {jobs} changed dpor counters"
-        );
-        assert_eq!(baseline.exhausted, fanned.exhausted);
+        assert_eq!(baseline.dpor, uncached.dpor, "{name}");
     }
-    ec.jobs = 1;
-    ec.snapshot_budget = 0;
-    let uncached = explore(&hardened.program, &config, &ec);
-    assert_eq!(
-        baseline.normalized(),
-        uncached.normalized(),
-        "snapshot cache changed the verdict"
-    );
-    assert_eq!(baseline.dpor, uncached.dpor);
 }
