@@ -1270,8 +1270,15 @@ fn render_explore_report(report: &ExploreReport) -> String {
     if report.snapshots_taken > 0 || report.snapshot_hits > 0 {
         let _ = writeln!(
             out,
-            "  snapshot tree: {} taken, {} schedules resumed, {} steps saved",
-            report.snapshots_taken, report.snapshot_hits, report.steps_saved
+            "  snapshot tree: {} taken, {} schedules resumed",
+            report.snapshots_taken, report.snapshot_hits
+        );
+    }
+    if report.steps_saved > 0 {
+        let _ = writeln!(
+            out,
+            "  steps saved: {} (resumed prefixes + spliced lone tails)",
+            report.steps_saved
         );
     }
     if report.phases.total_us() > 0 {
@@ -1628,9 +1635,10 @@ pub fn cmd_stats(jsonl: &str) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "frontier: {frontier} prefixes, snapshot tree: {snapshot_nodes} nodes \
-             ({} KiB resident), {steps_saved} steps saved",
+             ({} KiB resident)",
             resident_bytes / 1024
         );
+        let _ = writeln!(out, "steps saved: {steps_saved}");
     }
     if wave_count > 0 {
         let _ = writeln!(
@@ -2314,6 +2322,7 @@ bb0:
         };
         let (out, files, _) = cmd_explore(DEMO, &opts).unwrap();
         assert!(out.contains("snapshot tree: "), "{out}");
+        assert!(out.contains("steps saved: "), "{out}");
         let report_json = &files.iter().find(|(p, _)| p == "report.json").unwrap().1;
         let (rendered, _) = cmd_report(report_json, 0, false).unwrap();
         assert!(rendered.contains("snapshot tree: "), "{rendered}");
@@ -2326,6 +2335,7 @@ bb0:
         };
         let (off_out, off_files, _) = cmd_explore(DEMO, &off).unwrap();
         assert!(!off_out.contains("snapshot tree: "), "{off_out}");
+        assert!(!off_out.contains("steps saved: "), "{off_out}");
         let off_json = &off_files
             .iter()
             .find(|(p, _)| p == "report.json")
@@ -2426,6 +2436,7 @@ bb0:
         assert!(events.iter().any(|e| e.kind_name() == "explore-progress"));
         let stats = cmd_stats(&stream).unwrap();
         assert!(stats.contains("schedules: "), "{stats}");
+        assert!(stats.contains("\nsteps saved: "), "{stats}");
         assert!(stats.contains("phase breakdown"), "{stats}");
         let (timeline, _) = cmd_report(&stream, 0, false).unwrap();
         assert!(timeline.contains("explore wave"), "{timeline}");

@@ -16,9 +16,10 @@
 //!
 //! All three run one wave loop: schedules execute in waves fanned across a
 //! [`TrialPool`](crate::TrialPool), and results merge in schedule-index
-//! order. Wave widths ramp 16 → 256 as a function of the wave index only
-//! (never of `--jobs`), so the explored set, the failure counts and the
-//! first failing schedule are **bit-identical across job counts** —
+//! order. Wave widths are a function of the wave index only (never of
+//! `--jobs`): a keep-going PCT sweep doubles from 1, every other search
+//! ramps 16 → 256. So the explored set, the failure counts and the first
+//! failing schedule are **bit-identical across job counts** —
 //! parallelism changes wall time only. The strategies differ at two hooks:
 //!
 //! * **Assembly** — where a wave's schedules come from. PCT walks each
@@ -48,11 +49,11 @@
 //! 554505 and 554512. Each PCT run's scheduler is advanced down the
 //! retained nodes before it starts.
 //!
-//! The second is **lone-tail splicing** (`runner.rs`): once a bounded or
-//! DPOR run is past its forced prefix with one thread left, it stops at
-//! the first state an earlier run recorded exactly and appends that
+//! The second is **lone-tail splicing** (`runner.rs`): once a run is past
+//! its forced prefix (PCT runs have none) with one thread left, it stops
+//! at the first state an earlier run recorded exactly and appends that
 //! run's remaining consults, decisions and outcome. Both layers are on
-//! exactly when `snapshot_budget > 0`.
+//! for every strategy exactly when `snapshot_budget > 0`.
 //!
 //! [`MachineSnapshot`]: crate::MachineSnapshot
 
@@ -84,6 +85,10 @@ use crate::trace::{TraceEvent, TraceSink};
 /// failure; large late waves amortize the fan-out barrier (the fixed
 /// 16-wide waves of the first engine cost PCT its parallel speedup).
 const WAVE_BASE: usize = 16;
+
+/// First-wave width of a keep-going PCT sweep: each wave resumes from and
+/// splices onto every earlier wave's runs, so the sweep starts narrow.
+const PCT_WAVE_BASE: usize = 1;
 
 /// Wave-width ceiling.
 const WAVE_MAX: usize = 256;
@@ -321,11 +326,11 @@ fn count_resume(report: &mut ExploreReport, resume: Option<&Resume>) {
     }
 }
 
-/// Width of wave `i`: the 16 → 256 ramp. A function of the wave index
-/// only — never of `jobs` or the stop mode — so the explored schedule set
-/// is invariant across both.
-fn wave_width(wave: usize) -> usize {
-    (WAVE_BASE << wave.min(4)).min(WAVE_MAX)
+/// Width of wave `wave` of a ramp that starts at `base` and doubles up to
+/// [`WAVE_MAX`]. A function of the wave index only — never of `jobs` — so
+/// the explored schedule set is invariant across job counts.
+fn wave_width(base: usize, wave: usize) -> usize {
+    (base << wave.min(WAVE_MAX.ilog2() as usize)).min(WAVE_MAX)
 }
 
 /// Observability hooks for [`explore_observed`]: an optional [`TraceSink`]
@@ -795,11 +800,11 @@ pub fn explore_observed(
         0
     };
     let mut tree = SnapshotTree::new(ec.snapshot_budget);
-    // Systematic runs also splice lone-thread ends other runs recorded.
-    // Like the tree, the memo is on exactly when the cache is: budget 0
-    // is the unspliced oracle.
+    // Runs also splice lone-thread ends other runs recorded. Like the
+    // tree, the memo is on exactly when the cache is: budget 0 is the
+    // unspliced oracle.
     let mut memo = LoneMemo::default();
-    let lone = systematic && ec.snapshot_budget > 0;
+    let lone = ec.snapshot_budget > 0;
 
     // Schedule 0 in every strategy: the probe — the non-preemptive
     // default schedule (empty forced prefix). It measures PCT's `k`, is
@@ -860,25 +865,25 @@ pub fn explore_observed(
     let done = |report: &ExploreReport| {
         report.schedules >= ec.budget || (ec.stop_at_first && report.first_failure.is_some())
     };
+    // PCT runs are mutually independent: nothing flows between waves but
+    // the stop-at-first check, the tree and the lone memo. A run resumes
+    // only from, and splices only onto, runs of earlier waves, so a
+    // keep-going sweep doubles from one run: on a two-thread program most
+    // seeds repeat a few schedules, and each later wave finds them
+    // captured. Stop-at-first searches ramp from 16, so small early waves
+    // keep them from overshooting the first failure while the fan-out
+    // barriers stay few, and so do the systematic searches, whose next
+    // wave is this one's children.
+    let wave_base = if systematic || ec.stop_at_first {
+        WAVE_BASE
+    } else {
+        PCT_WAVE_BASE
+    };
     let mut wave = 0usize;
     while !done(&report) {
         let wave_start = Instant::now();
         let base = report.schedules;
-        // PCT runs are mutually independent — nothing flows between waves
-        // except the stop-at-first check and the tree. Without it, the
-        // 16 → 256 ramp only inserts fan-out barriers (a fresh thread
-        // scope + channel drain per wave) between runs that never needed
-        // to synchronize: on a full-budget search that overhead ate the
-        // whole parallel speedup. A keep-going sweep therefore takes the
-        // entire remaining budget in one wave; the ramp stays for
-        // stop-at-first searches, where small early waves keep the search
-        // from overshooting the first failure, and for the systematic
-        // searches, whose next wave depends on this one's children.
-        let room = if systematic || ec.stop_at_first {
-            wave_width(wave).min(ec.budget - base)
-        } else {
-            ec.budget - base
-        };
+        let room = wave_width(wave_base, wave).min(ec.budget - base);
         // Captures serve later waves only. PCT's wave that spends the
         // budget takes none. Once a systematic frontier outgrows the tree
         // budget, FIFO pops lag inserts by more than the LRU can span:
@@ -957,9 +962,14 @@ pub fn explore_observed(
         if jobs.is_empty() {
             break;
         }
+        // Lone points, too, serve later waves only: the wave that spends
+        // the budget records none, but still splices.
+        if base + jobs.len() >= ec.budget {
+            memo.seal();
+        }
         let memo_now = lone.then_some(&memo);
         let results = pool.map(jobs.len(), |j| match &jobs[j] {
-            Job::Pct(plan) => runner.pct(plan),
+            Job::Pct(plan) => runner.pct(plan, memo_now),
             Job::Frontier(plan, _) => runner.frontier(plan, ec.mask, memo_now),
         });
         let merge_start = Instant::now();

@@ -20,15 +20,18 @@
 //! deterministic and identical across `--jobs`. Workers only ever read
 //! images through the `Arc`.
 //!
-//! Frontier runs also share their ends. Once a run is past its forced
-//! prefix and every other thread is done, the rest of it is a
-//! single-threaded continuation decided by the machine state alone. At
-//! such *lone consults* the run looks itself up in the [`LoneMemo`] of
-//! lone points earlier runs recorded, and on an exact match stops
-//! interpreting and splices the earlier run's remaining consults,
-//! decisions and outcome ([`TailRef`]). The memo changes only between
-//! waves, on the exploring thread, so splices too are identical across
-//! `--jobs`.
+//! Runs also share their ends. Once a run is past its forced prefix (a
+//! PCT run has none) and every other thread is done, the rest of it is a
+//! single-threaded continuation decided by the machine state alone: the
+//! one eligible thread is every scheduler's only pick. At such *lone
+//! consults* the run looks itself up in the [`LoneMemo`] of lone points
+//! earlier runs recorded, and on an exact match stops interpreting and
+//! splices the earlier run's remaining consults, decisions and outcome
+//! ([`TailRef`]). The memo changes only between waves, on the exploring
+//! thread, so splices too are identical across `--jobs`. Frontier and
+//! PCT runs execute through one body ([`Runner::frontier`] and
+//! [`Runner::pct`] only build their schedulers), and both record their
+//! consults, which a lone point's remainder is made of.
 //!
 //! [`super::minimize`] uses the runner without a tree: its few candidates
 //! run from step zero ([`Runner::replay`]) on the runner's one
@@ -50,7 +53,7 @@ use crate::machine::{
     SnapshotFootprint,
 };
 use crate::metrics::Histogram;
-use crate::outcome::{RunOutcome, RunResult};
+use crate::outcome::RunOutcome;
 use crate::program::Program;
 
 /// Snapshots one run may deposit into the tree. A frontier run spreads
@@ -80,8 +83,8 @@ pub(super) struct Resume {
     pub preemptions: usize,
 }
 
-/// One executed schedule: outcome + recorded decisions (+ consults when a
-/// frontier scheduler ran it) + the branch captures it deposits.
+/// One executed schedule: outcome + recorded decisions and consults + the
+/// branch captures it deposits.
 pub(super) struct Executed {
     pub outcome: RunOutcome,
     pub trace: DecisionTrace,
@@ -103,10 +106,11 @@ pub(super) struct Executed {
     pub capture_wall: Duration,
     /// Wall time spent restoring the resume snapshot (zero from scratch).
     pub restore_wall: Duration,
-    /// Live scheduler decisions (excludes decisions a resume skipped).
+    /// Live scheduler decisions (excludes decisions a resume skipped or a
+    /// splice made).
     pub picks: u64,
-    /// PCT priority demotions of the whole schedule, fast-forwarded ones
-    /// included (0 for frontier runs).
+    /// PCT priority demotions of the whole schedule, fast-forwarded and
+    /// spliced ones included (0 for frontier runs).
     pub demotions: u64,
     /// Register undo-log depths at the run's rollbacks (prefix samples
     /// repeat across schedules sharing a resumed prefix), a splice's
@@ -180,16 +184,18 @@ impl<'p> Runner<'p> {
 
     /// Runs `sched` from `resume` (or from step zero), capturing up to
     /// `capture` branch points from decision `capture_from` on, placed per
-    /// `placement`, with `hook` at every lone consult.
-    fn run<S: Scheduler, H: LoneHook>(
+    /// `placement`. With a `memo`, the run looks up its lone consults,
+    /// splices the first one the memo already holds, and records lone
+    /// points of its own unless the memo is sealed.
+    fn execute<S: RunScheduler>(
         &self,
-        sched: &mut S,
+        mut sched: S,
         resume: Option<&Resume>,
         capture_from: usize,
         capture: usize,
         placement: CapturePlacement,
-        hook: &mut H,
-    ) -> (RunResult, Vec<BranchCapture>, Duration) {
+        memo: Option<&LoneMemo>,
+    ) -> Executed {
         let mut machine = Machine::with_shared_dense(self.program, self.dense.clone(), self.config);
         let restore_wall = match resume {
             Some(r) => {
@@ -199,70 +205,48 @@ impl<'p> Runner<'p> {
             }
             None => Duration::ZERO,
         };
-        let (result, snaps) = machine.run_frontier(sched, capture_from, capture, placement, hook);
-        (result, snaps, restore_wall)
-    }
-
-    /// Executes a frontier candidate, recording its consults. Its
-    /// captures spread over the whole run: its children branch anywhere
-    /// past its prefix. With a `memo`, the run records lone points past
-    /// its prefix and splices the first one the memo already holds.
-    pub fn frontier(&self, plan: &RunPlan, mask: PointMask, memo: Option<&LoneMemo>) -> Executed {
-        let (consult_base, base_preemptions) = plan
-            .resume
-            .as_ref()
-            .map_or((0, 0), |r| (r.depth, r.preemptions));
-        let mut sched = FrontierScheduler::resume(plan.prefix.clone(), consult_base, mask);
-        let resume = plan.resume.as_ref();
-        let (result, snaps, restore_wall, lone) = match memo {
-            Some(memo) => {
-                let mut hook = LoneRun::new(memo, plan.prefix.len());
-                let (result, snaps, restore_wall) = self.run(
-                    &mut sched,
-                    resume,
-                    plan.capture_from,
-                    plan.capture,
-                    CapturePlacement::Spread,
-                    &mut hook,
-                );
-                (result, snaps, restore_wall, Some(hook))
-            }
-            None => {
-                let (result, snaps, restore_wall) = self.run(
-                    &mut sched,
-                    resume,
-                    plan.capture_from,
-                    plan.capture,
-                    CapturePlacement::Spread,
-                    &mut (),
-                );
-                (result, snaps, restore_wall, None)
-            }
+        let mut hook = memo.map(|memo| LoneRun::new(memo, sched.lone_from()));
+        let (result, snaps) = match hook.as_mut() {
+            Some(hook) => machine.run_frontier(&mut sched, capture_from, capture, placement, hook),
+            None => machine.run_frontier(&mut sched, capture_from, capture, placement, &mut ()),
         };
-        let (picks, infeasible) = (sched.picks(), sched.infeasible());
+        let (consult_base, base_preemptions) = resume.map_or((0, 0), |r| (r.depth, r.preemptions));
         let mut ex = Executed {
             outcome: result.outcome,
-            trace: result
-                .decisions
-                .unwrap_or_else(|| DecisionTrace::new("bounded", 0, mask)),
-            consults: sched.into_consults(),
+            trace: result.decisions.expect("the runner records decisions"),
+            consults: Consults::default(),
             consult_base,
             base_preemptions,
             snaps,
-            infeasible,
+            infeasible: false,
             run_wall: result.stats.wall,
             capture_wall: result.stats.snapshot_wall,
             restore_wall,
-            picks,
+            picks: 0,
             demotions: 0,
             undo_depth: result.stats.undo_depth,
             splice: None,
             lone: None,
         };
-        if let Some(hook) = lone {
+        if let Some(hook) = hook {
             hook.close(&mut ex, result.stats.steps);
         }
+        sched.close(&mut ex, self.threads());
         ex
+    }
+
+    /// Executes a frontier candidate. Its captures spread over the whole
+    /// run: its children branch anywhere past its prefix.
+    pub fn frontier(&self, plan: &RunPlan, mask: PointMask, memo: Option<&LoneMemo>) -> Executed {
+        let start = plan.resume.as_ref().map_or(0, |r| r.depth);
+        self.execute(
+            FrontierScheduler::resume(plan.prefix.clone(), start, mask),
+            plan.resume.as_ref(),
+            plan.capture_from,
+            plan.capture,
+            CapturePlacement::Spread,
+            memo,
+        )
     }
 
     /// Executes `prefix` as a frontier candidate from step zero, capturing
@@ -281,39 +265,99 @@ impl<'p> Runner<'p> {
     /// just past its resume point: everything shallower is already in the
     /// tree, and [`SnapshotTree::walk_pct`] can only follow a contiguous
     /// chain of nodes from the root.
-    pub fn pct(&self, plan: &PctPlan) -> Executed {
-        let mut sched = plan.sched.clone();
-        let skipped = sched.decisions();
+    pub fn pct(&self, plan: &PctPlan, memo: Option<&LoneMemo>) -> Executed {
         let depth = plan.resume.as_ref().map_or(0, |r| r.depth);
-        let (result, snaps, restore_wall) = self.run(
-            &mut sched,
+        let sched = PctRun {
+            sched: plan.sched.clone(),
+            consults: Consults::default(),
+            picks: 0,
+        };
+        let mut ex = self.execute(
+            sched,
             plan.resume.as_ref(),
             depth + 1,
             plan.capture,
             CapturePlacement::First,
-            &mut (),
+            memo,
         );
-        let mut trace = result
-            .decisions
-            .unwrap_or_else(|| DecisionTrace::new("pct", plan.seed, sched.decision_mask()));
-        trace.seed = plan.seed;
-        Executed {
-            outcome: result.outcome,
-            trace,
-            consults: Consults::default(),
-            consult_base: 0,
-            base_preemptions: 0,
-            snaps,
-            infeasible: false,
-            run_wall: result.stats.wall,
-            capture_wall: result.stats.snapshot_wall,
-            restore_wall,
-            picks: sched.decisions() - skipped,
-            demotions: sched.demotions(),
-            undo_depth: result.stats.undo_depth,
-            splice: None,
-            lone: None,
+        ex.trace.seed = plan.seed;
+        ex
+    }
+}
+
+/// A scheduler the runner executes: once the run (and its splice, if
+/// any) is over, it hands `ex` its record of the run.
+trait RunScheduler: Scheduler {
+    /// First decision index whose pick, when one thread is eligible, is
+    /// that thread: where the run's lone consults start.
+    fn lone_from(&self) -> usize;
+
+    /// Fills in `ex`'s live consults and picks and the scheduler's own
+    /// counters. `ex.splice` is final: a scheduler that counts the whole
+    /// schedule also counts the spliced picks.
+    fn close(self, ex: &mut Executed, threads: usize);
+}
+
+impl RunScheduler for FrontierScheduler {
+    /// Past the forced prefix, where the default continuation takes over.
+    fn lone_from(&self) -> usize {
+        self.prefix_len()
+    }
+
+    fn close(self, ex: &mut Executed, _threads: usize) {
+        ex.picks = self.picks();
+        ex.infeasible = self.infeasible();
+        ex.consults = self.into_consults();
+    }
+}
+
+/// A PCT run's scheduler: records its consults as a
+/// [`FrontierScheduler`] does, so the run can record lone points and
+/// splice.
+struct PctRun {
+    sched: PctScheduler,
+    consults: Consults,
+    picks: u64,
+}
+
+impl Scheduler for PctRun {
+    fn pick(&mut self, ctx: &SchedContext<'_>) -> ThreadId {
+        let chosen = self.sched.pick(ctx);
+        self.picks += 1;
+        self.consults
+            .push(ctx.eligible, ctx.footprints, chosen, ctx.last);
+        chosen
+    }
+
+    fn name(&self) -> &'static str {
+        self.sched.name()
+    }
+
+    fn decision_mask(&self) -> PointMask {
+        self.sched.decision_mask()
+    }
+}
+
+impl RunScheduler for PctRun {
+    /// Every decision: a PCT pick from one eligible thread is that thread,
+    /// whatever the priorities.
+    fn lone_from(&self) -> usize {
+        0
+    }
+
+    /// Picks the splice made for the run still advance the scheduler, so
+    /// `ex.demotions` counts the whole schedule; `ex.picks` counts live
+    /// picks only.
+    fn close(mut self, ex: &mut Executed, threads: usize) {
+        ex.picks = self.picks;
+        if let Some(tail) = ex.tail() {
+            let lone = [tail.thread()];
+            for _ in 0..tail.len() {
+                self.sched.pick(&pct_context(&lone, threads));
+            }
         }
+        ex.demotions = self.sched.demotions();
+        ex.consults = self.consults;
     }
 }
 
@@ -686,9 +730,8 @@ impl SnapshotTree {
         let path: Arc<[u32]> = ex.trace.decisions[..top].into();
         let mut hashes = std::mem::take(&mut self.hashes);
         prefix_hashes(&path, &mut hashes);
-        // Preemptions spent before each capture. PCT runs record no
-        // consults, so their deposits count 0 — only frontier searches
-        // read the figure, and they never see PCT nodes.
+        // Preemptions spent before each capture: the resume point's, plus
+        // those among the run's consults up to it.
         let mut consults = ex.consults.iter();
         let (mut at, mut used) = (ex.consult_base, ex.base_preemptions);
         let mut added = 0;
@@ -723,7 +766,7 @@ const LONE_STRIDE: usize = 4;
 /// one wave earlier.
 const LONE_KEEP: usize = 2;
 
-/// The end of a frontier run from its first lone point on: the consults
+/// The end of a run from its first lone point on: the consults
 /// it interpreted there, then the remainder it spliced, if any. Every
 /// consult here had one eligible thread, the lone one, which it chose; so
 /// one footprint per consult describes it. Shared (never copied) by the
@@ -846,8 +889,8 @@ pub(super) struct LoneRecord {
     end_step: u64,
 }
 
-/// A frontier run's [`LoneHook`]: looks each lone consult up in the
-/// memo, and records a few lone points of its own.
+/// A run's [`LoneHook`]: looks each lone consult up in the memo, and
+/// records a few lone points of its own while the memo is not sealed.
 struct LoneRun<'m> {
     memo: &'m LoneMemo,
     from: usize,
@@ -907,7 +950,9 @@ impl LoneHook for LoneRun<'_> {
 
     fn at_lone(&mut self, m: &mut Machine<'_>) -> Option<RunOutcome> {
         let depth = m.decisions();
-        let due = self.points.len() < LONE_PER_RUN && depth.is_multiple_of(LONE_STRIDE);
+        let due = !self.memo.sealed
+            && self.points.len() < LONE_PER_RUN
+            && depth.is_multiple_of(LONE_STRIDE);
         if self.memo.entries.is_empty() && !due {
             return None;
         }
@@ -953,6 +998,8 @@ pub(super) struct LoneMemo {
     entries: Vec<LoneEntry>,
     /// Key → newest entry with that key.
     index: WordMap<u64, u32>,
+    /// Runs record no lone points: no later wave would read them.
+    sealed: bool,
 }
 
 impl LoneMemo {
@@ -1023,6 +1070,12 @@ impl LoneMemo {
             };
             self.insert(p.key, p.image, tail, wave);
         }
+    }
+
+    /// Stops runs from recording lone points, before the wave that spends
+    /// the budget: no later wave could splice them. Runs still splice.
+    pub fn seal(&mut self) {
+        self.sealed = true;
     }
 
     /// Drops, after merging `wave`, the entries no later wave is expected
@@ -1203,6 +1256,58 @@ mod tests {
         };
         assert_eq!(outputs(vec![1]), ["b", "a"]);
         assert_eq!(outputs(vec![0, 1]), ["a", "b"]);
+    }
+
+    #[test]
+    fn pct_run_splices_and_still_counts_the_whole_schedule() {
+        // PCT runs splice lone tails as frontier runs do: the trace, the
+        // consults, the rollbacks and the demotions come out as
+        // unspliced, and only the live picks drop.
+        let program = printers();
+        let runner = Runner::new(&program, &MachineConfig::default());
+        let mask = PointMask::SYNC_SHARED;
+        let mut memo = LoneMemo::default();
+        let mut first = runner.frontier(&forced(vec![1]), mask, Some(&memo));
+        memo.commit(&mut first, 0);
+        let cfg = PctConfig {
+            depth: 3,
+            k: 8,
+            mask,
+        };
+        let mut spliced = 0;
+        for seed in 0..32 {
+            let plan = PctPlan {
+                seed,
+                sched: PctScheduler::new(seed, cfg),
+                resume: None,
+                capture: 0,
+            };
+            let (a, b) = (runner.pct(&plan, Some(&memo)), runner.pct(&plan, None));
+            assert_eq!(a.outcome, b.outcome, "seed {seed}");
+            assert_eq!(a.trace, b.trace, "seed {seed}");
+            assert_eq!(all_consults(&a), all_consults(&b), "seed {seed}");
+            assert_eq!(a.undo_depth, b.undo_depth, "seed {seed}");
+            assert_eq!(a.demotions, b.demotions, "seed {seed}");
+            let tail = a.tail().map_or(0, TailRef::len) as u64;
+            assert_eq!(a.picks + tail, b.picks, "seed {seed}: live picks only");
+            spliced += usize::from(a.spliced_steps() > 0);
+        }
+        assert!(spliced > 0, "some seed runs into the recorded tail");
+    }
+
+    #[test]
+    fn sealed_memo_splices_but_records_nothing() {
+        let program = printers();
+        let runner = Runner::new(&program, &MachineConfig::default());
+        let mask = PointMask::SYNC_SHARED;
+        let mut memo = LoneMemo::default();
+        let mut first = runner.frontier(&forced(vec![1]), mask, Some(&memo));
+        memo.commit(&mut first, 0);
+        memo.seal();
+        let again = runner.frontier(&forced(vec![0, 1]), mask, Some(&memo));
+        assert!(again.spliced_steps() > 0, "a sealed memo still splices");
+        let fresh = runner.frontier(&forced(vec![0, 0, 1]), mask, Some(&memo));
+        assert!(again.lone.is_none() && fresh.lone.is_none());
     }
 
     #[test]
@@ -1473,7 +1578,7 @@ mod tests {
                 resume: None,
                 capture: 0,
             };
-            let (a, b) = (runner.pct(&plan), runner.pct(&fresh));
+            let (a, b) = (runner.pct(&plan, None), runner.pct(&fresh, None));
             if skipped > 0 {
                 let node =
                     node_at(&tree, &a.trace.decisions[..skipped as usize]).expect("resumed node");

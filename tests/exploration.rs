@@ -158,10 +158,9 @@ fn exhausting_budgets_counts_every_failure() {
 }
 
 /// PCT at bug depth 3 under sync points — the shape of the repository
-/// benchmark's sweep. Keep-going runs one wave after the probe, so the
-/// runs resume from the probe's captures only; stop-at-first sweeps ramp
-/// through several waves, each resuming from its predecessors' captures
-/// too.
+/// benchmark's sweep. Keep-going sweeps run waves of 1, 2, 4, … after
+/// the probe, stop-at-first ones waves of 16, 32, …; either way each wave
+/// resumes from and splices onto the probe and every earlier wave.
 fn pct_config(stop_at_first: bool, budget: usize) -> ExploreConfig {
     let mut ec = ExploreConfig::new(ExploreStrategy::Pct { depth: 3 });
     ec.budget = budget;
@@ -446,6 +445,7 @@ fn splicing_carries_rollbacks_and_leaves_observations_unchanged() {
     for strategy in [
         ExploreStrategy::Bounded { preemptions: 1 },
         ExploreStrategy::Dpor { preemptions: 1 },
+        ExploreStrategy::Pct { depth: 3 },
     ] {
         let observe = |snapshot_budget: usize| {
             let mut ec = ExploreConfig::new(strategy);
@@ -461,9 +461,19 @@ fn splicing_carries_rollbacks_and_leaves_observations_unchanged() {
         let (cached, cached_traces, cached_prom) = observe(8192);
         let (plain, plain_traces, plain_prom) = observe(0);
         let label = strategy.label();
-        assert!(cached.exhausted && cached.failures > 0, "{label}");
+        let systematic = !matches!(strategy, ExploreStrategy::Pct { .. });
+        assert!(cached.failures > 0, "{label}");
+        assert_eq!(cached.exhausted, systematic, "{label}");
         assert_eq!(cached.normalized(), plain.normalized(), "{label}");
         assert_eq!(cached_traces, plain_traces, "{label}: traces");
+        // A spliced PCT run still counts the demotions of its whole
+        // schedule.
+        let demotions = "conair_explore_pct_demotions_total ";
+        assert_eq!(
+            prom_series(&cached_prom, demotions),
+            prom_series(&plain_prom, demotions),
+            "{label}: demotions"
+        );
         let spliced = prom_series(&cached_prom, "conair_explore_spliced_steps_total ");
         assert_ne!(
             spliced,
@@ -479,6 +489,40 @@ fn splicing_carries_rollbacks_and_leaves_observations_unchanged() {
         assert!(
             !undo.contains(&"conair_explore_undo_depth_count 0"),
             "{label}: runs rolled back"
+        );
+    }
+}
+
+#[test]
+fn keep_going_pct_waves_share_earlier_runs() {
+    // A keep-going PCT sweep doubles its waves from one run, so every
+    // run after the first can resume from or splice onto the runs of
+    // earlier waves. The report is still the unshared one, and the cache
+    // counters are the same at every job count.
+    let name = "Transmission";
+    let cached = assert_cache_is_invisible(name, pct_config(false, 16));
+    assert_eq!(cached.wave_widths, [1, 2, 4, 8], "waves double from one");
+    let w = workload_by_name(name).expect("registered workload");
+    let observe = |jobs: usize| {
+        let mut ec = pct_config(false, 16);
+        ec.jobs = jobs;
+        let mut obs = ExploreObserver::new();
+        let report = explore_observed(&w.program, &machine(), &ec, Some(&mut obs));
+        let prom = obs.render_prometheus(&report);
+        let spliced = prom_series(&prom, "conair_explore_spliced_steps_total ")[0].to_string();
+        (report.snapshot_hits, report.steps_saved, spliced)
+    };
+    let (hits, saved, spliced) = observe(1);
+    assert!(hits > 0, "{name}: later runs resume");
+    assert_ne!(
+        spliced, "conair_explore_spliced_steps_total 0",
+        "{name}: later runs splice"
+    );
+    for jobs in [2, 4] {
+        assert_eq!(
+            observe(jobs),
+            (hits, saved, spliced.clone()),
+            "{name}: --jobs {jobs} changed sharing"
         );
     }
 }

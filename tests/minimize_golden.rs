@@ -29,7 +29,10 @@
 //! every capture and resume decision the search makes; the DPOR rows'
 //! raw hashes were re-recorded when the captures moved, and the rows whose
 //! runs splice lone-thread remainders were re-recorded when `steps_saved`
-//! started counting the spliced steps.
+//! started counting the spliced steps. The PCT rows' shape hashes moved
+//! once, when keep-going PCT sweeps went from one wave to waves doubling
+//! from one: only `wave_widths` changed (`[15]` became `[1, 2, 4, 8]`),
+//! and with it set back to `[15]` each row hashes to its old shape.
 
 use conair::Conair;
 use conair_runtime::{
@@ -162,8 +165,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "FFT",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0xdafe_04db_1e2b_68d5,
-        shape_hash: 0xda02_f4ee_6ac5_1c73,
+        report_hash: 0xa4ad_05fe_c771_2ed2,
+        shape_hash: 0x4fb5_1203_36b1_f258,
     },
     SearchGolden {
         app: "HawkNL",
@@ -183,8 +186,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "HawkNL",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0x2562_96fe_2d5f_40c4,
-        shape_hash: 0x206a_af50_8c72_b062,
+        report_hash: 0xa4cf_50bb_4c57_abba,
+        shape_hash: 0xa48f_054c_396c_d17f,
     },
     SearchGolden {
         app: "HTTrack",
@@ -204,8 +207,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "HTTrack",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0xf6c7_96a5_c8a1_0312,
-        shape_hash: 0xc232_c100_7b46_4df7,
+        report_hash: 0x7cab_e148_7def_bab7,
+        shape_hash: 0x66f9_73d5_18b7_292c,
     },
     SearchGolden {
         app: "MozillaXP",
@@ -225,8 +228,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "MozillaXP",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0xc7f1_ac78_c604_dbb0,
-        shape_hash: 0x44ba_2d74_4bd3_b911,
+        report_hash: 0xe33d_9542_4ec5_1dca,
+        shape_hash: 0x633b_6168_89ea_5006,
     },
     SearchGolden {
         app: "MozillaJS",
@@ -246,8 +249,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "MozillaJS",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0x7ea2_5a3c_8f1c_1654,
-        shape_hash: 0xcb1e_2eec_6510_ef19,
+        report_hash: 0xd28c_11ff_de8f_e3bf,
+        shape_hash: 0x2c41_d2e5_397c_70fe,
     },
     SearchGolden {
         app: "Transmission",
@@ -267,8 +270,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "Transmission",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0x08e6_114a_8a8c_7df3,
-        shape_hash: 0x386b_211a_3225_c436,
+        report_hash: 0x5b8c_1c6b_9a3f_31e8,
+        shape_hash: 0xceb2_9fc5_0819_ea03,
     },
     SearchGolden {
         app: "SQLite",
@@ -288,8 +291,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "SQLite",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0x3c8a_5f7c_86ce_2cdc,
-        shape_hash: 0x3bd4_5937_8edb_09d7,
+        report_hash: 0x4e4b_bb3e_438b_6923,
+        shape_hash: 0x00ac_ab6f_8274_990c,
     },
     SearchGolden {
         app: "ZSNES",
@@ -309,8 +312,8 @@ const SEARCH_GOLDEN: &[SearchGolden] = &[
         app: "ZSNES",
         search: Search::Pct,
         schedules: 16,
-        report_hash: 0xefa2_aa09_ae59_821f,
-        shape_hash: 0xedf9_143a_94e4_4108,
+        report_hash: 0xf39c_1bf6_cd43_f4ac,
+        shape_hash: 0xa3eb_2474_17e0_958d,
     },
     SearchGolden {
         app: "FFT",
