@@ -1047,8 +1047,9 @@ impl<'p> Machine<'p> {
             // 3. Pick and execute. Schedulers with narrow decision masks
             // are only consulted when the running thread reaches a masked
             // scheduling point (or stops being eligible); in between, the
-            // machine silently continues it. The ALL mask short-circuits
-            // to the historical consult-every-step behavior.
+            // machine silently continues it. Under the ALL mask every step
+            // is a consult; a lone thread's local span settles its own in
+            // one call after it ran (`lone_span`).
             let consult = if consult_every_step {
                 Some(None)
             } else {
@@ -1114,23 +1115,54 @@ impl<'p> Machine<'p> {
                 });
                 self.last_picked = Some(tid);
             }
-            if let Some(outcome) = self.dispatch_step(tid, consult_every_step) {
+            let lone = consult_every_step && self.lone_span(tid);
+            let first = self.step;
+            let outcome = self.dispatch_step(tid, consult_every_step && !lone);
+            if lone && self.step > first {
+                let only = [tid];
+                let ctx = SchedContext {
+                    eligible: &only,
+                    step: first + 1,
+                    threads: self.threads.len(),
+                    last: Some(tid),
+                    point: None,
+                    footprints: &[],
+                };
+                scheduler.forced(&ctx, self.step - first);
+            }
+            if let Some(outcome) = outcome {
                 return outcome;
             }
         }
     }
 
+    /// Whether, under the ALL mask, `tid` may run a tight span whose
+    /// consults are settled afterwards in one [`Scheduler::forced`] call.
+    /// Every consult the span skips would have had `tid` as its only
+    /// eligible thread: the cached set is valid, so no thread sleeps or
+    /// waits on a lock, and the span executes only `Local` instructions —
+    /// no marker, lock operation, shared access or exit, so it releases
+    /// no gate or lock, and a change of `tid`'s own status ends it. Runs
+    /// that record decisions keep one consult per step.
+    #[inline]
+    fn lone_span(&self, tid: ThreadId) -> bool {
+        self.eligible.len() == 1
+            && self.eligible_cacheable
+            && !self.config.record_decisions
+            && self.point_kind(tid) == PointKind::Local
+    }
+
     /// One scheduler-visible dispatch through the decoded interpreter —
     /// *tight* (fused stream, span execution up to the next maskable
-    /// scheduling point) whenever nothing needs a per-step boundary: a
-    /// narrow decision mask, no trace ring, and no thread possibly waiting
-    /// on a timed lock.
+    /// scheduling point) whenever nothing needs a per-step boundary: no
+    /// consult due before the next step (`per_step`), no trace ring, and
+    /// no thread possibly waiting on a timed lock.
     #[inline]
-    fn dispatch_step(&mut self, tid: ThreadId, consult_every_step: bool) -> Option<RunOutcome> {
+    fn dispatch_step(&mut self, tid: ThreadId, per_step: bool) -> Option<RunOutcome> {
         // The dispatched thread is about to mutate: its cached capture
         // image (if any) is no longer current.
         self.thread_snaps[tid.index()] = None;
-        let tight = !consult_every_step && self.config.trace_depth == 0 && !self.maybe_timed_waiter;
+        let tight = !per_step && self.config.trace_depth == 0 && !self.maybe_timed_waiter;
         self.step_thread(tid, tight)
     }
 

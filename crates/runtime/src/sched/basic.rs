@@ -1,12 +1,19 @@
 //! The original strategies: deterministic round-robin and seeded random.
 //!
 //! Both keep the default [`PointMask::ALL`](super::PointMask::ALL) mask —
-//! they are consulted before every instruction, exactly as before the
+//! they see a consult before every instruction, exactly as before the
 //! scheduler layer grew decision masks, so every historical seed still
 //! produces the same interleaving. The random pick reduces one draw with
 //! a mask when the eligible count is a power of two and `%` otherwise —
 //! the value `gen_range` gives for the same draw, without its division on
 //! the one- and two-thread consults that dominate scripted runs.
+//!
+//! Most consults of a scripted run have one eligible thread, and the
+//! machine runs the local work of such a lone thread as one span, then
+//! settles the span's consults in one [`Scheduler::forced`] call. Both
+//! strategies settle them without picking: round-robin's cursor ends at
+//! zero after any lone pick, and the random strategy jumps its generator
+//! past the draws those picks would have made ([`SmallRng::advance`]).
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -47,6 +54,14 @@ impl Scheduler for RoundRobin {
     fn name(&self) -> &'static str {
         "round-robin"
     }
+
+    /// A pick from one eligible thread leaves the cursor past every
+    /// eligible id, so it wraps to zero.
+    fn forced(&mut self, _first: &SchedContext<'_>, n: u64) {
+        if n > 0 {
+            self.next = 0;
+        }
+    }
 }
 
 /// Seeded uniform-random scheduler; the workhorse for overhead and
@@ -80,11 +95,57 @@ impl Scheduler for SeededRandom {
     fn name(&self) -> &'static str {
         "seeded-random"
     }
+
+    /// Each lone pick spends one draw and nothing else.
+    fn forced(&mut self, _first: &SchedContext<'_>, n: u64) {
+        self.rng.advance(n);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A scheduler state after `n` lone consults of thread 2 settled by
+    /// `forced`, against the state after `n` picks.
+    fn forced_vs_picked<S: Scheduler + std::fmt::Debug>(make: impl Fn() -> S) {
+        let lone = [ThreadId(2)];
+        let all = [ThreadId(0), ThreadId(1), ThreadId(2), ThreadId(3)];
+        for n in [0, 1, 2, 17, 1000] {
+            let (mut forced, mut picked) = (make(), make());
+            // A few mixed picks first, so the cursor / draw count is not
+            // at its initial value.
+            for s in [&mut forced, &mut picked] {
+                for step in 0..3 {
+                    s.pick(&SchedContext::simple(&all[..1 + step as usize], step));
+                }
+            }
+            let mut first = SchedContext::simple(&lone, 10);
+            first.last = Some(ThreadId(2));
+            forced.forced(&first, n);
+            for k in 0..n {
+                let mut ctx = SchedContext::simple(&lone, 10 + k);
+                ctx.last = Some(ThreadId(2));
+                assert_eq!(picked.pick(&ctx), ThreadId(2));
+            }
+            assert_eq!(format!("{forced:?}"), format!("{picked:?}"), "n {n}");
+            let after: Vec<_> = (0..16)
+                .map(|step| forced.pick(&SchedContext::simple(&all, step)))
+                .collect();
+            let twin: Vec<_> = (0..16)
+                .map(|step| picked.pick(&SchedContext::simple(&all, step)))
+                .collect();
+            assert_eq!(after, twin, "n {n}");
+        }
+    }
+
+    #[test]
+    fn forced_matches_lone_picks() {
+        forced_vs_picked(RoundRobin::new);
+        for seed in [0, 1, 7, 0xdead_beef] {
+            forced_vs_picked(|| SeededRandom::new(seed));
+        }
+    }
 
     #[test]
     fn round_robin_cycles() {

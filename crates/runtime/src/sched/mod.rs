@@ -13,8 +13,9 @@
 //!   plain local work) and consults the scheduler only at the kinds the
 //!   strategy's [`Scheduler::decision_mask`] selects. A mask of
 //!   [`PointMask::ALL`] reproduces the historical pick-every-step behavior
-//!   exactly; sync-only masks keep decision logs compact enough to
-//!   enumerate.
+//!   exactly (the picks of a lone thread's local span arrive in one
+//!   [`Scheduler::forced`] call); sync-only masks keep decision logs
+//!   compact enough to enumerate.
 //! * strategies — [`RoundRobin`] and [`SeededRandom`] (the original
 //!   workhorses), [`PctScheduler`] (randomized priorities with `d`
 //!   priority-change points), and the [`FrontierScheduler`] primitive the
@@ -112,14 +113,34 @@ pub trait Scheduler {
 
     /// Which scheduling points this strategy wants to decide at.
     ///
-    /// With the default [`PointMask::ALL`] the machine consults the
-    /// scheduler before every instruction (the historical behavior).
+    /// With the default [`PointMask::ALL`] the scheduler sees a consult
+    /// before every instruction (the historical behavior); where only one
+    /// thread can run, the machine may execute a span of local work first
+    /// and settle that span's consults through [`Scheduler::forced`].
     /// Narrower masks make the machine continue the previously running
     /// thread silently between masked points — the scheduler is then only
     /// consulted when the running thread reaches a masked point, blocks,
     /// or exits, which is what keeps [`DecisionTrace`]s compact.
     fn decision_mask(&self) -> PointMask {
         PointMask::ALL
+    }
+
+    /// Settles `n` consults whose only eligible thread was the one in
+    /// `first.eligible`: `first` is the first of them, and the `k`-th
+    /// differs from it only in `step`, which is `first.step + k`. Called
+    /// after the machine ran those steps as one span under
+    /// [`PointMask::ALL`], so afterwards the scheduler must be in the
+    /// state the `n` picks would have left. The default makes those
+    /// picks; an override only has to be equivalent.
+    fn forced(&mut self, first: &SchedContext<'_>, n: u64) {
+        for k in 0..n {
+            let ctx = SchedContext {
+                step: first.step + k,
+                ..*first
+            };
+            let tid = self.pick(&ctx);
+            debug_assert_eq!(Some(&tid), first.eligible.first(), "forced pick");
+        }
     }
 }
 

@@ -69,8 +69,9 @@ impl PointKind {
 pub struct PointMask(u8);
 
 impl PointMask {
-    /// Every kind, including [`PointKind::Local`] — the machine consults
-    /// the scheduler before every instruction.
+    /// Every kind, including [`PointKind::Local`] — every instruction is
+    /// a consult (those of a lone thread's local span are settled in one
+    /// [`Scheduler::forced`](crate::Scheduler::forced) call).
     pub const ALL: PointMask = PointMask(0x7F);
 
     /// Synchronization-relevant points only: lock acquire/release, markers,

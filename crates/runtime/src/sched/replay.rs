@@ -145,6 +145,52 @@ mod tests {
         );
     }
 
+    /// The default `forced` is `n` lone picks: it consumes exactly `n`
+    /// decisions and reports the first one naming another thread — or
+    /// the end of the trace — at the index a pick would.
+    #[test]
+    fn forced_consumes_and_diverges_like_picks() {
+        let lone = [ThreadId(1)];
+        let mut first = SchedContext::simple(&lone, 5);
+        first.last = Some(ThreadId(1));
+        for recorded in [vec![1, 1, 1, 1], vec![1, 1, 0, 1, 0], vec![1, 1]] {
+            let mut trace = DecisionTrace::new("test", 0, PointMask::ALL);
+            for &d in &recorded {
+                trace.push(ThreadId(d));
+            }
+            for n in 0..=5u64 {
+                let mut forced = ReplayScheduler::new(trace.clone());
+                let mut picked = ReplayScheduler::new(trace.clone());
+                forced.forced(&first, n);
+                for k in 0..n {
+                    let ctx = SchedContext {
+                        step: 5 + k,
+                        ..first
+                    };
+                    assert_eq!(picked.pick(&ctx), ThreadId(1));
+                }
+                assert_eq!(forced.consumed(), (n as usize).min(recorded.len()));
+                assert_eq!(forced.consumed(), picked.consumed());
+                assert_eq!(forced.divergence(), picked.divergence());
+            }
+        }
+        let mut trace = DecisionTrace::new("test", 0, PointMask::ALL);
+        for d in [1, 1, 0, 1] {
+            trace.push(ThreadId(d));
+        }
+        let mut s = ReplayScheduler::new(trace);
+        s.forced(&first, 4);
+        assert_eq!(
+            s.divergence(),
+            Some(&Divergence {
+                at: 2,
+                wanted: Some(ThreadId(0))
+            })
+        );
+        s.forced(&first, 2);
+        assert_eq!((s.consumed(), s.divergence().unwrap().at), (4, 2));
+    }
+
     #[test]
     fn ineligible_decision_diverges_once() {
         let mut trace = DecisionTrace::new("test", 0, PointMask::ALL);
